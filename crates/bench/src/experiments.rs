@@ -1318,8 +1318,8 @@ pub fn serve(ctx: &Ctx) {
 
 /// Multi-pool scene-sharding sweep: shard counts {1, 2, 4} × every
 /// [`gbu_render::shard::ShardStrategy`] on the large synthetic scene,
-/// each run fanned over a [`gbu_serve::ShardedPool`] of single-device
-/// lanes, emitting `BENCH_shard.json`.
+/// each run one sharded frame on a fresh [`gbu_serve::ClusterBackend`]
+/// of single-device lanes, emitting `BENCH_shard.json`.
 ///
 /// Reported per coordinate:
 ///
@@ -1346,10 +1346,12 @@ pub fn shard(ctx: &Ctx) {
     use gbu_gpu::GpuConfig;
     use gbu_hw::GbuConfig;
     use gbu_render::pipeline;
-    use gbu_render::shard::ShardStrategy;
+    use gbu_render::shard::{ShardPlan, ShardStrategy};
     use gbu_scene::synth::SceneBuilder;
     use gbu_scene::{Camera, ScaleProfile};
-    use gbu_serve::{FrameId, FrameTicket, PreparedView, SessionId, ShardedPool};
+    use gbu_serve::{
+        ClusterBackend, ExecCompletion, ExecMode, FrameId, FrameTicket, PreparedView, SessionId,
+    };
 
     const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -1466,15 +1468,21 @@ pub fn shard(ctx: &Ctx) {
     let mut runs = Vec::new();
     for strategy in ShardStrategy::all() {
         for &shards in &SHARD_COUNTS {
-            let mut cluster =
-                ShardedPool::new(shards, 1, strategy, &gbu_cfg, &GpuConfig::orin_nx(), 0.5);
-            let planned_imbalance = cluster.submit(&view, ticket);
+            let mut cluster = ClusterBackend::new(shards, 1, &gbu_cfg, &GpuConfig::orin_nx(), 0.5);
+            cluster.submit(&view, ticket, ExecMode::Sharded { shards, strategy }, 0);
+            // The plan the backend builds for a session's first frame.
+            let planned_imbalance =
+                ShardPlan::new(strategy, &view.bins, shards).planned_imbalance();
             let mut done = Vec::new();
             while let Some(dt) = cluster.next_completion_dt() {
-                done.extend(cluster.advance(dt));
+                done.extend(cluster.advance(dt).into_iter().filter_map(|c| match c {
+                    ExecCompletion::Frame(frame) => Some(frame),
+                    ExecCompletion::Shard { .. } => None,
+                }));
             }
             assert_eq!(done.len(), 1, "one frame in, one frame out");
             let c = done.remove(0);
+            let imbalance = c.imbalance().expect("sharded frame");
 
             let bit_identical = c.image.pixels() == base.image.pixels();
             if !bit_identical {
@@ -1485,7 +1493,7 @@ pub fn shard(ctx: &Ctx) {
             let dram_overhead = c.dram_bytes as f64 / base.run.dram_bytes.max(1) as f64;
             for (label, v) in [
                 ("speedup", speedup),
-                ("imbalance", c.imbalance),
+                ("imbalance", imbalance),
                 ("planned_imbalance", planned_imbalance),
                 ("dram_overhead", dram_overhead),
             ] {
@@ -1500,20 +1508,19 @@ pub fn shard(ctx: &Ctx) {
                 shards.to_string(),
                 fmt_f(c.completed_at as f64 / 1e6, 2),
                 fmt_x(speedup),
-                fmt_f(c.imbalance, 3),
+                fmt_f(imbalance, 3),
                 fmt_f(planned_imbalance, 3),
                 fmt_x(dram_overhead),
             ]);
             let shard_cycles: Vec<String> = c.shard_cycles.iter().map(u64::to_string).collect();
             runs.push(format!(
                 "{{\"strategy\":\"{}\",\"shards\":{shards},\"completion_cycles\":{},\
-                 \"critical_path_speedup\":{speedup:.4},\"imbalance\":{:.4},\
+                 \"critical_path_speedup\":{speedup:.4},\"imbalance\":{imbalance:.4},\
                  \"planned_imbalance\":{planned_imbalance:.4},\"shard_cycles\":[{}],\
                  \"dram_bytes\":{},\"dram_overhead\":{dram_overhead:.4},\
                  \"bit_identical\":{bit_identical}}}",
                 strategy.label(),
                 c.completed_at,
-                c.imbalance,
                 shard_cycles.join(","),
                 c.dram_bytes,
             ));
@@ -1972,6 +1979,16 @@ pub fn trace(ctx: &Ctx) {
     println!("wrote {path}\n");
 }
 
+/// `report` as JSON with its per-session and per-frame shard records
+/// emptied — `BENCH_fleet.json` keeps aggregates only.
+fn aggregate_json(mut report: gbu_serve::ServeReport) -> String {
+    report.sessions.clear();
+    if let Some(sharding) = report.sharding.as_mut() {
+        sharding.frames.clear();
+    }
+    report.to_json()
+}
+
 /// Fleet resilience sweep: a wide cluster under sustained overload with
 /// fault-injected lane churn, with and without the fleet controller
 /// (session migration + lane reservation), plus a load-wave autoscaling
@@ -2233,7 +2250,7 @@ pub fn fleet(ctx: &Ctx) {
         runs.push(format!(
             "{{\"scenario\":\"{label}\",\"badness\":{{\"pre\":{pre:.6},\"churn\":{churn:.6},\
              \"post\":{post:.6}}},\"report\":{}}}",
-            r.to_json()
+            aggregate_json(r)
         ));
     }
     if recovery[2] > recovery[1] + 0.05 {
@@ -2300,7 +2317,7 @@ pub fn fleet(ctx: &Ctx) {
         ]);
         runs.push(format!(
             "{{\"scenario\":\"autoscale\",\"parked\":{parked},\"grown\":{grown},\"report\":{}}}",
-            r.to_json()
+            aggregate_json(r)
         ));
         println!("autoscale: parked {parked} lanes while light, restored {grown} under the wave\n");
     }

@@ -151,24 +151,35 @@ pub fn blend_pooled(
     dataflow: Dataflow,
     config: &RenderConfig,
 ) -> (FrameBuffer, BlendStats) {
+    blend_splats(pool, &frame.splats, &binned.bins, &frame.camera, dataflow, config)
+}
+
+/// The one Step-❸ body behind [`blend_pooled`] and
+/// [`blend_with_quality_pooled`]: blends `splats` over `bins` with the
+/// chosen dataflow inside a `blend` wall span.
+fn blend_splats(
+    pool: &ThreadPool,
+    splats: &[Splat2D],
+    bins: &TileBins,
+    camera: &Camera,
+    dataflow: Dataflow,
+    config: &RenderConfig,
+) -> (FrameBuffer, BlendStats) {
     let recorder = gbu_telemetry::global();
     let _span = recorder.wall_span("blend", gbu_telemetry::Labels::default());
     match dataflow {
-        Dataflow::Pfs => {
-            pfs::blend_pooled(pool, &frame.splats, &binned.bins, &frame.camera, config)
-        }
+        Dataflow::Pfs => pfs::blend_pooled(pool, splats, bins, camera, config),
         Dataflow::Irss => {
-            let isplats = irss::precompute_pooled(pool, &frame.splats);
-            let mut image =
-                FrameBuffer::new(frame.camera.width, frame.camera.height, config.background);
+            let isplats = irss::precompute_pooled(pool, splats);
+            let mut image = FrameBuffer::new(camera.width, camera.height, config.background);
             let mut stats = BlendStats::default();
             let mut scratch = crate::BlendScratch::new();
             irss::blend_precomputed_into(
                 pool,
-                &frame.splats,
+                splats,
                 &isplats,
-                &binned.bins,
-                &frame.camera,
+                bins,
+                camera,
                 config,
                 &mut scratch,
                 &mut image,
@@ -213,30 +224,7 @@ pub fn blend_with_quality_pooled(
     };
     let keep = contrib::select(&scores, level).expect("non-Exact level always selects");
     let (splats, bins) = contrib::compact(&frame.splats, &binned.bins, &keep);
-    let recorder = gbu_telemetry::global();
-    let _span = recorder.wall_span("blend", gbu_telemetry::Labels::default());
-    match dataflow {
-        Dataflow::Pfs => pfs::blend_pooled(pool, &splats, &bins, &frame.camera, config),
-        Dataflow::Irss => {
-            let isplats = irss::precompute_pooled(pool, &splats);
-            let mut image =
-                FrameBuffer::new(frame.camera.width, frame.camera.height, config.background);
-            let mut stats = BlendStats::default();
-            let mut scratch = crate::BlendScratch::new();
-            irss::blend_precomputed_into(
-                pool,
-                &splats,
-                &isplats,
-                &bins,
-                &frame.camera,
-                config,
-                &mut scratch,
-                &mut image,
-                &mut stats,
-            );
-            (image, stats)
-        }
-    }
+    blend_splats(pool, &splats, &bins, &frame.camera, dataflow, config)
 }
 
 /// The full pipeline: ❶ → ❷ → ❸ with the chosen dataflow — what

@@ -1,21 +1,25 @@
-//! Multi-pool scene sharding: fan one frame's tile-row shards out to
-//! several [`DevicePool`]s on a shared simulated clock and merge the
-//! partial frame buffers when the last shard lands.
+//! The serving engine's one execution backend: N [`DevicePool`] lanes
+//! on a shared simulated clock, executing unsharded frames on one lane
+//! and sharded frames fanned over several, merging the partial frame
+//! buffers when the last shard lands.
 //!
 //! One heavy scene can exceed what a single device pool sustains at
-//! AR/VR deadlines. A [`ShardedPool`] treats a frame as N tile-range
-//! shards (planned by `gbu_render::shard::ShardPlan`): shard `s` is
-//! submitted to pool `s` through the tile-range-scoped device entry
-//! point, so each shard charges only its range's D&B work and DRAM
-//! feature traffic against *its own* pool's bandwidth budget — the
-//! multi-GPU deployment where every shard lane is a separate edge SoC.
-//! All pools advance in lockstep on one wall clock; the frame completes
-//! only when every shard has landed, at which point the partial frame
-//! buffers are reassembled into an image bit-identical to the unsharded
-//! device render, and the per-shard service times are reported as an
-//! imbalance figure (critical path over mean).
+//! AR/VR deadlines. A [`ClusterBackend`] can treat a frame as N
+//! tile-range shards (planned by `gbu_render::shard::ShardPlan`): each
+//! shard is submitted to its own lane through the tile-range-scoped
+//! device entry point, so it charges only its range's D&B work and DRAM
+//! feature traffic against *its own* lane's bandwidth budget — the
+//! multi-GPU deployment where every lane is a separate edge SoC. All
+//! lanes advance in lockstep on one wall clock; a sharded frame
+//! completes only when every shard has landed, at which point the
+//! partial frame buffers are reassembled into an image bit-identical to
+//! the unsharded device render, and the per-shard service times are
+//! reported as an imbalance figure (critical path over mean).
+//!
+//! [`crate::BackendKind::Single`] is a 1-lane cluster, so the classic
+//! single-pool engine and the fleet runs share this one code path.
 
-use crate::backend::{ExecBackend, ExecCompletion, ExecMode, FrameDone};
+use crate::backend::{ExecCompletion, ExecMode, FrameDone};
 use crate::event::SessionId;
 use crate::pool::{DevicePool, PoolCompletion};
 use crate::scheduler::FrameTicket;
@@ -24,198 +28,6 @@ use gbu_gpu::GpuConfig;
 use gbu_hw::GbuConfig;
 use gbu_render::shard::{ShardFeedback, ShardPlan, ShardStrategy};
 use gbu_render::FrameBuffer;
-
-/// A frame completed by the cluster: all shards landed and merged.
-#[derive(Debug)]
-pub struct ShardedCompletion {
-    /// The request this frame fulfilled.
-    pub ticket: FrameTicket,
-    /// Wall cycle at which the *last* shard landed.
-    pub completed_at: u64,
-    /// The merged image — bit-identical to an unsharded device render.
-    pub image: FrameBuffer,
-    /// Wall-cycle service time of each shard (submit → land), indexed by
-    /// shard. The maximum is the frame's critical path.
-    pub shard_cycles: Vec<u64>,
-    /// Summed off-chip feature traffic across shards. Each shard fetched
-    /// only its tile range, so this tracks (and, where Gaussians straddle
-    /// shard boundaries, slightly exceeds) the unsharded frame's traffic.
-    pub dram_bytes: u64,
-    /// Measured imbalance: max shard service time over mean (1.0 =
-    /// perfectly balanced shards).
-    pub imbalance: f64,
-}
-
-#[derive(Debug)]
-struct PendingFrame {
-    ticket: FrameTicket,
-    plan: ShardPlan,
-    width: u32,
-    height: u32,
-    submitted_at: u64,
-    /// One slot per shard, filled as pools report completions.
-    parts: Vec<Option<PoolCompletion>>,
-}
-
-/// N single-frame shard lanes, each its own [`DevicePool`], advanced in
-/// lockstep on one simulated wall clock.
-#[derive(Debug)]
-pub struct ShardedPool {
-    pools: Vec<DevicePool>,
-    strategy: ShardStrategy,
-    pending: Vec<PendingFrame>,
-}
-
-impl ShardedPool {
-    /// Creates a cluster of `shards` pools with `devices_per_pool` GBUs
-    /// each. Every pool owns its own DRAM budget (`dram_share` of one
-    /// host GPU's LPDDR bandwidth) — shard lanes model separate edge
-    /// SoCs, not co-tenants of one bus.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards == 0` (and transitively when
-    /// `devices_per_pool == 0`).
-    pub fn new(
-        shards: usize,
-        devices_per_pool: usize,
-        strategy: ShardStrategy,
-        gbu: &GbuConfig,
-        gpu: &GpuConfig,
-        dram_share: f64,
-    ) -> Self {
-        assert!(shards > 0, "a cluster needs at least one shard lane");
-        Self {
-            pools: (0..shards)
-                .map(|_| DevicePool::new(devices_per_pool, gbu, gpu, dram_share))
-                .collect(),
-            strategy,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Number of shard lanes.
-    pub fn shard_count(&self) -> usize {
-        self.pools.len()
-    }
-
-    /// The shard strategy frames are split with.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
-    }
-
-    /// Current wall cycle (all lanes advance in lockstep).
-    pub fn clock(&self) -> u64 {
-        self.pools[0].clock()
-    }
-
-    /// Number of frames with at least one shard still in flight.
-    pub fn pending_frames(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// `true` when every shard lane has an idle device for a new frame.
-    pub fn can_accept(&self) -> bool {
-        self.pools.iter().all(|p| p.idle_device().is_some())
-    }
-
-    /// Mean device utilization across all lanes so far.
-    pub fn utilization(&self) -> f64 {
-        self.pools.iter().map(DevicePool::utilization).sum::<f64>() / self.pools.len() as f64
-    }
-
-    /// Splits `view` into tile-row shards and fans them out, one shard
-    /// per lane, all stamped with `ticket`. The frame will complete only
-    /// when every shard lands.
-    ///
-    /// Returns the plan's predicted imbalance (max planned shard cost
-    /// over mean), which the serving layer can report before the frame
-    /// even runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when some lane has no idle device (check
-    /// [`ShardedPool::can_accept`] first) or when a frame with the same
-    /// ticket id is already pending.
-    pub fn submit(&mut self, view: &PreparedView, ticket: FrameTicket) -> f64 {
-        assert!(
-            self.pending.iter().all(|p| p.ticket.id != ticket.id),
-            "ticket {:?} already has shards in flight",
-            ticket.id
-        );
-        let plan = ShardPlan::new(self.strategy, &view.bins, self.pools.len());
-        let submitted_at = self.clock();
-        for (s, pool) in self.pools.iter_mut().enumerate() {
-            let device = pool.idle_device().expect("submit requires an idle device per lane");
-            let shard_bins = plan.shard_bins(&view.bins, s);
-            pool.submit_scoped(device, &view.splats, &shard_bins, &view.camera, ticket);
-        }
-        let predicted = plan.planned_imbalance();
-        self.pending.push(PendingFrame {
-            ticket,
-            plan,
-            width: view.camera.width,
-            height: view.camera.height,
-            submitted_at,
-            parts: (0..self.pools.len()).map(|_| None).collect(),
-        });
-        predicted
-    }
-
-    /// Wall cycles until the next shard lands anywhere in the cluster,
-    /// or `None` when everything is idle.
-    pub fn next_completion_dt(&self) -> Option<u64> {
-        self.pools.iter().filter_map(DevicePool::next_completion_dt).min()
-    }
-
-    /// Advances every lane by `wall_dt` cycles in lockstep, collecting
-    /// the frames whose *last* shard landed during the interval. Frames
-    /// with shards still in flight stay pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `wall_dt == 0` (the shared clock must move forward).
-    pub fn advance(&mut self, wall_dt: u64) -> Vec<ShardedCompletion> {
-        for (s, pool) in self.pools.iter_mut().enumerate() {
-            for completion in pool.advance(wall_dt) {
-                let pending = self
-                    .pending
-                    .iter_mut()
-                    .find(|p| p.ticket.id == completion.ticket.id)
-                    .expect("every shard completion belongs to a pending frame");
-                debug_assert!(pending.parts[s].is_none(), "one completion per shard lane");
-                pending.parts[s] = Some(completion);
-            }
-        }
-
-        let mut done = Vec::new();
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].parts.iter().all(Option::is_some) {
-                done.push(Self::seal(self.pending.swap_remove(i)));
-            } else {
-                i += 1;
-            }
-        }
-        // swap_remove disorders the pending list; completions are sorted
-        // back into landing order for deterministic event streams.
-        done.sort_by_key(|c| (c.completed_at, c.ticket.id));
-        done
-    }
-
-    /// Merges a fully-landed frame's shard partials into one completion.
-    fn seal(pending: PendingFrame) -> ShardedCompletion {
-        let PendingFrame { ticket, plan, width, height, submitted_at, parts } = pending;
-        let parts: Vec<PoolCompletion> =
-            parts.into_iter().map(|p| p.expect("all shards landed")).collect();
-        let completed_at = parts.iter().map(|p| p.completed_at).max().expect("at least one shard");
-        let shard_cycles: Vec<u64> = parts.iter().map(|p| p.completed_at - submitted_at).collect();
-        let dram_bytes = parts.iter().map(|p| p.frame.run.dram_bytes).sum();
-        let imbalance = crate::backend::shard_imbalance(&shard_cycles).expect("at least one shard");
-        let image = merge_part_images(&plan, width, height, &parts);
-        ShardedCompletion { ticket, completed_at, image, shard_cycles, dram_bytes, imbalance }
-    }
-}
 
 /// Reassembles a frame from its shard partials: every shard's device
 /// image is full-size with background outside its rows; copy each
@@ -247,7 +59,7 @@ fn merge_part_images(
 
 /// One sharded frame mid-flight on the cluster backend.
 #[derive(Debug)]
-struct PendingMixed {
+struct PendingFrame {
     ticket: FrameTicket,
     plan: ShardPlan,
     width: u32,
@@ -264,10 +76,15 @@ struct PendingMixed {
     parts: Vec<Option<PoolCompletion>>,
 }
 
-/// The cluster-mode [`ExecBackend`]: N independent [`DevicePool`] lanes
-/// on one lockstep wall clock, executing [`ExecMode::Unsharded`] frames
-/// on a single lane and [`ExecMode::Sharded`] frames fanned over the
-/// least-busy `shards` lanes — mixed freely on one clock.
+/// N independent [`DevicePool`] lanes on one lockstep wall clock,
+/// executing [`ExecMode::Unsharded`] frames on a single lane and
+/// [`ExecMode::Sharded`] frames fanned over the least-busy `shards`
+/// lanes — mixed freely on one clock.
+///
+/// The clock is strictly monotone and advanced only by
+/// [`ClusterBackend::advance`]; rates change only at submit/completion
+/// boundaries, so advancing event-to-event
+/// ([`ClusterBackend::next_completion_dt`]) is exact.
 ///
 /// Sharded frames report one [`ExecCompletion::Shard`] per landed shard
 /// before the merged [`ExecCompletion::Frame`]; per-session
@@ -277,7 +94,7 @@ struct PendingMixed {
 pub struct ClusterBackend {
     lanes: Vec<DevicePool>,
     devices_per_lane: usize,
-    pending: Vec<PendingMixed>,
+    pending: Vec<PendingFrame>,
     /// Last executed plan + measured shard occupancies, by session index.
     feedback: Vec<Option<ShardFeedback>>,
     /// Which lanes are up. A dead lane is masked, never removed: its
@@ -338,42 +155,59 @@ impl ClusterBackend {
         open.sort_by_key(|&l| (self.lanes[l].busy_count(), l));
         open
     }
-}
 
-impl ExecBackend for ClusterBackend {
-    fn clock(&self) -> u64 {
+    /// Current wall cycle (all lanes advance in lockstep).
+    pub fn clock(&self) -> u64 {
         self.lanes[0].clock()
     }
 
-    fn lane_count(&self) -> usize {
+    /// Number of lanes, live or not.
+    pub fn lane_count(&self) -> usize {
         self.lanes.len()
     }
 
-    fn device_count(&self) -> usize {
+    /// Total GBU devices across all lanes.
+    pub fn device_count(&self) -> usize {
         self.lanes.len() * self.devices_per_lane
     }
 
-    fn in_flight_frames(&self) -> usize {
+    /// Number of frames currently executing (a sharded frame counts once
+    /// however many shards are still in flight).
+    pub fn in_flight_frames(&self) -> usize {
         let shard_busy: usize =
             self.pending.iter().map(|p| p.parts.iter().filter(|part| part.is_none()).count()).sum();
         let busy: usize = self.lanes.iter().map(DevicePool::busy_count).sum();
         busy - shard_busy + self.pending.len()
     }
 
-    fn utilization(&self) -> f64 {
+    /// Mean device utilization so far across all lanes.
+    pub fn utilization(&self) -> f64 {
         self.lanes.iter().map(DevicePool::utilization).sum::<f64>() / self.lanes.len() as f64
     }
 
-    fn can_accept(&self, mode: ExecMode) -> bool {
+    /// Capacity probe: can a frame in `mode` be dispatched right now?
+    /// (`Unsharded`: some live lane has an idle device;
+    /// `Sharded { shards }`: at least `shards` live lanes each have one.)
+    pub fn can_accept(&self, mode: ExecMode) -> bool {
         let open = self.open_lane_count();
         mode.lanes_needed() <= open && mode.lanes_needed() >= 1
     }
 
-    fn submit(&mut self, view: &PreparedView, ticket: FrameTicket, mode: ExecMode) -> usize {
-        self.submit_with_prep(view, ticket, mode, 0)
-    }
-
-    fn submit_with_prep(
+    /// Dispatches `view` on behalf of `ticket` in `mode`. The frame first
+    /// occupies its device(s) for `prep_cycles` device-cycles of host
+    /// Step-❶/❷ work before GBU progress starts — how the engine models
+    /// host-GPU preprocessing when [`crate::engine::PrepConfig`] is
+    /// enabled (and the lever the cross-session reuse discount pulls by
+    /// passing 0 for shared epochs). Returns the global device index the
+    /// frame started on (sharded: the device running shard 0) for the
+    /// `Started` event.
+    ///
+    /// # Panics
+    ///
+    /// Panics when fewer live lanes have an idle device than `mode`
+    /// needs (check [`ClusterBackend::can_accept`] first), or when a
+    /// sharded frame with the same ticket id is already in flight.
+    pub fn submit(
         &mut self,
         view: &PreparedView,
         ticket: FrameTicket,
@@ -396,7 +230,7 @@ impl ExecBackend for ClusterBackend {
                 });
                 let device =
                     self.lanes[lane].idle_device().expect("placement order holds open lanes");
-                self.lanes[lane].submit_with_prep(device, view, ticket, prep_cycles);
+                self.lanes[lane].submit(device, view, ticket, prep_cycles);
                 lane * self.devices_per_lane + device
             }
             ExecMode::Sharded { shards, strategy } => {
@@ -434,7 +268,7 @@ impl ExecBackend for ClusterBackend {
                     let shard_bins = plan.shard_bins(&view.bins, s);
                     // Every shard waits for the host's full Step-❶/❷
                     // pass — prep is not divisible across shards.
-                    self.lanes[lane].submit_scoped_with_prep(
+                    self.lanes[lane].submit_scoped(
                         device,
                         &view.splats,
                         &shard_bins,
@@ -451,7 +285,7 @@ impl ExecBackend for ClusterBackend {
                         first_device = lane * self.devices_per_lane + device;
                     }
                 }
-                self.pending.push(PendingMixed {
+                self.pending.push(PendingFrame {
                     ticket,
                     plan,
                     width: view.camera.width,
@@ -466,7 +300,10 @@ impl ExecBackend for ClusterBackend {
         }
     }
 
-    fn cancel_session(&mut self, session: SessionId) -> Vec<FrameTicket> {
+    /// Cancels every in-flight frame belonging to `session` (all shards
+    /// of sharded frames), freeing their devices immediately. Returns the
+    /// cancelled tickets, one entry per frame.
+    pub fn cancel_session(&mut self, session: SessionId) -> Vec<FrameTicket> {
         let mut cancelled = Vec::new();
         // Sharded frames first: cancel every unlanded shard on its lane,
         // discard landed partials, retire the pending entry.
@@ -477,17 +314,7 @@ impl ExecBackend for ClusterBackend {
                 continue;
             }
             let p = self.pending.remove(i);
-            for (s, &lane) in p.lane_of_shard.iter().enumerate() {
-                if p.parts[s].is_some() {
-                    continue; // this shard already landed
-                }
-                let device = (0..self.lanes[lane].len())
-                    .find(|&d| {
-                        self.lanes[lane].active_ticket(d).is_some_and(|t| t.id == p.ticket.id)
-                    })
-                    .expect("unlanded shard is active on its lane");
-                self.lanes[lane].cancel(device).expect("active ticket was just observed");
-            }
+            self.cancel_unlanded_shards(&p);
             cancelled.push(p.ticket);
         }
         // Then plain unsharded frames of the session.
@@ -501,11 +328,35 @@ impl ExecBackend for ClusterBackend {
         cancelled
     }
 
-    fn next_completion_dt(&self) -> Option<u64> {
+    /// Cancels every shard of `p` that has not landed yet, wherever it
+    /// runs (landed partials are simply discarded with `p`).
+    fn cancel_unlanded_shards(&mut self, p: &PendingFrame) {
+        for (s, &lane) in p.lane_of_shard.iter().enumerate() {
+            if p.parts[s].is_some() {
+                continue; // this shard already landed
+            }
+            let pool = &mut self.lanes[lane];
+            let device = (0..pool.len())
+                .find(|&d| pool.active_ticket(d).is_some_and(|t| t.id == p.ticket.id))
+                .expect("unlanded shard is active on its lane");
+            pool.cancel(device).expect("active ticket was just observed");
+        }
+    }
+
+    /// Wall cycles until the next completion (shard or frame) anywhere,
+    /// or `None` when idle.
+    pub fn next_completion_dt(&self) -> Option<u64> {
         self.lanes.iter().filter_map(DevicePool::next_completion_dt).min()
     }
 
-    fn advance(&mut self, wall_dt: u64) -> Vec<ExecCompletion> {
+    /// Advances every lane by `wall_dt` cycles in lockstep and returns
+    /// what landed, shard completions strictly before the frame
+    /// completions they belong to.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `wall_dt == 0` (the clock must move forward).
+    pub fn advance(&mut self, wall_dt: u64) -> Vec<ExecCompletion> {
         let mut shard_events = Vec::new();
         let mut unsharded_done = Vec::new();
         for (lane_idx, lane) in self.lanes.iter_mut().enumerate() {
@@ -531,6 +382,7 @@ impl ExecBackend for ClusterBackend {
                     None => unsharded_done.push(FrameDone {
                         ticket: completion.ticket,
                         completed_at: completion.completed_at,
+                        dram_bytes: completion.frame.run.dram_bytes,
                         image: completion.frame.image,
                         shard_cycles: Vec::new(),
                     }),
@@ -555,6 +407,7 @@ impl ExecBackend for ClusterBackend {
                 parts.iter().map(|c| c.completed_at).max().expect("at least one shard");
             let shard_cycles: Vec<u64> =
                 parts.iter().map(|c| c.completed_at - p.submitted_at).collect();
+            let dram_bytes = parts.iter().map(|c| c.frame.run.dram_bytes).sum();
             let image = merge_part_images(&p.plan, p.width, p.height, &parts);
             // Retain the measurement for the session's next Measured plan.
             let idx = p.ticket.session.index();
@@ -565,7 +418,13 @@ impl ExecBackend for ClusterBackend {
                 rows: p.plan.shards.iter().map(|s| s.rows.clone()).collect(),
                 measured_cycles: p.occupancy_of_shard,
             });
-            sharded_done.push(FrameDone { ticket: p.ticket, completed_at, image, shard_cycles });
+            sharded_done.push(FrameDone {
+                ticket: p.ticket,
+                completed_at,
+                image,
+                shard_cycles,
+                dram_bytes,
+            });
         }
 
         shard_events
@@ -575,11 +434,18 @@ impl ExecBackend for ClusterBackend {
             .collect()
     }
 
+    /// Per-lane, per-device optimistic backlog, written into `out`
+    /// (cleared first): device-cycles of work still executing on each
+    /// device (zero when idle), grouped by *live* lane — what lane-aware
+    /// admission seeds its earliest-free schedule with. Taking a caller
+    /// scratch buffer keeps the per-admission probe allocation-free once
+    /// the buffer warms up.
+    ///
     /// Live lanes only: a dead lane contributes no capacity, but leaving
     /// it out (rather than reporting it as infinitely backed up) keeps
     /// the admission estimate optimistic — a rejection stays a proof of
     /// unmeetability even if the lane is restored a cycle later.
-    fn lane_backlogs_into(&self, out: &mut Vec<Vec<u64>>) {
+    pub fn lane_backlogs_into(&self, out: &mut Vec<Vec<u64>>) {
         out.resize_with(self.live_lane_count(), Vec::new);
         let mut i = 0;
         for (lane, pool) in self.lanes.iter().enumerate() {
@@ -590,21 +456,31 @@ impl ExecBackend for ClusterBackend {
         }
     }
 
-    fn lane_alive(&self, lane: usize) -> bool {
+    /// Whether `lane` is currently up. Lanes go down under a fleet
+    /// plan's fault injection or the autoscaler's scale-down.
+    pub fn lane_alive(&self, lane: usize) -> bool {
         self.alive[lane]
     }
 
-    fn live_lane_count(&self) -> usize {
+    /// Number of lanes currently up.
+    pub fn live_lane_count(&self) -> usize {
         self.alive.iter().filter(|a| **a).count()
     }
 
-    fn open_lane_count(&self) -> usize {
+    /// Number of live lanes with at least one idle device — the
+    /// dispatch headroom lane reservation budgets against.
+    pub fn open_lane_count(&self) -> usize {
         (0..self.lanes.len())
             .filter(|&l| self.alive[l] && self.lanes[l].idle_device().is_some())
             .count()
     }
 
-    fn kill_lane(&mut self, lane: usize) -> Vec<FrameTicket> {
+    /// Takes `lane` down: cancels every in-flight frame with work on it
+    /// (all shards of a sharded frame, wherever they run) and refuses it
+    /// new work until [`ClusterBackend::restore_lane`]. Returns the
+    /// cancelled tickets, one entry per frame; killing a dead lane is a
+    /// no-op.
+    pub fn kill_lane(&mut self, lane: usize) -> Vec<FrameTicket> {
         if !self.alive[lane] {
             return Vec::new();
         }
@@ -620,15 +496,7 @@ impl ExecBackend for ClusterBackend {
                 continue;
             }
             let p = self.pending.remove(i);
-            for (s, &l) in p.lane_of_shard.iter().enumerate() {
-                if p.parts[s].is_some() {
-                    continue; // this shard already landed
-                }
-                let device = (0..self.lanes[l].len())
-                    .find(|&d| self.lanes[l].active_ticket(d).is_some_and(|t| t.id == p.ticket.id))
-                    .expect("unlanded shard is active on its lane");
-                self.lanes[l].cancel(device).expect("active ticket was just observed");
-            }
+            self.cancel_unlanded_shards(&p);
             cancelled.push(p.ticket);
         }
         // Then the unsharded frames executing on the lane itself.
@@ -643,7 +511,10 @@ impl ExecBackend for ClusterBackend {
         cancelled
     }
 
-    fn restore_lane(&mut self, lane: usize) {
+    /// Brings `lane` back up, starting a new
+    /// [`ClusterBackend::lane_generation`] lifetime (no-op when it is
+    /// already up).
+    pub fn restore_lane(&mut self, lane: usize) {
         if self.alive[lane] {
             return;
         }
@@ -652,11 +523,17 @@ impl ExecBackend for ClusterBackend {
         self.lanes[lane].set_lane_generation(self.generation[lane]);
     }
 
-    fn lane_generation(&self, lane: usize) -> u32 {
+    /// Restart generation of `lane`: 0 for its first lifetime, bumped on
+    /// every restore.
+    pub fn lane_generation(&self, lane: usize) -> u32 {
         self.generation[lane]
     }
 
-    fn set_lane_affinity(&mut self, session: SessionId, lane: Option<usize>) {
+    /// Pins `session`'s future unsharded frames to prefer `lane` (or
+    /// clears the pin with `None`) — the fleet controller's migration
+    /// lever. Advisory: a dead or full home lane falls back to least-busy
+    /// placement.
+    pub fn set_lane_affinity(&mut self, session: SessionId, lane: Option<usize>) {
         let idx = session.index();
         if self.affinity.len() <= idx {
             if lane.is_none() {
@@ -667,9 +544,11 @@ impl ExecBackend for ClusterBackend {
         self.affinity[idx] = lane;
     }
 
-    fn set_telemetry(&mut self, recorder: &gbu_telemetry::Recorder) {
+    /// Attaches a telemetry recorder: every lane records its
+    /// `device_busy` spans and DRAM-arbitration stall gauge into it.
+    pub fn set_telemetry(&mut self, recorder: &gbu_telemetry::Recorder) {
         for (lane, pool) in self.lanes.iter_mut().enumerate() {
-            pool.attach_recorder(recorder.clone(), Some(lane as u32));
+            pool.attach_recorder(recorder.clone(), lane as u32);
         }
     }
 }
@@ -706,14 +585,6 @@ mod tests {
         }
     }
 
-    fn drain(pool: &mut ShardedPool) -> Vec<ShardedCompletion> {
-        let mut done = Vec::new();
-        while let Some(dt) = pool.next_completion_dt() {
-            done.extend(pool.advance(dt));
-        }
-        done
-    }
-
     fn unsharded_baseline(session: &Session) -> (FrameBuffer, u64) {
         let view = session.view(0);
         let mut gbu = Gbu::new(GbuConfig::paper());
@@ -721,132 +592,6 @@ mod tests {
         let occupancy = gbu.in_flight_remaining().expect("frame in flight");
         (gbu.wait().expect("frame in flight").image, occupancy)
     }
-
-    #[test]
-    fn sharded_frame_is_bit_identical_to_single_device() {
-        let session = prepared();
-        let (reference, _) = unsharded_baseline(&session);
-        for strategy in ShardStrategy::all() {
-            for shards in [1usize, 2, 4] {
-                let mut cluster = ShardedPool::new(
-                    shards,
-                    1,
-                    strategy,
-                    &GbuConfig::paper(),
-                    &GpuConfig::orin_nx(),
-                    0.5,
-                );
-                assert!(cluster.can_accept());
-                cluster.submit(session.view(0), ticket(0));
-                let mut done = drain(&mut cluster);
-                assert_eq!(done.len(), 1, "{strategy:?}/{shards}");
-                let c = done.remove(0);
-                assert_eq!(
-                    c.image.pixels(),
-                    reference.pixels(),
-                    "{strategy:?}/{shards}: merged image must be bit-identical"
-                );
-                assert_eq!(c.shard_cycles.len(), shards);
-                assert!(c.imbalance >= 1.0 - 1e-12);
-                assert!(c.dram_bytes > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn frame_completes_only_when_all_shards_land() {
-        let session = prepared();
-        let mut cluster = ShardedPool::new(
-            4,
-            1,
-            ShardStrategy::ContiguousRows,
-            &GbuConfig::paper(),
-            &GpuConfig::orin_nx(),
-            0.5,
-        );
-        cluster.submit(session.view(0), ticket(0));
-        assert_eq!(cluster.pending_frames(), 1);
-        // Advance to the first shard landing: unless every shard happens
-        // to land on the same cycle, the frame must still be pending.
-        let first = cluster.next_completion_dt().expect("shards in flight");
-        let done = cluster.advance(first);
-        if !done.is_empty() {
-            // Degenerate (all shards equal): still a valid completion.
-            assert_eq!(done[0].shard_cycles.len(), 4);
-            return;
-        }
-        assert_eq!(cluster.pending_frames(), 1, "frame gates on the last shard");
-        let done = drain(&mut cluster);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].completed_at, cluster.clock());
-        assert_eq!(cluster.pending_frames(), 0);
-    }
-
-    #[test]
-    fn sharding_shortens_the_critical_path() {
-        let session = prepared();
-        let (_, unsharded_cycles) = unsharded_baseline(&session);
-        let mut cluster = ShardedPool::new(
-            4,
-            1,
-            ShardStrategy::CostBalanced,
-            &GbuConfig::paper(),
-            &GpuConfig::orin_nx(),
-            0.5,
-        );
-        cluster.submit(session.view(0), ticket(0));
-        let done = drain(&mut cluster);
-        assert!(
-            done[0].completed_at < unsharded_cycles,
-            "4 shard lanes must beat one device: {} vs {unsharded_cycles}",
-            done[0].completed_at
-        );
-    }
-
-    #[test]
-    fn lanes_pipeline_independent_frames() {
-        let session = prepared();
-        let mut cluster = ShardedPool::new(
-            2,
-            2,
-            ShardStrategy::InterleavedRows,
-            &GbuConfig::paper(),
-            &GpuConfig::orin_nx(),
-            0.5,
-        );
-        // Two frames in flight at once: each lane has two devices.
-        cluster.submit(session.view(0), ticket(0));
-        assert!(cluster.can_accept(), "second device per lane is idle");
-        cluster.submit(session.view(1), ticket(1));
-        assert!(!cluster.can_accept());
-        let done = drain(&mut cluster);
-        assert_eq!(done.len(), 2);
-        let mut ids: Vec<u64> = done.iter().map(|c| c.ticket.id.index()).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1]);
-        let u = cluster.utilization();
-        assert!(u > 0.0 && u <= 1.0, "utilization {u}");
-    }
-
-    #[test]
-    #[should_panic(expected = "idle device per lane")]
-    fn oversubmission_panics() {
-        let session = prepared();
-        let mut cluster = ShardedPool::new(
-            2,
-            1,
-            ShardStrategy::ContiguousRows,
-            &GbuConfig::paper(),
-            &GpuConfig::orin_nx(),
-            0.5,
-        );
-        cluster.submit(session.view(0), ticket(0));
-        cluster.submit(session.view(1), ticket(1));
-    }
-
-    // ------------------------------------------------------------------
-    // ClusterBackend (the ExecBackend implementation)
-    // ------------------------------------------------------------------
 
     fn cluster_backend(lanes: usize, devices_per_lane: usize) -> ClusterBackend {
         ClusterBackend::new(
@@ -860,10 +605,118 @@ mod tests {
 
     fn drain_backend(backend: &mut ClusterBackend) -> Vec<ExecCompletion> {
         let mut out = Vec::new();
-        while let Some(dt) = ExecBackend::next_completion_dt(backend) {
+        while let Some(dt) = backend.next_completion_dt() {
             out.extend(backend.advance(dt));
         }
         out
+    }
+
+    /// The frame completions of a fully drained backend, shard landings
+    /// skipped.
+    fn drain_frames(backend: &mut ClusterBackend) -> Vec<FrameDone> {
+        drain_backend(backend)
+            .into_iter()
+            .filter_map(|c| match c {
+                ExecCompletion::Frame(done) => Some(done),
+                ExecCompletion::Shard { .. } => None,
+            })
+            .collect()
+    }
+
+    fn sharded(shards: usize, strategy: ShardStrategy) -> ExecMode {
+        ExecMode::Sharded { shards, strategy }
+    }
+
+    #[test]
+    fn sharded_frame_is_bit_identical_to_single_device() {
+        let session = prepared();
+        let (reference, _) = unsharded_baseline(&session);
+        for strategy in ShardStrategy::all() {
+            for shards in [1usize, 2, 4] {
+                let mut backend = cluster_backend(shards, 1);
+                let mode = sharded(shards, strategy);
+                assert!(backend.can_accept(mode));
+                backend.submit(session.view(0), ticket(0), mode, 0);
+                let mut done = drain_frames(&mut backend);
+                assert_eq!(done.len(), 1, "{strategy:?}/{shards}");
+                let c = done.remove(0);
+                assert_eq!(
+                    c.image.pixels(),
+                    reference.pixels(),
+                    "{strategy:?}/{shards}: merged image must be bit-identical"
+                );
+                assert_eq!(c.shard_cycles.len(), shards);
+                assert!(c.imbalance().expect("sharded") >= 1.0 - 1e-12);
+                assert!(c.dram_bytes > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn frame_completes_only_when_all_shards_land() {
+        let session = prepared();
+        let mut backend = cluster_backend(4, 1);
+        backend.submit(session.view(0), ticket(0), sharded(4, ShardStrategy::ContiguousRows), 0);
+        assert_eq!(backend.in_flight_frames(), 1);
+        // Advance to the first shard landing: unless every shard happens
+        // to land on the same cycle, the frame must still be pending.
+        let first = backend.next_completion_dt().expect("shards in flight");
+        for c in backend.advance(first) {
+            if let ExecCompletion::Frame(done) = c {
+                // Degenerate (all shards equal): still a valid completion.
+                assert_eq!(done.shard_cycles.len(), 4);
+                return;
+            }
+        }
+        assert_eq!(backend.in_flight_frames(), 1, "frame gates on the last shard");
+        let done = drain_frames(&mut backend);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].completed_at, backend.clock());
+        assert_eq!(backend.in_flight_frames(), 0);
+    }
+
+    #[test]
+    fn sharding_shortens_the_critical_path() {
+        let session = prepared();
+        let (_, unsharded_cycles) = unsharded_baseline(&session);
+        let mut backend = cluster_backend(4, 1);
+        backend.submit(session.view(0), ticket(0), sharded(4, ShardStrategy::CostBalanced), 0);
+        let done = drain_frames(&mut backend);
+        assert!(
+            done[0].completed_at < unsharded_cycles,
+            "4 shard lanes must beat one device: {} vs {unsharded_cycles}",
+            done[0].completed_at
+        );
+    }
+
+    #[test]
+    fn lanes_pipeline_independent_frames() {
+        let session = prepared();
+        let mut backend = cluster_backend(2, 2);
+        let mode = sharded(2, ShardStrategy::InterleavedRows);
+        // Two sharded frames in flight at once: each lane has two devices.
+        backend.submit(session.view(0), ticket(0), mode, 0);
+        assert!(backend.can_accept(mode), "second device per lane is idle");
+        backend.submit(session.view(1), ticket(1), mode, 0);
+        assert!(!backend.can_accept(mode));
+        assert_eq!(backend.in_flight_frames(), 2);
+        let done = drain_frames(&mut backend);
+        assert_eq!(done.len(), 2);
+        let mut ids: Vec<u64> = done.iter().map(|c| c.ticket.id.index()).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 1]);
+        let u = backend.utilization();
+        assert!(u > 0.0 && u <= 1.0, "utilization {u}");
+    }
+
+    #[test]
+    #[should_panic(expected = "open lanes")]
+    fn oversubmission_panics() {
+        let session = prepared();
+        let mut backend = cluster_backend(2, 1);
+        let mode = sharded(2, ShardStrategy::ContiguousRows);
+        backend.submit(session.view(0), ticket(0), mode, 0);
+        backend.submit(session.view(1), ticket(1), mode, 0);
     }
 
     #[test]
@@ -874,12 +727,12 @@ mod tests {
         assert_eq!(backend.lane_count(), 3);
         assert_eq!(backend.device_count(), 3);
 
-        let sharded = ExecMode::Sharded { shards: 2, strategy: ShardStrategy::CostBalanced };
-        assert!(backend.can_accept(sharded));
-        backend.submit(session.view(0), ticket(0), sharded);
+        let mode = sharded(2, ShardStrategy::CostBalanced);
+        assert!(backend.can_accept(mode));
+        backend.submit(session.view(0), ticket(0), mode, 0);
         assert!(backend.can_accept(ExecMode::Unsharded), "one lane still open");
-        assert!(!backend.can_accept(sharded), "only one open lane left");
-        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded);
+        assert!(!backend.can_accept(mode), "only one open lane left");
+        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded, 0);
         assert!(!backend.can_accept(ExecMode::Unsharded));
         assert_eq!(backend.in_flight_frames(), 2);
 
@@ -916,11 +769,7 @@ mod tests {
     fn shard_events_precede_their_frame_completion() {
         let session = prepared();
         let mut backend = cluster_backend(4, 1);
-        backend.submit(
-            session.view(0),
-            ticket(0),
-            ExecMode::Sharded { shards: 4, strategy: ShardStrategy::ContiguousRows },
-        );
+        backend.submit(session.view(0), ticket(0), sharded(4, ShardStrategy::ContiguousRows), 0);
         let completions = drain_backend(&mut backend);
         let frame_pos = completions
             .iter()
@@ -939,20 +788,16 @@ mod tests {
     fn backend_cancel_session_reclaims_all_shards() {
         let session = prepared();
         let mut backend = cluster_backend(2, 1);
-        backend.submit(
-            session.view(0),
-            ticket(0),
-            ExecMode::Sharded { shards: 2, strategy: ShardStrategy::InterleavedRows },
-        );
+        let mode = sharded(2, ShardStrategy::InterleavedRows);
+        backend.submit(session.view(0), ticket(0), mode, 0);
         assert_eq!(backend.in_flight_frames(), 1);
         let cancelled = backend.cancel_session(crate::SessionId::from_index(0));
         assert_eq!(cancelled.len(), 1, "one frame, however many shards");
         assert_eq!(backend.in_flight_frames(), 0);
-        assert!(ExecBackend::next_completion_dt(&backend).is_none());
-        assert!(backend
-            .can_accept(ExecMode::Sharded { shards: 2, strategy: ShardStrategy::InterleavedRows }));
+        assert!(backend.next_completion_dt().is_none());
+        assert!(backend.can_accept(mode));
         // Other sessions' frames survive a cancel.
-        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded);
+        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded, 0);
         assert!(backend.cancel_session(crate::SessionId::from_index(9)).is_empty());
         assert_eq!(backend.in_flight_frames(), 1);
     }
@@ -961,10 +806,10 @@ mod tests {
     fn measured_feedback_is_retained_per_session() {
         let session = prepared();
         let mut backend = cluster_backend(2, 1);
-        let mode = ExecMode::Sharded { shards: 2, strategy: ShardStrategy::Measured };
+        let mode = sharded(2, ShardStrategy::Measured);
         let sid = crate::SessionId::from_index(0);
         assert!(backend.session_feedback(sid).is_none(), "no history before the first frame");
-        backend.submit(session.view(0), ticket(0), mode);
+        backend.submit(session.view(0), ticket(0), mode, 0);
         drain_backend(&mut backend);
         let fb = backend.session_feedback(sid).expect("feedback after first completion");
         assert_eq!(fb.rows.len(), 2);
@@ -973,25 +818,18 @@ mod tests {
         // A second frame replans with the measurement and still merges
         // bit-identically.
         let (reference, _) = unsharded_baseline(&session);
-        backend.submit(session.view(0), ticket(1), mode);
-        let completions = drain_backend(&mut backend);
-        let done = completions
-            .iter()
-            .find_map(|c| match c {
-                ExecCompletion::Frame(done) => Some(done),
-                ExecCompletion::Shard { .. } => None,
-            })
-            .expect("frame completed");
-        assert_eq!(done.image.pixels(), reference.pixels());
+        backend.submit(session.view(0), ticket(1), mode, 0);
+        let done = drain_frames(&mut backend);
+        assert_eq!(done[0].image.pixels(), reference.pixels());
     }
 
     #[test]
     fn kill_lane_reclaims_whole_sharded_frames() {
         let session = prepared();
         let mut backend = cluster_backend(3, 1);
-        let sharded = ExecMode::Sharded { shards: 2, strategy: ShardStrategy::ContiguousRows };
-        backend.submit(session.view(0), ticket(0), sharded);
-        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded);
+        let mode = sharded(2, ShardStrategy::ContiguousRows);
+        backend.submit(session.view(0), ticket(0), mode, 0);
+        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded, 0);
         assert_eq!(backend.in_flight_frames(), 2);
 
         // The sharded frame occupies lanes 0 and 1; killing lane 1 must
@@ -1003,8 +841,10 @@ mod tests {
         assert_eq!(backend.in_flight_frames(), 1);
         assert!(!backend.lane_alive(1));
         assert_eq!(backend.live_lane_count(), 2);
-        assert_eq!(backend.lane_backlogs().len(), 2, "dead lanes leave the backlog view");
-        assert!(!backend.can_accept(sharded), "one open live lane left");
+        let mut backlogs = Vec::new();
+        backend.lane_backlogs_into(&mut backlogs);
+        assert_eq!(backlogs.len(), 2, "dead lanes leave the backlog view");
+        assert!(!backend.can_accept(mode), "one open live lane left");
         assert!(backend.can_accept(ExecMode::Unsharded));
 
         // Killing a dead lane is a no-op; restoring bumps its generation.
@@ -1013,14 +853,10 @@ mod tests {
         backend.restore_lane(1);
         assert!(backend.lane_alive(1));
         assert_eq!(backend.lane_generation(1), 1);
-        assert!(backend.can_accept(sharded));
+        assert!(backend.can_accept(mode));
 
         // The survivor still completes after the churn.
-        let frames = drain_backend(&mut backend)
-            .into_iter()
-            .filter(|c| matches!(c, ExecCompletion::Frame(_)))
-            .count();
-        assert_eq!(frames, 1);
+        assert_eq!(drain_frames(&mut backend).len(), 1);
     }
 
     #[test]
@@ -1029,18 +865,16 @@ mod tests {
         let mut backend = cluster_backend(2, 1);
         // Lane 0 is the clock source; kill it and run a frame on lane 1.
         backend.kill_lane(0);
-        backend.submit(session.view(0), ticket(0), ExecMode::Unsharded);
-        let done = drain_backend(&mut backend);
-        assert_eq!(done.len(), 1);
-        let t = ExecBackend::clock(&backend);
+        backend.submit(session.view(0), ticket(0), ExecMode::Unsharded, 0);
+        assert_eq!(drain_frames(&mut backend).len(), 1);
+        let t = backend.clock();
         assert!(t > 0, "dead lane 0 still ticks the shared clock");
         // A restored lane rejoins at the shared clock, not at zero.
         backend.restore_lane(0);
-        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded);
-        let done = drain_backend(&mut backend);
+        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded, 0);
+        let done = drain_frames(&mut backend);
         assert_eq!(done.len(), 1);
-        let ExecCompletion::Frame(f) = &done[0] else { panic!("unsharded completion") };
-        assert!(f.completed_at > t, "restored lane completes in the shared time domain");
+        assert!(done[0].completed_at > t, "restored lane completes in the shared time domain");
     }
 
     #[test]
@@ -1050,18 +884,18 @@ mod tests {
         let sid = crate::SessionId::from_index(0);
         // Least-busy placement would pick lane 0; affinity overrides.
         backend.set_lane_affinity(sid, Some(1));
-        let device = backend.submit(session.view(0), ticket(0), ExecMode::Unsharded);
+        let device = backend.submit(session.view(0), ticket(0), ExecMode::Unsharded, 0);
         assert_eq!(device, 1, "home lane 1, device 0 of 1 per lane");
         drain_backend(&mut backend);
         // A dead home lane falls back to least-busy placement.
         backend.kill_lane(1);
-        let device = backend.submit(session.view(0), ticket(1), ExecMode::Unsharded);
+        let device = backend.submit(session.view(0), ticket(1), ExecMode::Unsharded, 0);
         assert_eq!(device, 0);
         drain_backend(&mut backend);
         // Clearing the pin restores least-busy placement.
         backend.restore_lane(1);
         backend.set_lane_affinity(sid, None);
-        let device = backend.submit(session.view(0), ticket(2), ExecMode::Unsharded);
+        let device = backend.submit(session.view(0), ticket(2), ExecMode::Unsharded, 0);
         assert_eq!(device, 0);
     }
 
@@ -1069,9 +903,9 @@ mod tests {
     fn measured_feedback_survives_lane_churn() {
         let session = prepared();
         let mut backend = cluster_backend(2, 1);
-        let mode = ExecMode::Sharded { shards: 2, strategy: ShardStrategy::Measured };
+        let mode = sharded(2, ShardStrategy::Measured);
         let sid = crate::SessionId::from_index(0);
-        backend.submit(session.view(0), ticket(0), mode);
+        backend.submit(session.view(0), ticket(0), mode, 0);
         drain_backend(&mut backend);
         assert!(backend.session_feedback(sid).is_some());
         backend.kill_lane(0);
@@ -1080,34 +914,5 @@ mod tests {
             backend.session_feedback(sid).is_some(),
             "feedback is per-session state, not per-lane state"
         );
-    }
-
-    #[test]
-    fn single_lane_backend_matches_device_pool() {
-        // A 1-lane cluster driving unsharded frames is the single pool in
-        // disguise: identical completion times and device placement.
-        let session = prepared();
-        let mut pool = DevicePool::new(2, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        let mut backend = cluster_backend(1, 2);
-        ExecBackend::submit(&mut pool, session.view(0), ticket(0), ExecMode::Unsharded);
-        ExecBackend::submit(&mut pool, session.view(1), ticket(1), ExecMode::Unsharded);
-        backend.submit(session.view(0), ticket(0), ExecMode::Unsharded);
-        backend.submit(session.view(1), ticket(1), ExecMode::Unsharded);
-        loop {
-            let a = ExecBackend::next_completion_dt(&pool);
-            let b = ExecBackend::next_completion_dt(&backend);
-            assert_eq!(a, b, "lockstep completion schedule");
-            let Some(dt) = a else { break };
-            let pa = ExecBackend::advance(&mut pool, dt);
-            let pb = backend.advance(dt);
-            assert_eq!(pa.len(), pb.len());
-            for (x, y) in pa.iter().zip(&pb) {
-                let (ExecCompletion::Frame(x), ExecCompletion::Frame(y)) = (x, y) else {
-                    panic!("unsharded backends emit only frame completions");
-                };
-                assert_eq!(x.ticket, y.ticket);
-                assert_eq!(x.completed_at, y.completed_at);
-            }
-        }
     }
 }

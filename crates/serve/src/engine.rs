@@ -8,16 +8,16 @@
 //! session's QoS timer generates one request per period (plus its phase
 //! offset), and the host can push extra requests at any time through
 //! [`ServeHandle::submit_frame`]. Arrivals pass [`AdmissionControl`] into
-//! the shared ready queue; whenever the [`ExecBackend`] has capacity for
-//! a queued frame's [`ExecMode`] the configured [`crate::Scheduler`]
+//! the shared ready queue; whenever the [`ClusterBackend`] has capacity
+//! for a queued frame's [`ExecMode`] the configured [`crate::Scheduler`]
 //! picks the next frame; the backend advances event-to-event (next
 //! arrival or next completion, whichever is sooner) on one simulated
 //! clock.
 //!
-//! Execution is a plug-in behind the [`ExecBackend`] trait, exactly as
-//! the paper's GBU is a plug-in behind the host GPU's interface: the
-//! same engine drives one [`DevicePool`] ([`BackendKind::Single`]) or a
-//! sharded cluster of them ([`BackendKind::Cluster`]), with sharded and
+//! Execution is a plug-in behind one [`ClusterBackend`], exactly as the
+//! paper's GBU is a plug-in behind the host GPU's interface: every
+//! engine owns one, sized by [`BackendKind`] ([`BackendKind::Single`] is
+//! a 1-lane cluster of [`ServeConfig::devices`] GBUs), with sharded and
 //! unsharded sessions mixed freely per [`ExecMode`]. Sharded frames
 //! report [`ServeEvent::ShardCompleted`] per landed shard before their
 //! [`ServeEvent::Completed`]; deadline-aware admission reasons about
@@ -26,17 +26,15 @@
 //! [`ServeEngine::step_until`] only ever advances the backend to event
 //! timestamps, never to the step boundary itself, so driving the engine
 //! in arbitrary cycle slices replays the *identical* event sequence as
-//! one-shot draining — the API-equivalence property test pins this, for
-//! both backends.
+//! one-shot draining — the API-equivalence property tests pin this.
 
-use crate::backend::{BackendKind, ExecBackend, ExecCompletion, ExecMode};
+use crate::backend::{BackendKind, ExecCompletion, ExecMode};
 use crate::cluster::ClusterBackend;
 use crate::event::{
     DropReason, FrameId, FrameStatus, RejectReason, RequeueReason, ServeEvent, SessionId,
 };
 use crate::fleet::{AutoscaleConfig, FleetAction, FleetConfig};
 use crate::metrics::{RunInfo, ServeMetrics, ServeReport};
-use crate::pool::DevicePool;
 use crate::quality::QualityGovernor;
 use crate::scheduler::{AdmissionControl, FrameTicket, Policy, Scheduler};
 use crate::session::{probe_view_cycles, PreparedView, Session, SessionSpec};
@@ -48,15 +46,14 @@ use gbu_render::FrameBuffer;
 /// Configuration of one serving engine.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of GBU devices in the pool (the [`BackendKind::Single`]
-    /// backend; a [`BackendKind::Cluster`] sizes itself from its own
+    /// Number of GBU devices in the [`BackendKind::Single`] backend's
+    /// one lane (a [`BackendKind::Cluster`] sizes itself from its own
     /// variant fields and ignores this).
     pub devices: usize,
-    /// Which execution backend the engine drives: one [`DevicePool`]
-    /// ([`BackendKind::Single`], the default — byte-identical to the
-    /// pre-trait engine) or a multi-lane cluster
-    /// ([`BackendKind::Cluster`]) that executes sharded and unsharded
-    /// sessions side by side.
+    /// Shape of the [`ClusterBackend`] the engine drives: one lane of
+    /// [`ServeConfig::devices`] GBUs ([`BackendKind::Single`], the
+    /// default) or `lanes` lanes ([`BackendKind::Cluster`]). Sharded
+    /// and unsharded sessions run side by side on either.
     pub backend: BackendKind,
     /// Per-session ready-queue quota: a session already holding this
     /// many queued frames has further arrivals rejected with
@@ -105,8 +102,7 @@ pub struct ServeConfig {
     pub telemetry: gbu_telemetry::Recorder,
     /// Fleet control plane: fault-injection schedule, session migration,
     /// miss-rate autoscaling and lane reservation. The default is
-    /// entirely inactive and costs nothing; anything active requires a
-    /// [`BackendKind::Cluster`] backend.
+    /// entirely inactive and costs nothing.
     pub fleet: FleetConfig,
     /// When set, [`ServeEngine::attach_spec`] resolves sessions through
     /// this shared [`SceneStore`]
@@ -159,14 +155,21 @@ impl Default for PrepConfig {
 }
 
 impl ServeConfig {
+    /// `(lanes, devices per lane)` of the engine's [`ClusterBackend`]:
+    /// [`BackendKind::Single`] is one lane of [`ServeConfig::devices`].
+    fn lane_shape(&self) -> (usize, usize) {
+        match self.backend {
+            BackendKind::Single => (1, self.devices),
+            BackendKind::Cluster { lanes, devices_per_lane } => (lanes, devices_per_lane),
+        }
+    }
+
     /// Total GBU devices the configured backend will own:
     /// [`ServeConfig::devices`] for [`BackendKind::Single`],
     /// `lanes × devices_per_lane` for [`BackendKind::Cluster`].
     pub fn total_devices(&self) -> usize {
-        match self.backend {
-            BackendKind::Single => self.devices,
-            BackendKind::Cluster { lanes, devices_per_lane } => lanes * devices_per_lane,
-        }
+        let (lanes, devices_per_lane) = self.lane_shape();
+        lanes * devices_per_lane
     }
 }
 
@@ -235,7 +238,7 @@ struct Slot {
 /// (autoscaler) — the two causes are independent, so restoring a failed
 /// lane cannot resurrect one the autoscaler parked and vice versa.
 /// `apply_lane_state` reconciles that desired state against the
-/// backend's actual [`ExecBackend::lane_alive`].
+/// backend's actual [`ClusterBackend::lane_alive`].
 #[derive(Debug)]
 struct FleetRuntime {
     /// Cursor into the plan's time-ordered events.
@@ -303,7 +306,7 @@ struct QualityRuntime {
 #[derive(Debug)]
 pub struct ServeEngine {
     cfg: ServeConfig,
-    backend: Box<dyn ExecBackend>,
+    backend: ClusterBackend,
     scheduler: Box<dyn Scheduler>,
     /// Attached sessions; `None` marks a detached (retired) id.
     slots: Vec<Option<Slot>>,
@@ -340,7 +343,7 @@ pub struct ServeEngine {
     /// the config is inactive. Taken out (`Option::take`) like `fleet`
     /// for the duration of quality passes.
     quality: Option<QualityRuntime>,
-    /// Reused buffer for [`ExecBackend::lane_backlogs_into`] in the
+    /// Reused buffer for [`ClusterBackend::lane_backlogs_into`] in the
     /// admission wait estimate — a `RefCell` because `wait_estimate`
     /// takes `&self` on the hot submit path and must not allocate a
     /// fresh `Vec<Vec<u64>>` per probe.
@@ -356,18 +359,9 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Creates an empty engine; attach sessions to give it work.
     pub fn new(cfg: ServeConfig) -> Self {
-        let mut backend: Box<dyn ExecBackend> = match cfg.backend {
-            BackendKind::Single => {
-                Box::new(DevicePool::new(cfg.devices, &cfg.gbu, &cfg.gpu, cfg.dram_share))
-            }
-            BackendKind::Cluster { lanes, devices_per_lane } => Box::new(ClusterBackend::new(
-                lanes,
-                devices_per_lane,
-                &cfg.gbu,
-                &cfg.gpu,
-                cfg.dram_share,
-            )),
-        };
+        let (lanes, devices_per_lane) = cfg.lane_shape();
+        let mut backend =
+            ClusterBackend::new(lanes, devices_per_lane, &cfg.gbu, &cfg.gpu, cfg.dram_share);
         if cfg.telemetry.is_enabled() {
             backend.set_telemetry(&cfg.telemetry);
         }
@@ -378,11 +372,6 @@ impl ServeEngine {
         };
         let recorder = cfg.telemetry.clone();
         let fleet = cfg.fleet.is_active().then(|| {
-            assert!(
-                matches!(cfg.backend, BackendKind::Cluster { .. }),
-                "fleet control (plan/autoscale/migration/reservation) needs a cluster backend",
-            );
-            let lanes = backend.lane_count();
             for e in cfg.fleet.plan.events() {
                 assert!(
                     e.action.lane() < lanes,
@@ -489,17 +478,14 @@ impl ServeEngine {
     /// # Panics
     ///
     /// Panics when the session's [`ExecMode`] does not fit the engine's
-    /// backend: [`ExecMode::Sharded`] needs a [`BackendKind::Cluster`]
-    /// with at least `shards` lanes (and `shards >= 1`).
+    /// backend: [`ExecMode::Sharded`] needs `1 <= shards <= lanes`.
     pub fn attach_session(&mut self, session: Session) -> SessionId {
         let mode = session.spec.exec;
         if let ExecMode::Sharded { shards, .. } = mode {
             assert!(shards >= 1, "a sharded session needs at least one shard");
             assert!(
-                matches!(self.cfg.backend, BackendKind::Cluster { .. })
-                    && shards <= self.backend.lane_count(),
-                "session {:?} wants {shards} shard lanes but the backend has {} \
-                 (sharded sessions need a cluster backend)",
+                shards <= self.backend.lane_count(),
+                "session {:?} wants {shards} shard lanes but the backend has {}",
                 session.spec.name,
                 self.backend.lane_count(),
             );
@@ -953,14 +939,20 @@ impl ServeEngine {
         let fleet = self.fleet.as_ref()?;
         let mut t = self.cfg.fleet.plan.events().get(fleet.next_plan).map(|e| e.at);
         if let Some(tick) = fleet.next_tick {
-            let work_pending = !self.queue.is_empty()
-                || self.backend.in_flight_frames() > 0
-                || self.slots.iter().flatten().any(|s| s.next_arrival.is_some());
-            if work_pending {
+            if self.work_pending() {
                 t = Some(t.map_or(tick, |x| x.min(tick)));
             }
         }
         t
+    }
+
+    /// `true` while anything is queued, executing or still to be
+    /// generated by a session timer — the condition under which the
+    /// periodic controllers keep offering their ticks to the event loop.
+    fn work_pending(&self) -> bool {
+        !self.queue.is_empty()
+            || self.backend.in_flight_frames() > 0
+            || self.slots.iter().flatten().any(|s| s.next_arrival.is_some())
     }
 
     // ------------------------------------------------------------------
@@ -1007,10 +999,7 @@ impl ServeEngine {
     /// — same drain-livelock guard as [`ServeEngine::fleet_next_time`].
     fn quality_next_time(&self) -> Option<u64> {
         let tick = self.quality.as_ref()?.next_tick?;
-        let work_pending = !self.queue.is_empty()
-            || self.backend.in_flight_frames() > 0
-            || self.slots.iter().flatten().any(|s| s.next_arrival.is_some());
-        work_pending.then_some(tick)
+        self.work_pending().then_some(tick)
     }
 
     /// Builds the degraded sibling of a prepared view at `level`: scores
@@ -1424,7 +1413,7 @@ impl ServeEngine {
         } else {
             // Same live-lane/device shape, all idle — without touching
             // the per-device in-flight state the term would discard
-            // anyway. (Both backends have uniformly sized lanes.)
+            // anyway. (Lanes are uniformly sized.)
             let live = self.backend.live_lane_count();
             let per_lane = self.backend.device_count() / self.backend.lane_count();
             scratch.resize_with(live, Vec::new);
@@ -1618,30 +1607,6 @@ impl ServeEngine {
         self.quality = q;
     }
 
-    /// Dispatches queued, already-arrived frames the backend can accept
-    /// right now. A frame is eligible when it has arrived *and* the
-    /// backend has capacity for its session's [`ExecMode`] — on a
-    /// cluster, an unsharded frame needs one open lane while a k-shard
-    /// frame needs k, so cheap frames backfill around a wide frame that
-    /// is still waiting for lanes (the scheduler keeps its priority
-    /// order *within* the eligible set). On the single-pool backend
-    /// every queued frame has the same requirement, making this loop
-    /// behave exactly like the pre-trait engine.
-    ///
-    /// Backfill is a deliberate work-conserving trade-off: lanes never
-    /// idle while any placeable frame waits, but under sustained narrow
-    /// load a k-wide frame may never see k lanes simultaneously free —
-    /// EDF priority does not reserve lanes across dispatch rounds. The
-    /// deadline passes pick up the pieces ([`ServeConfig::drop_unmeetable`]
-    /// sheds the starved frame once its deadline is provably gone, and
-    /// lane-aware `reject_unmeetable` refuses hopeless wide frames at
-    /// admission). [`FleetConfig::lane_reservation`] closes the gap
-    /// directly: with it on, each dispatch round reserves open lanes for
-    /// the widest arrived queued frame — a narrower frame is eligible
-    /// only when dispatching it still leaves that many lanes open, so
-    /// unsharded backfill can no longer starve a wide frame forever
-    /// (this matters most during scale-down, when the lane supply is
-    /// shrinking under the wide frame).
     /// Host-GPU preprocessing (Step ❶ project + Step ❷ bin) cycles to
     /// charge this dispatch, per [`ServeConfig::prep`].
     ///
@@ -1689,6 +1654,28 @@ impl ServeEngine {
         full
     }
 
+    /// Dispatches queued, already-arrived frames the backend can accept
+    /// right now. A frame is eligible when it has arrived *and* the
+    /// backend has capacity for its session's [`ExecMode`] — on a
+    /// cluster, an unsharded frame needs one open lane while a k-shard
+    /// frame needs k, so cheap frames backfill around a wide frame that
+    /// is still waiting for lanes (the scheduler keeps its priority
+    /// order *within* the eligible set).
+    ///
+    /// Backfill is a deliberate work-conserving trade-off: lanes never
+    /// idle while any placeable frame waits, but under sustained narrow
+    /// load a k-wide frame may never see k lanes simultaneously free —
+    /// EDF priority does not reserve lanes across dispatch rounds. The
+    /// deadline passes pick up the pieces ([`ServeConfig::drop_unmeetable`]
+    /// sheds the starved frame once its deadline is provably gone, and
+    /// lane-aware `reject_unmeetable` refuses hopeless wide frames at
+    /// admission). [`FleetConfig::lane_reservation`] closes the gap
+    /// directly: with it on, each dispatch round reserves open lanes for
+    /// the widest arrived queued frame — a narrower frame is eligible
+    /// only when dispatching it still leaves that many lanes open, so
+    /// unsharded backfill can no longer starve a wide frame forever
+    /// (this matters most during scale-down, when the lane supply is
+    /// shrinking under the wide frame).
     fn dispatch(&mut self, now: u64) {
         loop {
             if self.queue.is_empty() {
@@ -1755,7 +1742,7 @@ impl ServeEngine {
             let view = slot.session.view_handle(ticket.frame).clone();
             let view = self.quality_substitute(view, ticket, now);
             let prep_cycles = self.prep_charge_cycles(&view, period, now);
-            let device = self.backend.submit_with_prep(&view, ticket, mode, prep_cycles);
+            let device = self.backend.submit(&view, ticket, mode, prep_cycles);
             self.metrics.start(ticket, now);
             if self.recorder.is_enabled() {
                 self.recorder.mark(
@@ -2207,7 +2194,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sharded sessions need a cluster backend")]
+    #[should_panic(expected = "wants 2 shard lanes but the backend has 1")]
     fn sharded_session_requires_cluster_backend() {
         use gbu_render::shard::ShardStrategy;
         let mut engine = ServeEngine::new(ServeConfig::default());
@@ -2294,13 +2281,6 @@ mod tests {
             fleet,
             ..ServeConfig::default()
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a cluster backend")]
-    fn active_fleet_requires_cluster_backend() {
-        let fleet = FleetConfig { lane_reservation: true, ..FleetConfig::default() };
-        ServeEngine::new(ServeConfig { fleet, ..ServeConfig::default() });
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! capacity (home-lane migration via [`MigrationConfig`]). This module
 //! holds the *policy* types; the mechanism lives in the engine
 //! ([`crate::ServeEngine`] applies the plan between its event steps) and
-//! the backend ([`crate::ExecBackend::kill_lane`] /
-//! [`crate::ExecBackend::restore_lane`] drain and revive lanes).
+//! the backend ([`crate::ClusterBackend::kill_lane`] /
+//! [`crate::ClusterBackend::restore_lane`] drain and revive lanes).
 //!
 //! Everything here is plain data with a deterministic interpretation:
 //! plan events fire at absolute engine cycles and autoscale decisions

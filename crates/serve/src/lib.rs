@@ -17,17 +17,15 @@
 //!   resolved by [`ServeEngine::poll`] → [`FrameStatus`]. The old batch
 //!   behaviour survives as the thin [`run_workload`] / [`run_sessions`]
 //!   wrappers;
-//! - [`backend`]: the [`ExecBackend`] trait — the execution layer the
-//!   engine drives (submit / cancel / `next_completion_dt` / advance /
-//!   per-lane backlog accounting / capacity probes), mirroring how the
-//!   paper's GBU hides behind a stable host interface. Two
-//!   implementations: the single [`DevicePool`]
-//!   ([`BackendKind::Single`], byte-identical to the pre-trait engine)
-//!   and the [`ClusterBackend`] ([`BackendKind::Cluster`]). Each
-//!   *session* picks its [`ExecMode`] (`Unsharded`, or
+//! - [`backend`]: the execution vocabulary — [`BackendKind`] sizes the
+//!   engine's one [`ClusterBackend`] ([`BackendKind::Single`] is a
+//!   1-lane cluster of [`ServeConfig::devices`] GBUs,
+//!   [`BackendKind::Cluster`] any number of lanes), and each *session*
+//!   picks its [`ExecMode`] (`Unsharded`, or
 //!   `Sharded { shards, strategy }` fanning every frame over that many
 //!   cluster lanes), so mixed sharded/unsharded sessions share one
-//!   clock, one scheduler and one admission gate;
+//!   clock, one scheduler and one admission gate. Progress comes back
+//!   as [`ExecCompletion`]s carrying a [`FrameDone`] per frame;
 //! - [`session`]: a [`Session`] is one AR/VR client — scene content
 //!   (static / dynamic / avatar, resolved through `gbu_core::apps`), a
 //!   preprocessed viewpoint stream, and a [`QosTarget`] (60/72/90 Hz
@@ -38,13 +36,15 @@
 //!   on **one** simulated clock with shared-DRAM bandwidth contention
 //!   (the paper's Limitation 2, generalised to a pool), plus per-device
 //!   cancellation over the device's `cancel_in_flight` hook;
-//! - [`cluster`]: the [`ClusterBackend`] — N [`DevicePool`] lanes on one
-//!   lockstep clock, executing unsharded frames on the least-busy lane
-//!   and sharded frames (planned by `gbu_render::shard`, including the
-//!   measurement-fed `ShardStrategy::Measured` replanner) fanned over
-//!   the least-busy `shards` lanes, each landing reported shard by shard
-//!   before the merged, bit-identical frame completes. The PR-4
-//!   [`ShardedPool`] remains as the hand-driven cluster primitive;
+//! - [`cluster`]: the [`ClusterBackend`], the engine's only execution
+//!   backend — N [`DevicePool`] lanes on one lockstep clock (submit /
+//!   cancel / `next_completion_dt` / advance / per-lane backlogs /
+//!   capacity probes / lane lifecycle), mirroring how the paper's GBU
+//!   hides behind a stable host interface. Unsharded frames run on the
+//!   least-busy lane; sharded frames (planned by `gbu_render::shard`,
+//!   including the measurement-fed `ShardStrategy::Measured` replanner)
+//!   fan over the least-busy `shards` lanes, each landing reported
+//!   shard by shard before the merged, bit-identical frame completes;
 //! - [`scheduler`]: a pluggable [`Scheduler`] trait with FCFS,
 //!   round-robin and earliest-deadline-first policies plus
 //!   [`AdmissionControl`] — bounded-queue backpressure and optional
@@ -229,8 +229,8 @@ pub mod session;
 pub mod store;
 pub mod workload;
 
-pub use backend::{BackendKind, ExecBackend, ExecCompletion, ExecMode, FrameDone};
-pub use cluster::{ClusterBackend, ShardedCompletion, ShardedPool};
+pub use backend::{BackendKind, ExecCompletion, ExecMode, FrameDone};
+pub use cluster::ClusterBackend;
 pub use engine::{
     calibrated_clock_ghz, run_sessions, run_workload, PrepConfig, ServeConfig, ServeEngine,
     ServeHandle,

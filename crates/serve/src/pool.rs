@@ -48,10 +48,10 @@ struct ActiveFrame {
     /// telemetry records on completion).
     started: u64,
     /// Host-preprocessing device-cycles still to burn before the GBU
-    /// makes progress — the Step-❶/❷ charge of
-    /// [`DevicePool::submit_with_prep`]. The slot is occupied (and busy,
-    /// and subject to DRAM contention) while the host GPU produces the
-    /// frame's artifacts; 0 on the classic submit path.
+    /// makes progress — the Step-❶/❷ charge passed to
+    /// [`DevicePool::submit`]. The slot is occupied (and busy, and
+    /// subject to DRAM contention) while the host GPU produces the
+    /// frame's artifacts; 0 when no prep is charged.
     prep: u64,
 }
 
@@ -70,9 +70,8 @@ pub struct DevicePool {
     /// contention rate was below 1.
     dram_stall_cycles: f64,
     recorder: gbu_telemetry::Recorder,
-    /// Cluster lane this pool serves as, for span labels (`None` when
-    /// the pool is a standalone backend).
-    lane: Option<u32>,
+    /// Cluster lane this pool serves as, for span and gauge labels.
+    lane: u32,
     /// Restart generation of this pool's lane: 0 for the first lifetime,
     /// bumped by the cluster on every fleet restore so `device_busy`
     /// spans distinguish pre- and post-restart work.
@@ -99,29 +98,25 @@ impl DevicePool {
             busy_device_cycles: 0,
             dram_stall_cycles: 0.0,
             recorder: gbu_telemetry::Recorder::disabled(),
-            lane: None,
+            lane: 0,
             lane_generation: 0,
             stall_gauge: gbu_telemetry::Gauge::default(),
         }
     }
 
     /// Sets the lane restart generation stamped onto future
-    /// `device_busy` spans (cluster lanes only; standalone pools stay
-    /// at generation 0 and omit the label).
+    /// `device_busy` spans (0 until the cluster first restores the lane).
     pub fn set_lane_generation(&mut self, generation: u32) {
         self.lane_generation = generation;
     }
 
-    /// Attaches a telemetry recorder: every frame completion records a
-    /// `device_busy` span `[submit, completion]`, and DRAM-arbitration
-    /// stalls accumulate into a `serve.dram_stall_cycles` gauge (lane-
-    /// suffixed when this pool is one cluster lane, so lanes don't
-    /// clobber each other).
-    pub fn attach_recorder(&mut self, recorder: gbu_telemetry::Recorder, lane: Option<u32>) {
-        self.stall_gauge = match lane {
-            Some(l) => recorder.gauge(&format!("serve.lane{l}.dram_stall_cycles")),
-            None => recorder.gauge("serve.dram_stall_cycles"),
-        };
+    /// Attaches a telemetry recorder for cluster lane `lane`: every
+    /// frame completion records a `device_busy` span `[submit,
+    /// completion]` labelled with the lane, and DRAM-arbitration stalls
+    /// accumulate into a `serve.lane{lane}.dram_stall_cycles` gauge (one
+    /// per lane, so lanes don't clobber each other).
+    pub fn attach_recorder(&mut self, recorder: gbu_telemetry::Recorder, lane: u32) {
+        self.stall_gauge = recorder.gauge(&format!("serve.lane{lane}.dram_stall_cycles"));
         self.recorder = recorder;
         self.lane = lane;
     }
@@ -167,25 +162,16 @@ impl DevicePool {
     }
 
     /// Submits `view` to device `device` (must be idle) on behalf of
-    /// `ticket`.
+    /// `ticket`, with an up-front host-preprocessing charge: the frame
+    /// occupies `device` for `prep_cycles` additional device-cycles (the
+    /// host GPU's Step-❶/❷ time, converted to device cycles by the
+    /// engine; 0 for none) before GBU progress starts.
     ///
     /// # Panics
     ///
     /// Panics if the device still has a frame in flight — the engine only
     /// dispatches to [`DevicePool::idle_device`] slots.
-    pub fn submit(&mut self, device: usize, view: &PreparedView, ticket: FrameTicket) {
-        self.submit_with_prep(device, view, ticket, 0);
-    }
-
-    /// [`DevicePool::submit`] plus an up-front host-preprocessing charge:
-    /// the frame occupies `device` for `prep_cycles` additional
-    /// device-cycles (the host GPU's Step-❶/❷ time, converted to device
-    /// cycles by the engine) before GBU progress starts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device still has a frame in flight.
-    pub fn submit_with_prep(
+    pub fn submit(
         &mut self,
         device: usize,
         view: &PreparedView,
@@ -202,30 +188,13 @@ impl DevicePool {
     /// `bins` is a tile-range restriction of the frame's bins, executed
     /// through the device's scoped entry point
     /// ([`gbu_core::Gbu::render_scoped`]) so the shard charges only its
-    /// tile range's D&B work and DRAM feature traffic.
+    /// tile range's D&B work and DRAM feature traffic. `prep_cycles` is
+    /// the host-preprocessing charge, as in [`DevicePool::submit`].
     ///
     /// # Panics
     ///
     /// Panics if the device still has a frame in flight.
     pub fn submit_scoped(
-        &mut self,
-        device: usize,
-        splats: &[Splat2D],
-        bins: &TileBins,
-        camera: &Camera,
-        ticket: FrameTicket,
-    ) {
-        self.submit_scoped_with_prep(device, splats, bins, camera, ticket, 0);
-    }
-
-    /// [`DevicePool::submit_scoped`] plus an up-front host-preprocessing
-    /// charge, mirroring [`DevicePool::submit_with_prep`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device still has a frame in flight.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_scoped_with_prep(
         &mut self,
         device: usize,
         splats: &[Splat2D],
@@ -257,15 +226,7 @@ impl DevicePool {
     /// idle ones) — the per-device backlog the in-flight-aware admission
     /// estimate seeds its earliest-free schedule with. Optimistic
     /// (device cycles, not contention-stretched wall cycles), so a
-    /// rejection remains a proof of unmeetability.
-    pub fn in_flight_backlog_per_device(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.in_flight_backlog_into(&mut out);
-        out
-    }
-
-    /// Allocation-free variant of
-    /// [`DevicePool::in_flight_backlog_per_device`]: clears `out` and
+    /// rejection remains a proof of unmeetability. Clears `out` and
     /// fills it in device order, reusing its capacity across admission
     /// probes.
     pub fn in_flight_backlog_into(&self, out: &mut Vec<u64>) {
@@ -406,8 +367,8 @@ impl DevicePool {
             if let Some(c) = job.completion {
                 if self.recorder.is_enabled() {
                     let labels = gbu_telemetry::Labels {
-                        lane: self.lane,
-                        lane_generation: self.lane.map(|_| self.lane_generation),
+                        lane: Some(self.lane),
+                        lane_generation: Some(self.lane_generation),
                         device: Some(c.device as u32),
                         session: Some(c.ticket.session.index() as u32),
                         frame: Some(c.ticket.id.index()),
@@ -470,7 +431,7 @@ mod tests {
     fn single_frame_completes_at_base_duration() {
         let session = prepared();
         let mut pool = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        pool.submit(0, session.view(0), ticket(0));
+        pool.submit(0, session.view(0), ticket(0), 0);
         let dt = pool.next_completion_dt().expect("one frame in flight");
         let done = pool.advance(dt);
         assert_eq!(done.len(), 1);
@@ -482,8 +443,8 @@ mod tests {
     fn clock_is_monotone_and_utilization_bounded() {
         let session = prepared();
         let mut pool = DevicePool::new(2, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        pool.submit(0, session.view(0), ticket(0));
-        pool.submit(1, session.view(1), ticket(1));
+        pool.submit(0, session.view(0), ticket(0), 0);
+        pool.submit(1, session.view(1), ticket(1), 0);
         let mut last = pool.clock();
         let mut completions = 0;
         while pool.busy_count() > 0 {
@@ -501,7 +462,7 @@ mod tests {
     fn prep_cycles_extend_completion_exactly() {
         let session = prepared();
         let mut plain = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        plain.submit(0, session.view(0), ticket(0));
+        plain.submit(0, session.view(0), ticket(0), 0);
         let base_dt = plain.next_completion_dt().expect("one frame in flight");
 
         // The same frame with an up-front host-preprocessing charge
@@ -509,7 +470,7 @@ mod tests {
         // one wall cycle burns one device cycle).
         let prep = 12_345u64;
         let mut charged = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        charged.submit_with_prep(0, session.view(0), ticket(0), prep);
+        charged.submit(0, session.view(0), ticket(0), prep);
         let charged_dt = charged.next_completion_dt().expect("one frame in flight");
         assert_eq!(charged_dt, base_dt + prep);
 
@@ -523,26 +484,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_prep_is_the_plain_submit_path() {
-        let session = prepared();
-        let mut a = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        a.submit(0, session.view(0), ticket(0));
-        let mut b = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        b.submit_with_prep(0, session.view(0), ticket(0), 0);
-        assert_eq!(a.next_completion_dt(), b.next_completion_dt());
-    }
-
-    #[test]
     fn starved_bandwidth_slows_completion() {
         let session = prepared();
         // A pool whose DRAM share is tiny: the same frame must take
         // longer in wall cycles than on an uncontended pool.
         let mut fat = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        fat.submit(0, session.view(0), ticket(0));
+        fat.submit(0, session.view(0), ticket(0), 0);
         let fat_dt = fat.next_completion_dt().unwrap();
 
         let mut starved = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 1e-6);
-        starved.submit(0, session.view(0), ticket(0));
+        starved.submit(0, session.view(0), ticket(0), 0);
         let starved_dt = starved.next_completion_dt().unwrap();
         assert!(
             starved_dt > fat_dt,
@@ -557,12 +508,12 @@ mod tests {
         // than the same frame alone.
         let share = 1e-4;
         let mut solo = DevicePool::new(2, &GbuConfig::paper(), &GpuConfig::orin_nx(), share);
-        solo.submit(0, session.view(0), ticket(0));
+        solo.submit(0, session.view(0), ticket(0), 0);
         let solo_dt = solo.next_completion_dt().unwrap();
 
         let mut pair = DevicePool::new(2, &GbuConfig::paper(), &GpuConfig::orin_nx(), share);
-        pair.submit(0, session.view(0), ticket(0));
-        pair.submit(1, session.view(0), ticket(1));
+        pair.submit(0, session.view(0), ticket(0), 0);
+        pair.submit(1, session.view(0), ticket(1), 0);
         let pair_dt = pair.next_completion_dt().unwrap();
         assert!(
             pair_dt > solo_dt,
@@ -574,7 +525,7 @@ mod tests {
     fn overshoot_does_not_inflate_utilization() {
         let session = prepared();
         let mut pool = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        pool.submit(0, session.view(0), ticket(0));
+        pool.submit(0, session.view(0), ticket(0), 0);
         let needed = pool.next_completion_dt().unwrap();
         // Step 100x past the completion event: the device was busy for
         // only ~1% of the interval and utilization must say so.
@@ -590,7 +541,7 @@ mod tests {
         let mut pool = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
         // Idle device: no-op.
         assert!(pool.cancel(0).is_none());
-        pool.submit(0, session.view(0), ticket(7));
+        pool.submit(0, session.view(0), ticket(7), 0);
         assert_eq!(pool.active_ticket(0).unwrap().frame, 7);
         let dt = pool.next_completion_dt().unwrap();
         // Render half the frame, then cancel it.
@@ -603,7 +554,7 @@ mod tests {
         // The spent cycles still count as busy time.
         assert!(pool.utilization() > 0.0);
         // The freed device accepts new work.
-        pool.submit(0, session.view(1), ticket(8));
+        pool.submit(0, session.view(1), ticket(8), 0);
         let done = pool.advance(pool.next_completion_dt().unwrap());
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].ticket.frame, 8);

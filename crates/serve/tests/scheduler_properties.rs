@@ -126,7 +126,7 @@ proptest! {
                         arrival: pool.clock(),
                         deadline: u64::MAX,
                     };
-                    pool.submit(idle, session.view(frame), ticket);
+                    pool.submit(idle, session.view(frame), ticket, 0);
                     frame += 1;
                     // Submission must not move the clock.
                     prop_assert_eq!(pool.clock(), last_clock);

@@ -817,38 +817,79 @@ pub fn debug(ctx: &Ctx) {
     }
 }
 
-/// List-schedule measured per-job costs onto `workers` (jobs claimed in
-/// order by the first free worker — exactly the pool's stealing
-/// discipline) and return the makespan in ms. Shared by the blending and
-/// binning critical-path models of `render` and the host-frontend block
-/// of `shard`.
-fn critical_path_ms(job_nanos: &[u64], workers: usize) -> f64 {
-    let mut free = vec![0u64; workers.max(1)];
-    for &n in job_nanos {
-        let w = (0..free.len()).min_by_key(|&w| free[w]).expect("non-empty");
-        free[w] += n;
+/// Best-of-`reps` wall milliseconds of `f` (one warm-up call first).
+fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = std::time::Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
     }
-    free.into_iter().max().unwrap_or(0) as f64 / 1e6
+    best
 }
 
-/// Modeled parallel wall of one `bin_into` call at `workers` workers:
-/// the serial residue plus the list-scheduled makespan of every recorded
-/// parallel stage (expansion, concatenation, histogram + scatter per
-/// executed radix pass). The snapshot must come from a 1-thread run,
-/// where the residue is exact and job costs are contention-free.
-fn bin_critical_path_ms(
-    serial_nanos: u64,
-    stages: &[(&'static str, Vec<u64>)],
-    workers: usize,
-) -> f64 {
-    serial_nanos as f64 / 1e6
-        + stages.iter().map(|(_, jobs)| critical_path_ms(jobs, workers)).sum::<f64>()
+/// The one span of `trace` without a parent.
+fn root_span(trace: &gbu_telemetry::Trace) -> &gbu_telemetry::Span {
+    let mut roots = trace.spans.iter().filter(|s| s.parent.is_none());
+    let root = roots.next().expect("a root span");
+    assert!(roots.next().is_none(), "a job record has exactly one root span");
+    root
 }
 
-/// Snapshots a [`gbu_render::BinTimings`] record so the 1-thread stage
-/// costs survive later (re-timed) `bin_into` calls on the same scratch.
-fn snapshot_bin_timings(t: &gbu_render::BinTimings) -> (u64, Vec<(&'static str, Vec<u64>)>) {
-    (t.serial_nanos(), t.stages().map(|(name, jobs)| (name, jobs.to_vec())).collect())
+/// The job record [`critical_path_ms`] models: `run` traced under a
+/// fresh `Verbosity::High` global recorder inside a root span, keeping
+/// the run with the shortest root span out of `reps.max(5)` — pool
+/// stages are microseconds long, so one scheduler stall would otherwise
+/// poison the record. `run` must use a 1-thread pool: it runs every job
+/// inline, so each job span nests under the stage that issued it.
+fn job_record(reps: usize, mut run: impl FnMut()) -> gbu_telemetry::Trace {
+    use gbu_telemetry::{Labels, Recorder, Verbosity};
+    let mut best: Option<gbu_telemetry::Trace> = None;
+    for _ in 0..reps.max(5) {
+        let recorder = Recorder::enabled(Verbosity::High);
+        let previous = gbu_telemetry::set_global(recorder.clone());
+        {
+            let _root = recorder.wall_span("job_record", Labels::default());
+            run();
+        }
+        gbu_telemetry::set_global(previous);
+        let trace = recorder.snapshot();
+        if best.as_ref().is_none_or(|b| root_span(&trace).duration() < root_span(b).duration()) {
+            best = Some(trace);
+        }
+    }
+    best.expect("at least one run")
+}
+
+/// Modeled wall milliseconds of a [`job_record`] run at `workers`
+/// workers. Its jobs are the leaf spans below the root; a stage is the
+/// set of jobs sharing a parent span and a name (one pool dispatch, a
+/// barrier after it). The model is the serial residue (root span minus
+/// its jobs) plus each stage's jobs list-scheduled onto `workers` — in
+/// order, each to the first free worker, exactly the pool's stealing
+/// discipline. At one worker it is the root span's duration.
+fn critical_path_ms(trace: &gbu_telemetry::Trace, workers: usize) -> f64 {
+    use std::collections::{BTreeMap, HashSet};
+    let parents: HashSet<_> = trace.spans.iter().filter_map(|s| s.parent).collect();
+    let mut stages: BTreeMap<_, Vec<u64>> = BTreeMap::new();
+    for s in trace.spans.iter().filter(|s| !parents.contains(&s.id)) {
+        if let Some(parent) = s.parent {
+            stages.entry((parent, s.name)).or_default().push(s.duration());
+        }
+    }
+    let jobs: u64 = stages.values().flatten().sum();
+    let mut nanos =
+        root_span(trace).duration().checked_sub(jobs).expect("jobs nest inside the root span");
+    for jobs in stages.values() {
+        let mut free = vec![0u64; workers.max(1)];
+        for &n in jobs {
+            let w = (0..free.len()).min_by_key(|&w| free[w]).expect("non-empty");
+            free[w] += n;
+        }
+        nanos += free.into_iter().max().unwrap_or(0);
+    }
+    nanos as f64 / 1e6
 }
 
 /// Render-performance trajectory: host wall-clock of the Step-❶/❷/❸ hot
@@ -860,10 +901,11 @@ fn snapshot_bin_timings(t: &gbu_render::BinTimings) -> (u64, Vec<(&'static str, 
 /// Two numbers are reported per (stage, thread count):
 ///
 /// - `wall_ms` — measured wall-clock on this host (best of the reps);
-/// - `critical_path_ms` — the per-job costs measured on the serial run
-///   (per tile row for blending; per batch/chunk stage for binning),
+/// - `critical_path_ms` — the serial run's `GBU_TRACE=2` job spans (tile
+///   rows for blending; batch, copy and radix-chunk stages for binning)
 ///   list-scheduled onto N workers exactly the way the pool's
-///   work-stealing claims jobs. On an unloaded N-core host the two
+///   work-stealing claims jobs, plus the serial residue around them
+///   ([`critical_path_ms`]). On an unloaded N-core host the two
 ///   agree; on a single-core CI container `wall_ms` cannot drop below
 ///   serial (there is one core) while `critical_path_ms` still tracks
 ///   the parallel structure, which is what the regression trajectory
@@ -882,7 +924,6 @@ pub fn render(ctx: &Ctx) {
     use gbu_render::{irss, pfs, BinScratch, BlendScratch, FrameBuffer, RenderConfig};
     use gbu_scene::synth::SceneBuilder;
     use gbu_scene::{Camera, ScaleProfile};
-    use std::time::Instant;
 
     const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -905,18 +946,6 @@ pub fn render(ctx: &Ctx) {
 
     let pools: Vec<(usize, ThreadPool)> =
         THREADS.iter().map(|&t| (t, ThreadPool::new(t))).collect();
-
-    /// Best-of-`reps` wall milliseconds of `f` (one warm-up call first).
-    fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-        f();
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        best
-    }
 
     fn per_thread_json(pairs: &[(usize, f64)]) -> String {
         let fields: Vec<String> = pairs.iter().map(|(t, ms)| format!("\"{t}\":{ms:.4}")).collect();
@@ -978,32 +1007,25 @@ pub fn render(ctx: &Ctx) {
         // reference is `bin_splats` (the exact pre-parallel path);
         // per-thread walls run `bin_into` on warm scratch with Step ❶'s
         // carried bounds; the critical path is modeled from the 1-thread
-        // stage record. Every parallel run is gated byte-identical to
-        // the serial reference.
+        // job record. Every parallel run is gated byte-identical to the
+        // serial reference.
         let bin_serial_ms = best_ms(reps, || {
             let _ = gbu_render::binning::bin_splats(&splats, &camera, cfg.tile_size);
         });
         check(&format!("{scene_name}/binning/serial"), bin_serial_ms);
         let mut bin_scratch = BinScratch::new();
         let mut bin_out = bins.clone();
-        let mut bin_wall = Vec::new();
-        let mut bin_cp = Vec::new();
-        let mut bin_record = (0u64, Vec::new());
-        let mut bin_4t = [0.0f64; 2]; // [wall, critical path] at 4 threads
-        for (t, pool) in &pools {
-            let mut par_stats = gbu_render::stats::BinningStats::default();
-            let ms = best_ms(reps, || {
-                par_stats = gbu_render::binning::bin_into(
-                    pool,
-                    &splats,
-                    Some(&bounds),
-                    &camera,
-                    cfg.tile_size,
-                    &mut bin_scratch,
-                    &mut bin_out,
-                );
-            });
-            check(&format!("{scene_name}/binning@{t}"), ms);
+        let mut bin = |pool: &ThreadPool| {
+            let par_stats = gbu_render::binning::bin_into(
+                pool,
+                &splats,
+                Some(&bounds),
+                &camera,
+                cfg.tile_size,
+                &mut bin_scratch,
+                &mut bin_out,
+            );
+            let t = pool.threads();
             if bin_out.offsets != bins.offsets || bin_out.entries != bins.entries {
                 eprintln!("INVALID: {scene_name}/binning@{t}: parallel bins diverge from serial");
                 invalid.set(true);
@@ -1012,32 +1034,15 @@ pub fn render(ctx: &Ctx) {
                 eprintln!("INVALID: {scene_name}/binning@{t}: stats diverge from serial");
                 invalid.set(true);
             }
-            if *t == 1 {
-                // The 1-thread record feeds every thread count's model
-                // and binning stages are microseconds long, so a single
-                // scheduler stall can poison the serial residue — keep
-                // the cleanest (minimal-total) record of several runs.
-                let mut best_total = u64::MAX;
-                for _ in 0..reps.max(5) {
-                    let _ = gbu_render::binning::bin_into(
-                        pool,
-                        &splats,
-                        Some(&bounds),
-                        &camera,
-                        cfg.tile_size,
-                        &mut bin_scratch,
-                        &mut bin_out,
-                    );
-                    let (serial, stages) = snapshot_bin_timings(bin_scratch.timings());
-                    let total =
-                        serial + stages.iter().map(|(_, j)| j.iter().sum::<u64>()).sum::<u64>();
-                    if total < best_total {
-                        best_total = total;
-                        bin_record = (serial, stages);
-                    }
-                }
-            }
-            let cp = bin_critical_path_ms(bin_record.0, &bin_record.1, *t);
+        };
+        let bin_record = job_record(reps, || bin(serial));
+        let mut bin_wall = Vec::new();
+        let mut bin_cp = Vec::new();
+        let mut bin_4t = [0.0f64; 2]; // [wall, critical path] at 4 threads
+        for (t, pool) in &pools {
+            let ms = best_ms(reps, || bin(pool));
+            check(&format!("{scene_name}/binning@{t}"), ms);
+            let cp = critical_path_ms(&bin_record, *t);
             check(&format!("{scene_name}/binning/critical_path@{t}"), cp);
             bin_wall.push((*t, ms));
             bin_cp.push((*t, cp));
@@ -1096,39 +1101,39 @@ pub fn render(ctx: &Ctx) {
         let mut serial_sums = [0.0f64; 2];
         let mut four_thread = [[0.0f64; 2]; 2]; // [dataflow][wall|model] at 4 threads
         for (di, dataflow) in ["pfs", "irss"].into_iter().enumerate() {
+            let mut blend = |pool: &ThreadPool| match dataflow {
+                "pfs" => pfs::blend_into(
+                    pool,
+                    &splats,
+                    &bins,
+                    &camera,
+                    &cfg,
+                    &mut scratch,
+                    &mut image,
+                    &mut stats,
+                ),
+                _ => irss::blend_precomputed_into(
+                    pool,
+                    &splats,
+                    &isplats,
+                    &bins,
+                    &camera,
+                    &cfg,
+                    &mut scratch,
+                    &mut image,
+                    &mut stats,
+                ),
+            };
+            let record = job_record(reps, || blend(serial));
             let mut wall = Vec::new();
             let mut model = Vec::new();
-            let mut job_nanos: Vec<u64> = Vec::new();
             for (t, pool) in &pools {
-                let ms = best_ms(reps, || match dataflow {
-                    "pfs" => pfs::blend_into(
-                        pool,
-                        &splats,
-                        &bins,
-                        &camera,
-                        &cfg,
-                        &mut scratch,
-                        &mut image,
-                        &mut stats,
-                    ),
-                    _ => irss::blend_precomputed_into(
-                        pool,
-                        &splats,
-                        &isplats,
-                        &bins,
-                        &camera,
-                        &cfg,
-                        &mut scratch,
-                        &mut image,
-                        &mut stats,
-                    ),
-                });
+                let ms = best_ms(reps, || blend(pool));
                 check(&format!("{scene_name}/{dataflow}@{t}"), ms);
                 if *t == 1 {
-                    job_nanos = scratch.job_nanos().to_vec();
                     serial_sums[di] = ms;
                 }
-                let cp = critical_path_ms(&job_nanos, *t);
+                let cp = critical_path_ms(&record, *t);
                 check(&format!("{scene_name}/{dataflow}/critical_path@{t}"), cp);
                 wall.push((*t, ms));
                 model.push((*t, cp));
@@ -1380,42 +1385,29 @@ pub fn shard(ctx: &Ctx) {
     // Host frontend: the sharding host runs Step ❷ once per frame before
     // fanning shards out, so its cost now rides the parallel binning
     // path. Wall at 1 and 4 threads, plus the 4-thread critical path
-    // modeled from the 1-thread stage record; gated byte-identical to
-    // the frame's own bins.
+    // modeled from the 1-thread job record; the 4-thread bins are gated
+    // byte-identical to the frame's own bins.
     let mut bin_scratch = gbu_render::BinScratch::new();
     let mut bin_out = binned.bins.clone();
-    let mut host_bin = [0.0f64; 2]; // wall ms at [1, 4] threads
-    let mut bin_record = (0u64, Vec::new());
-    for (i, threads) in [1usize, 4].into_iter().enumerate() {
-        let pool = gbu_par::ThreadPool::new(threads);
-        let mut run = || {
-            gbu_render::binning::bin_into(
-                &pool,
-                &projected.splats,
-                Some(&projected.bounds),
-                &camera,
-                16,
-                &mut bin_scratch,
-                &mut bin_out,
-            )
-        };
-        run();
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            run();
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        host_bin[i] = best;
-        if i == 0 {
-            bin_record = snapshot_bin_timings(bin_scratch.timings());
-        }
-    }
+    let mut bin = |pool: &gbu_par::ThreadPool| {
+        gbu_render::binning::bin_into(
+            pool,
+            &projected.splats,
+            Some(&projected.bounds),
+            &camera,
+            16,
+            &mut bin_scratch,
+            &mut bin_out,
+        );
+    };
+    let (serial, four) = (gbu_par::ThreadPool::new(1), gbu_par::ThreadPool::new(4));
+    let host_bin_cp4 = critical_path_ms(&job_record(3, || bin(&serial)), 4);
+    // Wall ms at 1 and 4 threads.
+    let host_bin = [best_ms(3, || bin(&serial)), best_ms(3, || bin(&four))];
     if bin_out.offsets != binned.bins.offsets || bin_out.entries != binned.bins.entries {
         eprintln!("INVALID: host-frontend parallel bins diverge from the frame's bins");
         invalid = true;
     }
-    let host_bin_cp4 = bin_critical_path_ms(bin_record.0, &bin_record.1, 4);
     for (label, v) in
         [("bin_wall_1t", host_bin[0]), ("bin_wall_4t", host_bin[1]), ("bin_cp_4t", host_bin_cp4)]
     {
@@ -2919,5 +2911,42 @@ fn smoke_path(profile: gbu_scene::ScaleProfile, stem: &str) -> String {
             format!("bench_out/{stem}.smoke.json")
         }
         _ => format!("{stem}.json"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::critical_path_ms;
+    use gbu_telemetry::{Domain, Labels, Recorder, SpanId, Verbosity};
+
+    /// A hand-built 1000 ns job record: under `bin_expand`, a stage of
+    /// three batch jobs and a stage of two copy jobs (one parent, two
+    /// names); directly under the root, a stage of three row jobs. The
+    /// jobs cover 650 ns, leaving a 350 ns serial residue.
+    #[test]
+    fn critical_path_is_residue_plus_scheduled_stages() {
+        let rec = Recorder::enabled(Verbosity::High);
+        let span = |name: &'static str, start: u64, end: u64, parent: Option<SpanId>| {
+            rec.span(name, Domain::Wall, start, end, parent, Labels::default())
+        };
+        let root = span("job_record", 0, 1_000, None);
+        let expand = span("bin_expand", 100, 500, root);
+        for (start, end) in [(100, 200), (200, 350), (350, 400)] {
+            span("bin_expand_batch", start, end, expand);
+        }
+        for (start, end) in [(400, 420), (420, 450)] {
+            span("bin_concat_batch", start, end, expand);
+        }
+        for (start, end) in [(500, 600), (600, 700), (700, 800)] {
+            span("blend_row", start, end, root);
+        }
+        let trace = rec.snapshot();
+
+        // One worker replays the serial run: the root span's duration.
+        assert_eq!(critical_path_ms(&trace, 1), 1_000.0 / 1e6);
+        // Two workers: the three 100 ns rows take two rounds.
+        assert_eq!(critical_path_ms(&trace, 2), (350.0 + 150.0 + 30.0 + 200.0) / 1e6);
+        // Many workers: the residue plus each stage's longest job.
+        assert_eq!(critical_path_ms(&trace, 64), (350.0 + 150.0 + 30.0 + 100.0) / 1e6);
     }
 }

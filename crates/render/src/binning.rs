@@ -27,7 +27,6 @@ use gbu_math::sort;
 use gbu_par::ThreadPool;
 use gbu_scene::Camera;
 use gbu_telemetry::Labels;
-use std::time::Instant;
 
 /// Sorted per-tile instance lists.
 #[derive(Debug, Clone)]
@@ -161,7 +160,7 @@ pub fn bin_splats(splats: &[Splat2D], camera: &Camera, tile_size: u32) -> (TileB
 
 /// Pairs per job in the chunk-parallel radix-sort stages. Fixed (never
 /// derived from the thread count) so the chunk decomposition — and with
-/// it every recorded timing shape — is identical at any `GBU_THREADS`;
+/// it every recorded job-span shape — is identical at any `GBU_THREADS`;
 /// output bytes don't depend on it at all (see `gbu_math::sort`). Small
 /// enough that even a test-profile scene yields plenty of jobs per stage.
 const SORT_CHUNK_PAIRS: usize = 4096;
@@ -205,10 +204,12 @@ pub fn bin_splats_pooled(
 ///    counts) and a payload copy.
 ///
 /// Emits `bin_expand` / `bin_sort` wall spans (children of the caller's
-/// span, e.g. `pipeline::bin`'s `bin`); at `GBU_TRACE=2` each batch and
-/// sort chunk additionally records a worker-labelled span. Per-stage job
-/// wall times land in [`BinScratch::timings`] for the bench's
-/// critical-path model.
+/// span, e.g. `pipeline::bin`'s `bin`). At `GBU_TRACE=2` every pool job
+/// also records a worker-labelled span — `bin_expand_batch` and
+/// `bin_concat_batch` under `bin_expand`, `bin_sort_chunk` under a
+/// `radix_histogram` / `radix_scatter` span per radix stage dispatch —
+/// so the job costs and the barriers between stages are visible in the
+/// trace (the bench's critical-path model reads them).
 ///
 /// # Panics
 ///
@@ -228,7 +229,6 @@ pub fn bin_into(
         assert_eq!(pb.splats.len(), splats.len(), "bounds/splat list length mismatch");
         assert_eq!(pb.batches.len(), batch_count, "bounds batch count mismatch");
     }
-    let t_start = Instant::now();
     let (tiles_x, tiles_y) = camera.tile_grid(tile_size);
     let tile_count = (tiles_x * tiles_y) as usize;
     bins.tile_size = tile_size;
@@ -238,8 +238,7 @@ pub fn bin_into(
     scratch.prepare(batch_count, pool.threads());
     let recorder = gbu_telemetry::global();
     let detailed = recorder.detailed();
-    let crate::scratch::BinScratch { batches, pairs, sort_scratch, hists, workers, timings } =
-        scratch;
+    let crate::scratch::BinScratch { batches, pairs, sort_scratch, hists, workers } = scratch;
     let batches = &mut batches[..batch_count];
 
     // Phase 1: per-batch pair emission, then concatenation in batch order
@@ -249,8 +248,7 @@ pub fn bin_into(
         pool.for_each_mut_with(workers, batches, |worker, b, buf| {
             let _batch_span =
                 detailed.then(|| recorder.wall_span("bin_expand_batch", Labels::worker(worker.id)));
-            let t0 = Instant::now();
-            buf.pairs.clear();
+            buf.clear();
             let lo = b * BATCH_SPLATS;
             let hi = (lo + BATCH_SPLATS).min(splats.len());
             let batch_plausible = match bounds {
@@ -267,57 +265,41 @@ pub fn bin_into(
                     let key_depth = splat.depth;
                     for ty in y0..=y1 {
                         for tx in x0..=x1 {
-                            buf.pairs
-                                .push((sort::pack_key(ty * tiles_x + tx, key_depth), i as u32));
+                            buf.push((sort::pack_key(ty * tiles_x + tx, key_depth), i as u32));
                         }
                     }
                 }
             }
-            buf.nanos = t0.elapsed().as_nanos() as u64;
         });
-        let expand_stage = timings.stage("bin_expand", batch_count);
-        for (slot, buf) in expand_stage.iter_mut().zip(batches.iter()) {
-            *slot = buf.nanos;
-        }
 
-        let total: usize = batches.iter().map(|b| b.pairs.len()).sum();
+        let total: usize = batches.iter().map(Vec::len).sum();
         pairs.clear();
         pairs.resize(total, (0, 0));
-        struct CopyJob<'a> {
-            src: &'a [(u64, u32)],
-            dst: &'a mut [(u64, u32)],
-            nanos: u64,
-        }
         let mut rest: &mut [(u64, u32)] = pairs.as_mut_slice();
-        let mut jobs: Vec<CopyJob> = Vec::with_capacity(batch_count);
+        let mut jobs = Vec::with_capacity(batch_count);
         for buf in batches.iter() {
-            let (dst, tail) = rest.split_at_mut(buf.pairs.len());
-            jobs.push(CopyJob { src: &buf.pairs, dst, nanos: 0 });
+            let (dst, tail) = rest.split_at_mut(buf.len());
+            jobs.push((buf.as_slice(), dst));
             rest = tail;
         }
-        pool.for_each_mut_with(workers, &mut jobs, |_, _, job| {
-            let t0 = Instant::now();
-            job.dst.copy_from_slice(job.src);
-            job.nanos = t0.elapsed().as_nanos() as u64;
+        pool.for_each_mut_with(workers, &mut jobs, |worker, _, (src, dst)| {
+            let _copy_span =
+                detailed.then(|| recorder.wall_span("bin_concat_batch", Labels::worker(worker.id)));
+            dst.copy_from_slice(src);
         });
-        let concat_stage = timings.stage("bin_concat", jobs.len());
-        for (slot, job) in concat_stage.iter_mut().zip(jobs.iter()) {
-            *slot = job.nanos;
-        }
     }
 
-    // Phase 2: chunk-parallel stable radix sort. The runner times each
-    // chunk job so the bench can list-schedule the recorded stages.
+    // Phase 2: chunk-parallel stable radix sort, one detail span per
+    // stage dispatch so the barriers between stages stay visible.
     let sort_passes = {
         let _sort_span = recorder.wall_span("bin_sort", Labels::default());
         let mut run = |stage: &'static str, jobs: usize, job: &(dyn Fn(usize) + Sync)| {
-            let nanos = timings.stage(stage, jobs);
-            pool.for_each_mut_with(workers, nanos, |worker, i, slot| {
+            let _stage_span = detailed.then(|| recorder.wall_span(stage, Labels::default()));
+            // One unit job per chunk: a Vec of ZSTs never heap-allocates.
+            pool.for_each_mut_with(workers, &mut vec![(); jobs], |worker, i, ()| {
                 let _chunk_span = detailed
                     .then(|| recorder.wall_span("bin_sort_chunk", Labels::worker(worker.id)));
-                let t0 = Instant::now();
                 job(i);
-                *slot = t0.elapsed().as_nanos() as u64;
             });
         };
         sort::radix_sort_pairs_chunked(pairs, sort_scratch, hists, SORT_CHUNK_PAIRS, &mut run)
@@ -335,7 +317,6 @@ pub fn bin_into(
 
     let occupied =
         (0..tile_count).filter(|&t| bins.offsets[t + 1] > bins.offsets[t]).count() as u64;
-    timings.record_serial(t_start.elapsed().as_nanos() as u64);
     BinningStats {
         instances: bins.entries.len() as u64,
         sort_passes,

@@ -260,7 +260,9 @@ pub fn blend_precomputed(
 
 /// The allocation-free IRSS entry point: blends into caller-owned
 /// buffers, tile rows dispatched across `pool` and merged in tile order.
-/// Bit-identical to a serial run at any thread count.
+/// Bit-identical to a serial run at any thread count. Each tile-row job
+/// opens a `blend_row` span at `GBU_TRACE=2`, as in
+/// [`crate::pfs::blend_into`].
 ///
 /// # Panics
 ///
@@ -298,7 +300,6 @@ pub fn blend_precomputed_into(
         pixels: &'a mut [Vec3],
         workload: &'a mut [[u32; 16]],
         stats: BlendStats,
-        nanos: u64,
     }
 
     let row_px = bins.tile_size as usize * camera.width as usize;
@@ -311,12 +312,12 @@ pub fn blend_precomputed_into(
             pixels,
             workload: workload_chunks.next().unwrap_or_default(),
             stats: BlendStats::default(),
-            nanos: 0,
         })
         .collect();
     let workers = pool.threads().min(jobs.len()).max(1);
+    let recorder = gbu_telemetry::global();
     pool.for_each_mut_with(scratch.workers(workers), &mut jobs, |tile_scratch, ty, job| {
-        let t0 = std::time::Instant::now();
+        let _row_span = crate::pfs::row_span(&recorder, ty);
         blend_tile_row(
             isplats,
             bins,
@@ -328,10 +329,8 @@ pub fn blend_precomputed_into(
             job.workload,
             &mut job.stats,
         );
-        job.nanos = t0.elapsed().as_nanos() as u64;
     });
 
-    scratch.record_job_nanos(jobs.iter().map(|j| j.nanos));
     for job in &jobs {
         stats::accumulate(stats, &job.stats);
     }

@@ -83,7 +83,7 @@ pub use contrib::QualityLevel;
 pub use framebuffer::FrameBuffer;
 pub use pipeline::{BinnedFrame, Dataflow, ProjectedFrame};
 pub use preprocess::{BatchBounds, ProjectedBounds};
-pub use scratch::{BinScratch, BinTimings, BlendScratch};
+pub use scratch::{BinScratch, BlendScratch};
 pub use shard::{ShardFrame, ShardPlan, ShardStrategy};
 pub use splat::{alpha_from_q, Splat2D, GBU_FEATURE_BYTES, SPLAT_FEATURE_BYTES};
 

@@ -21,6 +21,7 @@ use crate::{FrameBuffer, RenderConfig};
 use gbu_math::Vec3;
 use gbu_par::ThreadPool;
 use gbu_scene::Camera;
+use gbu_telemetry::{Labels, Recorder, WallSpan};
 
 /// Transmittance below which a pixel is considered saturated (the
 /// reference's `T < 0.0001` early exit).
@@ -57,7 +58,8 @@ pub fn blend_pooled(
 /// reused across frames. Tiles are independent blending work, so tile
 /// rows are dispatched across the pool and merged in tile order — the
 /// output is bit-identical to a serial run at any thread count (pinned
-/// by `tests/parallel_equivalence.rs`).
+/// by `tests/parallel_equivalence.rs`). Each tile-row job opens a
+/// `blend_row` span at `GBU_TRACE=2`.
 ///
 /// # Panics
 ///
@@ -85,26 +87,18 @@ pub fn blend_into(
     struct RowJob<'a> {
         pixels: &'a mut [Vec3],
         stats: BlendStats,
-        nanos: u64,
     }
 
     let row_px = bins.tile_size as usize * camera.width as usize;
     let mut jobs: Vec<RowJob> = image
         .pixels_mut()
         .chunks_mut(row_px)
-        .map(|pixels| RowJob { pixels, stats: BlendStats::default(), nanos: 0 })
+        .map(|pixels| RowJob { pixels, stats: BlendStats::default() })
         .collect();
     let workers = pool.threads().min(jobs.len()).max(1);
     let recorder = gbu_telemetry::global();
     pool.for_each_mut_with(scratch.workers(workers), &mut jobs, |tile_scratch, ty, job| {
-        // Per-tile-row spans only at high verbosity; otherwise the
-        // telemetry cost on this hot path is one branch per row.
-        let _row_span = recorder.detailed().then(|| {
-            let labels =
-                gbu_telemetry::Labels { row: Some(ty as u32), ..gbu_telemetry::Labels::default() };
-            recorder.wall_span("blend_row", labels)
-        });
-        let t0 = std::time::Instant::now();
+        let _row_span = row_span(&recorder, ty);
         blend_tile_row(
             splats,
             bins,
@@ -115,13 +109,20 @@ pub fn blend_into(
             job.pixels,
             &mut job.stats,
         );
-        job.nanos = t0.elapsed().as_nanos() as u64;
     });
 
-    scratch.record_job_nanos(jobs.iter().map(|j| j.nanos));
     for job in &jobs {
         stats::accumulate(stats, &job.stats);
     }
+}
+
+/// Opens the `blend_row` span of tile-row job `ty` — both dataflows'
+/// row jobs do. Recorded only at high verbosity, so otherwise the
+/// telemetry cost on the blend hot path is one branch per row.
+pub(crate) fn row_span(recorder: &Recorder, ty: usize) -> Option<WallSpan<'_>> {
+    recorder.detailed().then(|| {
+        recorder.wall_span("blend_row", Labels { row: Some(ty as u32), ..Labels::default() })
+    })
 }
 
 /// Blends every tile of tile row `ty` into `pixels` (the image rows this

@@ -3,14 +3,17 @@
 //! Both dataflows walk a tile with two tile-local arrays (accumulated
 //! color and transmittance per pixel). The original implementation
 //! allocated them per `blend` call; [`BlendScratch`] owns one
-//! [`TileScratch`] per pool worker plus the per-tile-row wall-clock
-//! samples of the last blend, so repeated-render loops (device
+//! [`TileScratch`] per pool worker, so repeated-render loops (device
 //! simulation, serving, benchmarks) make no per-tile or per-pixel
 //! allocations once warm — the only per-frame heap touch left in a
 //! `blend_into` call is the tile-row job list, which borrows the frame
 //! buffer and so cannot be cached here. [`BinScratch`] plays the same
 //! role for Step ❷'s `bin_into`: per-batch pair buffers, sort scratch
 //! and histograms survive across frames.
+//!
+//! Per-job wall time is not kept here: it lives in the `gbu_telemetry`
+//! job spans (`blend_row`, `bin_expand_batch`, ...) that a
+//! `Verbosity::High` recorder captures.
 
 use gbu_math::Vec3;
 
@@ -38,12 +41,11 @@ impl TileScratch {
     }
 }
 
-/// Reusable scratch for the `blend_into` entry points: per-worker tile
-/// buffers plus the per-tile-row timing trace of the most recent blend.
+/// Reusable scratch for the `blend_into` entry points: one tile buffer
+/// per pool worker.
 #[derive(Debug, Default)]
 pub struct BlendScratch {
     workers: Vec<TileScratch>,
-    job_nanos: Vec<u64>,
 }
 
 impl BlendScratch {
@@ -60,29 +62,6 @@ impl BlendScratch {
         }
         &mut self.workers
     }
-
-    /// Stores the per-tile-row wall-clock samples of a blend.
-    pub(crate) fn record_job_nanos(&mut self, nanos: impl Iterator<Item = u64>) {
-        self.job_nanos.clear();
-        self.job_nanos.extend(nanos);
-    }
-
-    /// Wall-clock nanoseconds each tile row of the last blend took,
-    /// indexed by tile row. The `repro render` experiment feeds these to
-    /// its critical-path schedule model, which predicts the parallel
-    /// wall-clock on an unloaded multi-core host (useful when the
-    /// benchmark itself runs on a single-core CI container).
-    pub fn job_nanos(&self) -> &[u64] {
-        &self.job_nanos
-    }
-}
-
-/// One batch's pair buffer for the parallel Step-❷ expansion, plus the
-/// wall-clock nanoseconds its expansion job took.
-#[derive(Debug, Default)]
-pub(crate) struct BinBatchBuf {
-    pub(crate) pairs: Vec<(u64, u32)>,
-    pub(crate) nanos: u64,
 }
 
 /// Per-worker identity handed to binning's parallel regions so detailed
@@ -92,75 +71,19 @@ pub(crate) struct BinWorker {
     pub(crate) id: u32,
 }
 
-/// Per-barrier-stage wall-clock samples of the most recent `bin_into`
-/// call: one `(stage name, per-job nanos)` record per parallel dispatch
-/// (batch expansion, pair concatenation, then a histogram and scatter
-/// stage per executed radix pass), plus the serial residue between them.
-///
-/// Recorded from a 1-thread run, these feed the same list-scheduling
-/// critical-path model `repro render` applies to blending: the modelled
-/// parallel wall is `serial residue + Σ schedule(stage jobs, workers)`.
-#[derive(Debug, Default)]
-pub struct BinTimings {
-    stages: Vec<(&'static str, Vec<u64>)>,
-    used: usize,
-    serial_nanos: u64,
-}
-
-impl BinTimings {
-    /// Forgets the previous frame's record (buffers are retained).
-    pub(crate) fn reset(&mut self) {
-        self.used = 0;
-        self.serial_nanos = 0;
-    }
-
-    /// Opens a new stage record of `jobs` zeroed slots and returns it.
-    pub(crate) fn stage(&mut self, name: &'static str, jobs: usize) -> &mut [u64] {
-        if self.stages.len() == self.used {
-            self.stages.push((name, Vec::new()));
-        }
-        let (stage_name, nanos) = &mut self.stages[self.used];
-        *stage_name = name;
-        nanos.clear();
-        nanos.resize(jobs, 0);
-        self.used += 1;
-        nanos
-    }
-
-    /// Records the serial residue: total wall minus the sum of all
-    /// parallel-stage job nanos (exact when the pool ran 1-threaded).
-    pub(crate) fn record_serial(&mut self, total_nanos: u64) {
-        let parallel: u64 = self.stages().map(|(_, jobs)| jobs.iter().sum::<u64>()).sum();
-        self.serial_nanos = total_nanos.saturating_sub(parallel);
-    }
-
-    /// The recorded `(stage name, per-job nanos)` sequence, in dispatch
-    /// order.
-    pub fn stages(&self) -> impl Iterator<Item = (&'static str, &[u64])> + '_ {
-        self.stages.iter().take(self.used).map(|(name, nanos)| (*name, nanos.as_slice()))
-    }
-
-    /// Wall-clock nanoseconds spent outside the parallel stages (scan,
-    /// CSR bookkeeping, dispatch overhead).
-    pub fn serial_nanos(&self) -> u64 {
-        self.serial_nanos
-    }
-}
-
 /// Reusable scratch for the `bin_into` entry point: per-batch pair
 /// buffers, the concatenated pair list, radix-sort scratch and per-chunk
-/// histograms, per-worker telemetry identities, and the stage timing
-/// record of the most recent call. Once warm, a `bin_into` call's only
-/// per-frame heap touches are the small job lists that borrow frame-local
-/// slices (the same exception `blend_into` documents).
+/// histograms, and per-worker telemetry identities. Once warm, a
+/// `bin_into` call's only per-frame heap touches are the small job lists
+/// that borrow frame-local slices (the same exception `blend_into`
+/// documents).
 #[derive(Debug, Default)]
 pub struct BinScratch {
-    pub(crate) batches: Vec<BinBatchBuf>,
+    pub(crate) batches: Vec<Vec<(u64, u32)>>,
     pub(crate) pairs: Vec<(u64, u32)>,
     pub(crate) sort_scratch: Vec<(u64, u32)>,
     pub(crate) hists: Vec<[usize; 256]>,
     pub(crate) workers: Vec<BinWorker>,
-    pub(crate) timings: BinTimings,
 }
 
 impl BinScratch {
@@ -173,17 +96,11 @@ impl BinScratch {
     /// for `workers` workers, growing both sets as needed.
     pub(crate) fn prepare(&mut self, batches: usize, workers: usize) {
         if self.batches.len() < batches {
-            self.batches.resize_with(batches, BinBatchBuf::default);
+            self.batches.resize_with(batches, Vec::new);
         }
         if self.workers.len() < workers {
             let start = self.workers.len();
             self.workers.extend((start..workers).map(|id| BinWorker { id: id as u32 }));
         }
-        self.timings.reset();
-    }
-
-    /// The per-stage timing record of the most recent `bin_into` call.
-    pub fn timings(&self) -> &BinTimings {
-        &self.timings
     }
 }

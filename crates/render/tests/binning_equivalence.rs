@@ -129,9 +129,10 @@ proptest! {
 }
 
 /// A scene large enough to span several expansion batches exercises the
-/// multi-batch concatenation order and fills the timing record.
+/// multi-batch concatenation order (its job spans are checked in
+/// `telemetry_noop.rs`, the binary that owns the global recorder).
 #[test]
-fn multi_batch_scene_matches_serial_and_records_timings() {
+fn multi_batch_scene_matches_serial() {
     let scene: GaussianScene = (0..900)
         .map(|i| {
             let a = i as f32 * 0.37;
@@ -156,16 +157,6 @@ fn multi_batch_scene_matches_serial_and_records_timings() {
     assert_eq!(bins.offsets, reference.0.offsets);
     assert_eq!(bins.entries, reference.0.entries);
     assert_eq!(stats, reference.1);
-
-    // The timing record covers expansion, concatenation, and a histogram
-    // + scatter stage per executed pass; the expand stage has one job per
-    // batch.
-    let stages: Vec<(&'static str, usize)> =
-        scratch.timings().stages().map(|(name, jobs)| (name, jobs.len())).collect();
-    assert_eq!(stages[0], ("bin_expand", bounds.batches.len()));
-    assert_eq!(stages[1].0, "bin_concat");
-    let scatters = stages.iter().filter(|(name, _)| *name == "radix_scatter").count();
-    assert_eq!(scatters as u32, stats.sort_passes);
 }
 
 /// Degenerate inputs: an empty splat list and a splat list whose bounds

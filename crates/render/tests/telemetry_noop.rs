@@ -1,17 +1,19 @@
 //! Telemetry must be invisible to render results: running the full
 //! pipeline with the global recorder at the highest verbosity (per-stage
-//! spans, per-worker spans, per-tile-row spans) changes no pixel and no
+//! spans, per-worker spans, per-job spans) changes no pixel and no
 //! statistic relative to the disabled-recorder baseline — the tentpole
 //! "observability is free when off, harmless when on" pin on the render
-//! side.
+//! side. The same traced run pins the shape of the job spans the bench's
+//! critical-path model reads.
 
 use gbu_math::Vec3;
-use gbu_render::{pipeline, Dataflow, RenderConfig};
+use gbu_render::{pipeline, preprocess, Dataflow, RenderConfig};
 use gbu_scene::{Camera, Gaussian3D, GaussianScene};
 use gbu_telemetry::{set_global, Recorder, Verbosity};
 
+/// Enough splats to span several Step-❷ expansion batches.
 fn scene_and_camera() -> (GaussianScene, Camera) {
-    let scene: GaussianScene = (0..60)
+    let scene: GaussianScene = (0..600)
         .map(|i| {
             let a = i as f32 * 0.7;
             Gaussian3D::isotropic(
@@ -69,13 +71,24 @@ fn high_verbosity_recording_is_bit_invisible_to_render() {
         assert!(staged <= render.duration(), "stage wall times exceed the enclosing pipeline span");
         assert!(gbu_telemetry::validate(&trace).is_ok(), "trace is not well-nested");
 
-        // High verbosity records per-tile-row blend detail (the PFS
-        // dataflow is the instrumented reference path).
-        if dataflow == Dataflow::Pfs {
-            assert!(
-                trace.spans_named("blend_row").next().is_some(),
-                "High verbosity should record per-row spans"
-            );
-        }
+        // High verbosity records every pool job: one `blend_row` per
+        // tile row in both dataflows, one `bin_expand_batch` and one
+        // `bin_concat_batch` per splat batch, and a `radix_scatter`
+        // stage span per executed sort pass.
+        let count = |name: &str| trace.spans_named(name).count();
+        let tile_rows = camera.height.div_ceil(cfg.tile_size);
+        let mut rows: Vec<u32> =
+            trace.spans_named("blend_row").map(|s| s.labels.row.unwrap()).collect();
+        rows.sort_unstable();
+        assert_eq!(
+            rows,
+            (0..tile_rows).collect::<Vec<_>>(),
+            "one blend_row per tile row ({dataflow:?})"
+        );
+        let batches = (traced.preprocess.output_splats as usize).div_ceil(preprocess::BATCH_SPLATS);
+        assert!(batches > 1, "the scene must span several expansion batches");
+        assert_eq!(count("bin_expand_batch"), batches, "one expansion job per batch");
+        assert_eq!(count("bin_concat_batch"), batches, "one concatenation copy per batch");
+        assert_eq!(count("radix_scatter") as u32, traced.binning.sort_passes);
     }
 }

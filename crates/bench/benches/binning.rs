@@ -1,16 +1,16 @@
 //! Criterion micro-bench: Rendering Step ❷ — tile binning and the
 //! (tile, depth) radix sort, serial vs. the parallel path.
 //!
-//! Covers the serial reference (`bin_splats`), the pooled fresh-allocation
-//! path (`bin_splats_pooled`, with and without Step ❶'s carried bounds),
-//! the allocation-lean `bin_into` reuse path on warm scratch, and the
-//! radix sort alone in its serial and chunk-parallel forms.
+//! Covers the serial reference (`bin_splats`), the allocating pipeline
+//! stage (`pipeline::bin_pooled`), the allocation-lean `bin_into` reuse
+//! kernel on warm scratch (with and without Step ❶'s carried bounds),
+//! and the radix sort alone in its serial and chunk-parallel forms.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gbu_math::sort;
 use gbu_math::Vec3;
 use gbu_par::ThreadPool;
-use gbu_render::{binning, preprocess, BinScratch};
+use gbu_render::{binning, pipeline, BinScratch};
 use gbu_scene::synth::SceneBuilder;
 use gbu_scene::Camera;
 
@@ -20,25 +20,27 @@ fn bench_binning(c: &mut Criterion) {
         .build();
     let camera = Camera::orbit(320, 240, 0.9, Vec3::ZERO, 4.0, 0.0, 0.2);
     let pool = ThreadPool::new(4);
-    let (splats, bounds, _) = preprocess::project_scene_bounded(&pool, &scene, &camera);
+    let frame = pipeline::project_pooled(&pool, &scene, &camera);
+    let splats = &frame.splats;
 
     let mut g = c.benchmark_group("binning");
     g.bench_function("bin_splats_5k_serial", |b| {
-        b.iter(|| binning::bin_splats(&splats, &camera, 16));
+        b.iter(|| binning::bin_splats(splats, &camera, 16));
     });
-    g.bench_function("bin_splats_pooled_5k_4t", |b| {
-        b.iter(|| binning::bin_splats_pooled(&pool, &splats, None, &camera, 16));
+    g.bench_function("bin_pooled_5k_4t", |b| {
+        b.iter(|| pipeline::bin_pooled(&pool, &frame, 16));
     });
-    g.bench_function("bin_splats_pooled_5k_4t_bounded", |b| {
-        b.iter(|| binning::bin_splats_pooled(&pool, &splats, Some(&bounds), &camera, 16));
-    });
-    g.bench_function("bin_into_5k_4t_reuse", |b| {
-        let mut scratch = BinScratch::new();
-        let mut bins = binning::bin_splats(&splats, &camera, 16).0;
-        b.iter(|| {
-            binning::bin_into(&pool, &splats, Some(&bounds), &camera, 16, &mut scratch, &mut bins)
+    for (name, bounds) in
+        [("bin_into_5k_4t_reuse", Some(&frame.bounds)), ("bin_into_5k_4t_reuse_unbounded", None)]
+    {
+        g.bench_function(name, |b| {
+            let mut scratch = BinScratch::new();
+            let mut bins = binning::bin_splats(splats, &camera, 16).0;
+            b.iter(|| {
+                binning::bin_into(&pool, splats, bounds, &camera, 16, &mut scratch, &mut bins)
+            });
         });
-    });
+    }
 
     let pairs: Vec<(u64, u32)> =
         (0..100_000u64).map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i as u32)).collect();

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gbu_math::Vec3;
-use gbu_render::{binning, irss, pfs, preprocess, RenderConfig};
+use gbu_render::{irss, pfs, pipeline, Dataflow, RenderConfig};
 use gbu_scene::synth::SceneBuilder;
 use gbu_scene::Camera;
 
@@ -13,20 +13,21 @@ fn bench_blend(c: &mut Criterion) {
         .build();
     let camera = Camera::orbit(256, 192, 0.9, Vec3::ZERO, 4.0, 0.3, 0.2);
     let cfg = RenderConfig::default();
-    let (splats, _) = preprocess::project_scene(&scene, &camera);
-    let (bins, _) = binning::bin_splats(&splats, &camera, cfg.tile_size);
+    let frame = pipeline::project(&scene, &camera);
+    let binned = pipeline::bin(&frame, cfg.tile_size);
+    let (splats, bins) = (&frame.splats, &binned.bins);
 
+    // The allocating pipeline stage on the global pool.
     let mut g = c.benchmark_group("blend");
-    g.bench_function("pfs", |b| {
-        b.iter(|| pfs::blend(&splats, &bins, &camera, &cfg));
-    });
-    g.bench_function("irss", |b| {
-        b.iter(|| irss::blend(&splats, &bins, &camera, &cfg));
-    });
+    for dataflow in Dataflow::all() {
+        g.bench_function(dataflow.label(), |b| {
+            b.iter(|| pipeline::blend(&frame, &binned, dataflow, &cfg));
+        });
+    }
 
-    // The allocation-free reuse path (`blend_into`) across thread
-    // counts — the hot loop the device simulators and servers run.
-    let isplats = irss::precompute(&splats);
+    // The allocation-free reuse kernels (`_into`) across thread counts —
+    // the hot loop the device simulators and servers run.
+    let isplats = irss::precompute_pooled(gbu_par::global(), splats);
     for threads in [1usize, 2, 4] {
         let pool = gbu_par::ThreadPool::new(threads);
         let mut image = gbu_render::FrameBuffer::new(camera.width, camera.height, cfg.background);
@@ -36,8 +37,8 @@ fn bench_blend(c: &mut Criterion) {
             b.iter(|| {
                 pfs::blend_into(
                     &pool,
-                    &splats,
-                    &bins,
+                    splats,
+                    bins,
                     &camera,
                     &cfg,
                     &mut scratch,
@@ -50,9 +51,9 @@ fn bench_blend(c: &mut Criterion) {
             b.iter(|| {
                 irss::blend_precomputed_into(
                     &pool,
-                    &splats,
+                    splats,
                     &isplats,
-                    &bins,
+                    bins,
                     &camera,
                     &cfg,
                     &mut scratch,

@@ -992,7 +992,7 @@ pub fn render(ctx: &Ctx) {
         let mut xform_ms = Vec::new();
         for (t, pool) in &pools {
             let ms = best_ms(reps, || {
-                let _ = gbu_render::preprocess::project_scene_pooled(pool, &scene, &camera);
+                let _ = gbu_render::preprocess::project_scene_bounded(pool, &scene, &camera);
             });
             check(&format!("{scene_name}/preprocess@{t}"), ms);
             pre_ms.push((*t, ms));
@@ -2691,8 +2691,14 @@ pub fn quality(ctx: &Ctx) {
         .iter()
         .map(|&df| {
             let (plain, _) = pipeline::blend(&frame, &binned, df, &rcfg);
-            let (exact, _) =
-                pipeline::blend_with_quality(&frame, &binned, df, &rcfg, QualityLevel::Exact);
+            let (exact, _) = pipeline::blend_with_quality_pooled(
+                gbu_par::global(),
+                &frame,
+                &binned,
+                df,
+                &rcfg,
+                QualityLevel::Exact,
+            );
             if exact.pixels() != plain.pixels() {
                 eprintln!("INVALID: Exact {df:?} diverges from the plain blend");
                 invalid = true;
@@ -2732,8 +2738,15 @@ pub fn quality(ctx: &Ctx) {
             .iter()
             .zip(&exact_images)
             .map(|(&df, exact)| {
-                let (img, _) = pipeline::blend_with_quality(&frame, &binned, df, &rcfg, level);
-                contrib::psnr(&img, exact)
+                let (img, _) = pipeline::blend_with_quality_pooled(
+                    gbu_par::global(),
+                    &frame,
+                    &binned,
+                    df,
+                    &rcfg,
+                    level,
+                );
+                gbu_render::metrics::psnr(&img, exact)
             })
             .collect();
         let worst = psnrs.iter().cloned().fold(f64::INFINITY, f64::min);

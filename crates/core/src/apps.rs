@@ -15,7 +15,7 @@ use gbu_hw::cache::Policy;
 use gbu_hw::{dnb, GbuConfig, GbuRunResult, TileEngine};
 use gbu_math::Vec3;
 use gbu_render::{
-    binning, metrics, preprocess, render_pfs, FrameBuffer, RenderConfig, RenderOutput,
+    metrics, pipeline, render_pfs, Dataflow, FrameBuffer, RenderConfig, RenderOutput,
 };
 use gbu_scene::avatar::Pose;
 use gbu_scene::{Camera, DatasetScene, GaussianScene, ScaleProfile, SceneKind};
@@ -100,27 +100,18 @@ pub fn measure_frame(
     let cfg_pfs = RenderConfig::default();
     let cfg_irss = RenderConfig { record_row_workload: true, ..RenderConfig::default() };
 
-    let (splats, pre) = preprocess::project_scene(&scenario.scene, &scenario.camera);
-    let (bins, bin_stats) = binning::bin_splats(&splats, &scenario.camera, cfg_pfs.tile_size);
+    let frame = pipeline::project(&scenario.scene, &scenario.camera);
+    let binned = pipeline::bin(&frame, cfg_pfs.tile_size);
+    let (pfs_img, pfs_stats) = pipeline::blend(&frame, &binned, Dataflow::Pfs, &cfg_pfs);
+    let (irss_img, irss_stats) = pipeline::blend(&frame, &binned, Dataflow::Irss, &cfg_irss);
+    let (pre, bin_stats) = (frame.stats, binned.stats);
 
-    // The D&B pass runs first so the software IRSS blend can reuse its
-    // transforms (one EVD per splat, not two); both blends and the tile
-    // engine dispatch tile rows over the global `gbu_par` pool.
-    let d = dnb::run(&splats, &bins, gbu_cfg);
-    let (pfs_img, pfs_stats) = gbu_render::pfs::blend(&splats, &bins, &scenario.camera, &cfg_pfs);
-    let (irss_img, irss_stats) = gbu_render::irss::blend_precomputed(
-        &splats,
-        &d.transforms,
-        &bins,
-        &scenario.camera,
-        &cfg_irss,
-    );
-
+    let d = dnb::run(&frame.splats, &binned.bins, gbu_cfg);
     let engine = TileEngine::new(gbu_cfg.clone());
     let gbu = engine.render(
-        &splats,
+        &frame.splats,
         &d,
-        &bins,
+        &binned.bins,
         &scenario.camera,
         cfg_pfs.background,
         Policy::ReuseDistance,

@@ -57,7 +57,7 @@ pub fn run_scoped(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig) -> DnbRe
 }
 
 fn run_inner(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig, scoped: bool) -> DnbResult {
-    let transforms = gbu_render::irss::precompute(splats);
+    let transforms = gbu_render::irss::precompute_pooled(gbu_par::global(), splats);
     let mut access_trace = Vec::with_capacity(bins.entries.len());
     for tile in 0..bins.tile_count() {
         access_trace.extend_from_slice(bins.entries_of(tile));

@@ -29,6 +29,7 @@
 
 use crate::binning::{self, TileBins};
 use crate::preprocess::ProjectedBounds;
+use crate::scratch::BinScratch;
 use crate::splat::Splat2D;
 use crate::stats::BinningStats;
 use gbu_math::sort;
@@ -121,7 +122,8 @@ impl BinCache {
     }
 
     /// Drops the cached state — call on any scene mutation (dynamic or
-    /// avatar updates). The next [`Self::bin`] runs cold and re-primes.
+    /// avatar updates). The next [`Self::bin_pooled`] runs cold and
+    /// re-primes.
     pub fn invalidate(&mut self) {
         if self.state.take().is_some() {
             self.counters.invalidations += 1;
@@ -133,20 +135,10 @@ impl BinCache {
     }
 
     /// Bins `splats` exactly like [`binning::bin_splats`], incrementally
-    /// when the cached previous frame is close enough to diff against.
-    /// Runs on the global thread pool without carried bounds.
-    pub fn bin(
-        &mut self,
-        splats: &[Splat2D],
-        camera: &Camera,
-        tile_size: u32,
-    ) -> (TileBins, BinningStats) {
-        self.bin_pooled(gbu_par::global(), splats, None, camera, tile_size)
-    }
-
-    /// [`Self::bin`] on an explicit pool, optionally reusing Step ❶'s
-    /// carried [`ProjectedBounds`]: cold frames run the parallel
-    /// bounds-aware binning, incremental frames diff footprints from the
+    /// when the cached previous frame is close enough to diff against,
+    /// on `pool` and optionally reusing Step ❶'s carried
+    /// [`ProjectedBounds`]: cold frames run the parallel bounds-aware
+    /// [`binning::bin_into`], incremental frames diff footprints from the
     /// carried per-splat bounds and re-sort violated tiles across the
     /// pool. All four combinations (pool size × bounds presence) are
     /// bit-identical (pinned by `tests/binning_equivalence.rs`).
@@ -223,7 +215,17 @@ impl BinCache {
         camera: &Camera,
         tile_size: u32,
     ) -> (TileBins, BinningStats) {
-        let (bins, stats) = binning::bin_splats_pooled(pool, splats, bounds, camera, tile_size);
+        let mut bins =
+            TileBins { tile_size, tiles_x: 0, tiles_y: 0, offsets: vec![], entries: vec![] };
+        let stats = binning::bin_into(
+            pool,
+            splats,
+            bounds,
+            camera,
+            tile_size,
+            &mut BinScratch::new(),
+            &mut bins,
+        );
         // Carried bounds give the same ranges the conic re-derivation
         // would (`from_conic` is pure), just without the per-splat math.
         let ranges = match bounds {
@@ -349,6 +351,7 @@ mod tests {
     use super::*;
     use crate::preprocess::project_scene;
     use gbu_math::Vec3;
+    use gbu_par::global;
     use gbu_scene::{Gaussian3D, GaussianScene};
 
     fn scene(n: usize) -> GaussianScene {
@@ -384,7 +387,7 @@ mod tests {
         for (step, yaw) in [0.0f32, 0.004, 0.008, 0.012].into_iter().enumerate() {
             let camera = cam(yaw);
             let (splats, _) = project_scene(&s, &camera);
-            let cached = cache.bin(&splats, &camera, 16);
+            let cached = cache.bin_pooled(global(), &splats, None, &camera, 16);
             let cold = binning::bin_splats(&splats, &camera, 16);
             assert_same(&cached, &cold);
             let st = cache.stats();
@@ -401,10 +404,10 @@ mod tests {
         let mut cache = BinCache::new(BinCacheConfig { max_camera_delta: f32::INFINITY });
         let c0 = cam(0.0);
         let (sp0, _) = project_scene(&s, &c0);
-        cache.bin(&sp0, &c0, 16);
+        cache.bin_pooled(global(), &sp0, None, &c0, 16);
         let c1 = cam(1.7);
         let (sp1, _) = project_scene(&s, &c1);
-        let cached = cache.bin(&sp1, &c1, 16);
+        let cached = cache.bin_pooled(global(), &sp1, None, &c1, 16);
         let cold = binning::bin_splats(&sp1, &c1, 16);
         assert_same(&cached, &cold);
         assert_eq!(cache.stats().hits, 1);
@@ -416,10 +419,10 @@ mod tests {
         let mut cache = BinCache::default();
         let c0 = cam(0.0);
         let (sp0, _) = project_scene(&s, &c0);
-        cache.bin(&sp0, &c0, 16);
+        cache.bin_pooled(global(), &sp0, None, &c0, 16);
         let c1 = cam(2.0);
         let (sp1, _) = project_scene(&s, &c1);
-        cache.bin(&sp1, &c1, 16);
+        cache.bin_pooled(global(), &sp1, None, &c1, 16);
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().hits, 0);
     }
@@ -429,9 +432,9 @@ mod tests {
         let mut cache = BinCache::new(BinCacheConfig { max_camera_delta: f32::INFINITY });
         let c = cam(0.0);
         let (sp, _) = project_scene(&scene(30), &c);
-        cache.bin(&sp, &c, 16);
+        cache.bin_pooled(global(), &sp, None, &c, 16);
         let (sp2, _) = project_scene(&scene(31), &c);
-        let cached = cache.bin(&sp2, &c, 16);
+        let cached = cache.bin_pooled(global(), &sp2, None, &c, 16);
         let cold = binning::bin_splats(&sp2, &c, 16);
         assert_same(&cached, &cold);
         assert_eq!(cache.stats().misses, 2);
@@ -443,10 +446,10 @@ mod tests {
         let mut cache = BinCache::default();
         let c = cam(0.0);
         let (sp, _) = project_scene(&s, &c);
-        cache.bin(&sp, &c, 16);
+        cache.bin_pooled(global(), &sp, None, &c, 16);
         cache.invalidate();
         cache.invalidate(); // second is a no-op: already cold
-        let cached = cache.bin(&sp, &c, 16);
+        let cached = cache.bin_pooled(global(), &sp, None, &c, 16);
         let cold = binning::bin_splats(&sp, &c, 16);
         assert_same(&cached, &cold);
         let st = cache.stats();
@@ -460,8 +463,8 @@ mod tests {
         let mut cache = BinCache::new(BinCacheConfig { max_camera_delta: f32::INFINITY });
         let c = cam(0.0);
         let (sp, _) = project_scene(&s, &c);
-        cache.bin(&sp, &c, 16);
-        let cached = cache.bin(&sp, &c, 8);
+        cache.bin_pooled(global(), &sp, None, &c, 16);
+        let cached = cache.bin_pooled(global(), &sp, None, &c, 8);
         let cold = binning::bin_splats(&sp, &c, 8);
         assert_same(&cached, &cold);
         assert_eq!(cache.stats().misses, 2);

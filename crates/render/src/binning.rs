@@ -7,10 +7,12 @@
 //! which is the exact stream both blending dataflows (and the GBU's D&B
 //! engine) consume.
 //!
-//! [`bin_splats`] is the serial reference. [`bin_into`] /
-//! [`bin_splats_pooled`] produce **byte-identical** `TileBins` on a
-//! thread pool (pinned by `tests/binning_equivalence.rs`) by decomposing
-//! every phase into jobs whose concatenation equals the serial order:
+//! [`bin_splats`] is the serial reference (and test oracle). [`bin_into`]
+//! — the one parallel kernel, behind `pipeline::bin` and the
+//! [`crate::bincache::BinCache`] cold path — produces **byte-identical**
+//! `TileBins` on a thread pool (pinned by `tests/binning_equivalence.rs`)
+//! by decomposing every phase into jobs whose concatenation equals the
+//! serial order:
 //! fixed batches of [`BATCH_SPLATS`] consecutive splats emit pairs into
 //! per-batch buffers (concatenated in batch order = the serial emission
 //! order), the chunk-parallel stable radix sort of `gbu_math::sort`
@@ -165,28 +167,14 @@ pub fn bin_splats(splats: &[Splat2D], camera: &Camera, tile_size: u32) -> (TileB
 /// enough that even a test-profile scene yields plenty of jobs per stage.
 const SORT_CHUNK_PAIRS: usize = 4096;
 
-/// [`bin_splats`] on an explicit thread pool (freshly allocated outputs).
-/// `bounds` optionally carries Step ❶'s per-splat/per-batch screen bounds
-/// (see [`crate::preprocess::project_scene_bounded`]) so expansion skips
-/// the per-splat conic-to-AABB derivation; with or without them the
-/// result is byte-identical to the serial path at every thread count.
-pub fn bin_splats_pooled(
-    pool: &ThreadPool,
-    splats: &[Splat2D],
-    bounds: Option<&ProjectedBounds>,
-    camera: &Camera,
-    tile_size: u32,
-) -> (TileBins, BinningStats) {
-    let mut scratch = BinScratch::new();
-    let mut bins =
-        TileBins { tile_size, tiles_x: 0, tiles_y: 0, offsets: Vec::new(), entries: Vec::new() };
-    let stats = bin_into(pool, splats, bounds, camera, tile_size, &mut scratch, &mut bins);
-    (bins, stats)
-}
-
 /// The allocation-lean parallel Step ❷: bins into caller-owned bins and
-/// scratch, reused across frames. Every phase is decomposed so that its
-/// parallel result equals the serial one:
+/// scratch, reused across frames (every field of `bins` is overwritten).
+/// `bounds` optionally carries Step ❶'s per-splat/per-batch screen
+/// bounds (see [`crate::preprocess::project_scene_bounded`]) so expansion
+/// skips the per-splat conic-to-AABB derivation; with or without them
+/// the result is byte-identical to [`bin_splats`] at every thread count.
+/// Every phase is decomposed so that its parallel result equals the
+/// serial one:
 ///
 /// 1. **Batch expansion** — fixed batches of [`BATCH_SPLATS`] consecutive
 ///    splats emit `(key, splat)` pairs into per-batch buffers; carried

@@ -21,8 +21,10 @@
 //!    dataflows, the GBU device timing model, the serving layer — prices
 //!    and renders exactly the splats that survive, so degraded-mode cost
 //!    accounting falls out for free.
-//! 4. [`psnr`] quantifies the image cost of a degraded render against
-//!    the exact one.
+//!
+//! [`crate::pipeline::blend_with_quality_pooled`] runs the three steps
+//! on a projected frame, and [`crate::metrics::psnr`] quantifies the
+//! image cost of a degraded render against the exact one.
 //!
 //! Scoring and selection are serial, closed-form, and independent of the
 //! thread pool, so degraded frames are deterministic across thread
@@ -30,7 +32,7 @@
 
 use crate::binning::TileBins;
 use crate::preprocess::ProjectedBounds;
-use crate::{FrameBuffer, Splat2D};
+use crate::Splat2D;
 use gbu_math::EllipseBounds;
 use gbu_scene::Camera;
 
@@ -232,40 +234,10 @@ pub fn compact(splats: &[Splat2D], bins: &TileBins, keep: &[bool]) -> (Vec<Splat
     (kept, bins)
 }
 
-/// Peak signal-to-noise ratio of `image` against `reference`, in dB,
-/// with peak signal 1.0 (linear RGB). Returns `f64::INFINITY` for
-/// identical images (the hand-rolled JSON writer maps that to `null`).
-///
-/// # Panics
-///
-/// Panics if the two buffers differ in dimensions.
-pub fn psnr(image: &FrameBuffer, reference: &FrameBuffer) -> f64 {
-    assert_eq!(
-        (image.width(), image.height()),
-        (reference.width(), reference.height()),
-        "PSNR requires equal dimensions"
-    );
-    let (a, b) = (image.pixels(), reference.pixels());
-    if a.is_empty() {
-        return f64::INFINITY;
-    }
-    let mut sum = 0.0f64;
-    for (pa, pb) in a.iter().zip(b) {
-        let d = *pa - *pb;
-        sum +=
-            (d.x as f64) * (d.x as f64) + (d.y as f64) * (d.y as f64) + (d.z as f64) * (d.z as f64);
-    }
-    let mse = sum / (3.0 * a.len() as f64);
-    if mse == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (1.0 / mse).log10()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::psnr;
     use crate::pipeline::{self, Dataflow};
     use crate::RenderConfig;
     use gbu_math::Vec3;
@@ -387,7 +359,8 @@ mod tests {
         let binned = pipeline::bin(&frame, cfg.tile_size);
         let (exact, _) = pipeline::blend(&frame, &binned, Dataflow::Pfs, &cfg);
         assert_eq!(psnr(&exact, &exact), f64::INFINITY);
-        let (degraded, _) = pipeline::blend_with_quality(
+        let (degraded, _) = pipeline::blend_with_quality_pooled(
+            gbu_par::global(),
             &frame,
             &binned,
             Dataflow::Pfs,

@@ -24,9 +24,9 @@
 
 use crate::binning::TileBins;
 use crate::preprocess::pixel_center;
-use crate::scratch::{BlendScratch, TileScratch};
+use crate::scratch::{blend_tile_rows, BlendScratch, TileScratch};
 use crate::splat::{alpha_from_q, Splat2D};
-use crate::stats::{self, BlendStats, FLOPS_BLEND, FLOPS_Q_FULL, FLOPS_Q_T2};
+use crate::stats::{BlendStats, FLOPS_BLEND, FLOPS_Q_FULL, FLOPS_Q_T2};
 use crate::{FrameBuffer, RenderConfig};
 use gbu_math::{Mat2, Vec2, Vec3};
 use gbu_par::ThreadPool;
@@ -207,62 +207,22 @@ impl IrssSplat {
     }
 }
 
-/// Precomputes IRSS transforms for every splat on the global pool (one
-/// EVD + rotation per splat — Rendering Step ❶ work, embarrassingly
-/// parallel).
-pub fn precompute(splats: &[Splat2D]) -> Vec<IrssSplat> {
-    precompute_pooled(gbu_par::global(), splats)
-}
-
-/// [`precompute`] on an explicit pool. Output ordering is index-stable,
-/// so the transform list is identical at any thread count.
+/// Precomputes IRSS transforms for every splat on `pool` (one EVD +
+/// rotation per splat — Rendering Step ❶ work, embarrassingly parallel).
+/// Output ordering is index-stable, so the transform list is identical
+/// at any thread count.
 pub fn precompute_pooled(pool: &ThreadPool, splats: &[Splat2D]) -> Vec<IrssSplat> {
     pool.map_indexed(splats, |_, s| IrssSplat::new(s))
 }
 
-/// Blends all tiles with the IRSS dataflow. Produces the same image as
-/// [`crate::pfs::blend`] up to floating-point tolerance.
-pub fn blend(
-    splats: &[Splat2D],
-    bins: &TileBins,
-    camera: &Camera,
-    config: &RenderConfig,
-) -> (FrameBuffer, BlendStats) {
-    let isplats = precompute(splats);
-    blend_precomputed(splats, &isplats, bins, camera, config)
-}
-
-/// Blending entry point reusing caller-precomputed transforms (the GBU
-/// hardware model shares transforms across ablation runs through this).
-pub fn blend_precomputed(
-    splats: &[Splat2D],
-    isplats: &[IrssSplat],
-    bins: &TileBins,
-    camera: &Camera,
-    config: &RenderConfig,
-) -> (FrameBuffer, BlendStats) {
-    let mut image = FrameBuffer::new(camera.width, camera.height, config.background);
-    let mut stats = BlendStats::default();
-    let mut scratch = BlendScratch::new();
-    blend_precomputed_into(
-        gbu_par::global(),
-        splats,
-        isplats,
-        bins,
-        camera,
-        config,
-        &mut scratch,
-        &mut image,
-        &mut stats,
-    );
-    (image, stats)
-}
-
-/// The allocation-free IRSS entry point: blends into caller-owned
-/// buffers, tile rows dispatched across `pool` and merged in tile order.
-/// Bit-identical to a serial run at any thread count. Each tile-row job
-/// opens a `blend_row` span at `GBU_TRACE=2`, as in
-/// [`crate::pfs::blend_into`].
+/// The IRSS blend over caller-precomputed transforms: blends into
+/// caller-owned buffers, tile rows dispatched across `pool` and merged
+/// in tile order, on the same tile-row driver as
+/// [`crate::pfs::blend_into`] — bit-identical to a serial run at any
+/// thread count, with a `blend_row` span per job at `GBU_TRACE=2`.
+/// Produces the same image as the PFS blend up to floating-point
+/// tolerance, and fills `stats.row_workload` when
+/// [`RenderConfig::record_row_workload`] is set.
 ///
 /// # Panics
 ///
@@ -281,68 +241,26 @@ pub fn blend_precomputed_into(
     stats: &mut BlendStats,
 ) {
     assert_eq!(splats.len(), isplats.len(), "splat/transform length mismatch");
-    assert_eq!(
-        (image.width(), image.height()),
-        (camera.width, camera.height),
-        "framebuffer/camera size mismatch"
+    blend_tile_rows(
+        pool,
+        bins,
+        camera,
+        config,
+        config.record_row_workload,
+        scratch,
+        image,
+        stats,
+        |ts, ty, px, wl, st| {
+            blend_tile_row(isplats, bins, camera, config, ts, ty, px, wl, st);
+        },
     );
-    image.fill(config.background);
-    stats.reset();
-    stats.tile_instances.extend((0..bins.tile_count()).map(|t| bins.entries_of(t).len() as u32));
-    // The row-workload table is partitioned per tile row alongside the
-    // image rows; take it out of `stats` so the jobs can borrow chunks.
-    let mut row_workload = std::mem::take(&mut stats.row_workload);
-    if config.record_row_workload {
-        row_workload.resize(bins.tile_count(), [0u32; 16]);
-    }
-
-    struct RowJob<'a> {
-        pixels: &'a mut [Vec3],
-        workload: &'a mut [[u32; 16]],
-        stats: BlendStats,
-    }
-
-    let row_px = bins.tile_size as usize * camera.width as usize;
-    let tiles_x = bins.tiles_x as usize;
-    let mut workload_chunks = row_workload.chunks_mut(tiles_x);
-    let mut jobs: Vec<RowJob> = image
-        .pixels_mut()
-        .chunks_mut(row_px)
-        .map(|pixels| RowJob {
-            pixels,
-            workload: workload_chunks.next().unwrap_or_default(),
-            stats: BlendStats::default(),
-        })
-        .collect();
-    let workers = pool.threads().min(jobs.len()).max(1);
-    let recorder = gbu_telemetry::global();
-    pool.for_each_mut_with(scratch.workers(workers), &mut jobs, |tile_scratch, ty, job| {
-        let _row_span = crate::pfs::row_span(&recorder, ty);
-        blend_tile_row(
-            isplats,
-            bins,
-            camera,
-            config,
-            tile_scratch,
-            ty as u32,
-            job.pixels,
-            job.workload,
-            &mut job.stats,
-        );
-    });
-
-    for job in &jobs {
-        stats::accumulate(stats, &job.stats);
-    }
-    drop(jobs);
-    stats.row_workload = row_workload;
 }
 
 /// Blends every tile of tile row `ty` into `pixels` with the IRSS
 /// dataflow — the sequential per-tile loop, shared verbatim between the
-/// serial and parallel paths (and, per shard row, by `crate::shard`).
+/// serial and parallel paths.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn blend_tile_row(
+fn blend_tile_row(
     isplats: &[IrssSplat],
     bins: &TileBins,
     camera: &Camera,
@@ -436,8 +354,7 @@ pub(crate) fn blend_tile_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binning::bin_splats;
-    use crate::preprocess::project_scene;
+    use crate::{render_irss, render_pfs};
     use gbu_math::{approx_eq, Sym2};
     use gbu_scene::{Gaussian3D, GaussianScene};
 
@@ -569,11 +486,8 @@ mod tests {
     fn render_both(scene: &GaussianScene) -> (FrameBuffer, FrameBuffer, BlendStats, BlendStats) {
         let cam = Camera::orbit(96, 64, 1.0, Vec3::ZERO, 3.0, 0.2, 0.1);
         let cfg = RenderConfig::default();
-        let (splats, _) = project_scene(scene, &cam);
-        let (bins, _) = bin_splats(&splats, &cam, cfg.tile_size);
-        let (img_pfs, st_pfs) = crate::pfs::blend(&splats, &bins, &cam, &cfg);
-        let (img_irss, st_irss) = blend(&splats, &bins, &cam, &cfg);
-        (img_pfs, img_irss, st_pfs, st_irss)
+        let (pfs, irss) = (render_pfs(scene, &cam, &cfg), render_irss(scene, &cam, &cfg));
+        (pfs.image, irss.image, pfs.blend, irss.blend)
     }
 
     #[test]
@@ -636,10 +550,9 @@ mod tests {
         let cfg = RenderConfig { record_row_workload: true, ..Default::default() };
         let scene: GaussianScene =
             std::iter::once(Gaussian3D::isotropic(Vec3::ZERO, 0.2, Vec3::ONE, 0.9)).collect();
-        let (splats, _) = project_scene(&scene, &cam);
-        let (bins, _) = bin_splats(&splats, &cam, cfg.tile_size);
-        let (_, stats) = blend(&splats, &bins, &cam, &cfg);
-        assert_eq!(stats.row_workload.len(), bins.tile_count());
+        let out = render_irss(&scene, &cam, &cfg);
+        let stats = out.blend;
+        assert_eq!(stats.row_workload.len() as u64, out.binning.total_tiles);
         let total: u32 = stats.row_workload.iter().flat_map(|r| r.iter()).sum();
         assert_eq!(u64::from(total), stats.fragments_significant);
         // Utilization of the row-to-lane mapping is below 1 for an

@@ -22,20 +22,20 @@
 //!
 //! [`pipeline`] exposes the three steps as an explicit staged pipeline
 //! with first-class intermediate artifacts ([`ProjectedFrame`],
-//! [`BinnedFrame`]); `render_pfs` / `render_irss` are thin compositions
-//! over it. [`shard`] builds scene sharding on those stages: a
-//! [`ShardPlan`] splits a frame's tile rows over N shards
-//! (contiguous / interleaved / cost-balanced), each shard blends into a
-//! disjoint partial-framebuffer region, and [`shard::merge_shards`]
-//! reassembles the full frame bit-identically to the unsharded render.
+//! [`BinnedFrame`]) and is the only allocating entry point;
+//! `render_pfs` / `render_irss` are thin compositions over it. [`shard`]
+//! plans scene sharding on those stages: a [`ShardPlan`] splits a
+//! frame's tile rows over N devices (contiguous / interleaved /
+//! cost-balanced), whose partial images `gbu_serve`'s cluster merges
+//! bit-identically to the unsharded render.
 //!
 //! [`contrib`] adds a quality/latency dial on top of the staged
 //! pipeline: per-Gaussian contribution scoring (reusing Step ❶'s carried
 //! bounds), a [`QualityLevel`] degradation ladder
 //! (`Exact`/`TopK`/`Culled`), and
-//! [`pipeline::blend_with_quality`], which blends a compacted frame so
-//! degraded renders are cheaper in both blend statistics and modeled
-//! device cycles.
+//! [`pipeline::blend_with_quality_pooled`], which blends a compacted
+//! frame so degraded renders are cheaper in both blend statistics and
+//! modeled device cycles.
 //!
 //! [`stats`] instruments everything the architecture simulators need:
 //! fragment counts, FLOP counts at the paper's accounting granularity,
@@ -43,23 +43,24 @@
 //!
 //! # Parallelism
 //!
-//! Tiles are independent units of blending work, so both dataflows
-//! dispatch tile rows across the `gbu_par` thread pool and merge the
-//! per-row results in tile order — output is **bit-identical** to a
-//! serial run at every thread count (`tests/parallel_equivalence.rs`
-//! pins this). Step ❷ parallelizes the same way: batch-structured pair
-//! emission plus a chunk-parallel stable radix sort produce `TileBins`
-//! byte-identical to serial at every thread count
-//! (`tests/binning_equivalence.rs`), with Step ❶ carrying each splat's
-//! ellipse bounds forward ([`preprocess::ProjectedBounds`]) so binning
-//! never re-derives footprints. The public entry points use the global
-//! pool (`GBU_THREADS` env override, defaulting to the machine's
-//! parallelism); `*_pooled` variants take an explicit pool, and the
-//! `*_into` variants ([`pfs::blend_into`],
-//! [`irss::blend_precomputed_into`], [`binning::bin_into`]) additionally
-//! reuse caller-owned buffers ([`BlendScratch`], [`BinScratch`],
+//! Tiles are independent units of blending work, so both dataflows run
+//! on one tile-row driver that dispatches tile rows across the
+//! `gbu_par` thread pool and merges the per-row results in tile order —
+//! output is **bit-identical** to a serial run at every thread count
+//! (`tests/parallel_equivalence.rs` pins this). Step ❷ parallelizes the
+//! same way: batch-structured pair emission plus a chunk-parallel stable
+//! radix sort produce `TileBins` byte-identical to serial at every
+//! thread count (`tests/binning_equivalence.rs`), with Step ❶ carrying
+//! each splat's ellipse bounds forward ([`preprocess::ProjectedBounds`])
+//! so binning never re-derives footprints. The [`pipeline`] stages use
+//! the global pool (`GBU_THREADS` env override, defaulting to the
+//! machine's parallelism) and their `*_pooled` variants an explicit
+//! one. Below them sits one kernel entry per job — [`pfs::blend_into`],
+//! [`irss::blend_precomputed_into`] and [`binning::bin_into`] — which
+//! reuses caller-owned buffers ([`BlendScratch`], [`BinScratch`],
 //! [`FrameBuffer`], [`stats::BlendStats`]) so repeated-render loops are
-//! allocation-lean.
+//! allocation-lean; the serial [`binning::bin_splats`] stays as the
+//! test oracle.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -84,7 +85,7 @@ pub use framebuffer::FrameBuffer;
 pub use pipeline::{BinnedFrame, Dataflow, ProjectedFrame};
 pub use preprocess::{BatchBounds, ProjectedBounds};
 pub use scratch::{BinScratch, BlendScratch};
-pub use shard::{ShardFrame, ShardPlan, ShardStrategy};
+pub use shard::{ShardPlan, ShardStrategy};
 pub use splat::{alpha_from_q, Splat2D, GBU_FEATURE_BYTES, SPLAT_FEATURE_BYTES};
 
 use gbu_math::Vec3;

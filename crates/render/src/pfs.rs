@@ -14,52 +14,26 @@
 
 use crate::binning::TileBins;
 use crate::preprocess::pixel_center;
-use crate::scratch::{BlendScratch, TileScratch};
+use crate::scratch::{blend_tile_rows, BlendScratch, TileScratch};
 use crate::splat::{alpha_from_q, Splat2D};
-use crate::stats::{self, BlendStats, FLOPS_BLEND, FLOPS_Q_FULL};
+use crate::stats::{BlendStats, FLOPS_BLEND, FLOPS_Q_FULL};
 use crate::{FrameBuffer, RenderConfig};
 use gbu_math::Vec3;
 use gbu_par::ThreadPool;
 use gbu_scene::Camera;
-use gbu_telemetry::{Labels, Recorder, WallSpan};
 
 /// Transmittance below which a pixel is considered saturated (the
 /// reference's `T < 0.0001` early exit).
 pub const T_SATURATED: f32 = 1e-4;
 
-/// Blends all tiles with the PFS dataflow on the global thread pool
-/// (`GBU_THREADS` / available parallelism).
-pub fn blend(
-    splats: &[Splat2D],
-    bins: &TileBins,
-    camera: &Camera,
-    config: &RenderConfig,
-) -> (FrameBuffer, BlendStats) {
-    blend_pooled(gbu_par::global(), splats, bins, camera, config)
-}
-
-/// [`blend`] on an explicit pool (freshly allocated outputs).
-pub fn blend_pooled(
-    pool: &ThreadPool,
-    splats: &[Splat2D],
-    bins: &TileBins,
-    camera: &Camera,
-    config: &RenderConfig,
-) -> (FrameBuffer, BlendStats) {
-    let mut image = FrameBuffer::new(camera.width, camera.height, config.background);
-    let mut stats = BlendStats::default();
-    let mut scratch = BlendScratch::new();
-    blend_into(pool, splats, bins, camera, config, &mut scratch, &mut image, &mut stats);
-    (image, stats)
-}
-
-/// The allocation-free PFS entry point: blends into a caller-owned frame
-/// buffer, stats record and scratch, all of which are reset here and
-/// reused across frames. Tiles are independent blending work, so tile
-/// rows are dispatched across the pool and merged in tile order — the
-/// output is bit-identical to a serial run at any thread count (pinned
-/// by `tests/parallel_equivalence.rs`). Each tile-row job opens a
-/// `blend_row` span at `GBU_TRACE=2`.
+/// The PFS blend: blends into a caller-owned frame buffer, stats record
+/// and scratch, all of which are reset here and reused across frames.
+/// Tile rows are dispatched across `pool` and merged in tile order, so
+/// the output is bit-identical to a serial run at any thread count
+/// (pinned by `tests/parallel_equivalence.rs`); each tile-row job opens
+/// a `blend_row` span at `GBU_TRACE=2`. PFS records no row workload:
+/// `stats.row_workload` stays empty even when
+/// [`RenderConfig::record_row_workload`] is set.
 ///
 /// # Panics
 ///
@@ -75,64 +49,27 @@ pub fn blend_into(
     image: &mut FrameBuffer,
     stats: &mut BlendStats,
 ) {
-    assert_eq!(
-        (image.width(), image.height()),
-        (camera.width, camera.height),
-        "framebuffer/camera size mismatch"
+    blend_tile_rows(
+        pool,
+        bins,
+        camera,
+        config,
+        false,
+        scratch,
+        image,
+        stats,
+        |ts, ty, px, _, st| {
+            blend_tile_row(splats, bins, camera, config, ts, ty, px, st);
+        },
     );
-    image.fill(config.background);
-    stats.reset();
-    stats.tile_instances.extend((0..bins.tile_count()).map(|t| bins.entries_of(t).len() as u32));
-
-    struct RowJob<'a> {
-        pixels: &'a mut [Vec3],
-        stats: BlendStats,
-    }
-
-    let row_px = bins.tile_size as usize * camera.width as usize;
-    let mut jobs: Vec<RowJob> = image
-        .pixels_mut()
-        .chunks_mut(row_px)
-        .map(|pixels| RowJob { pixels, stats: BlendStats::default() })
-        .collect();
-    let workers = pool.threads().min(jobs.len()).max(1);
-    let recorder = gbu_telemetry::global();
-    pool.for_each_mut_with(scratch.workers(workers), &mut jobs, |tile_scratch, ty, job| {
-        let _row_span = row_span(&recorder, ty);
-        blend_tile_row(
-            splats,
-            bins,
-            camera,
-            config,
-            tile_scratch,
-            ty as u32,
-            job.pixels,
-            &mut job.stats,
-        );
-    });
-
-    for job in &jobs {
-        stats::accumulate(stats, &job.stats);
-    }
-}
-
-/// Opens the `blend_row` span of tile-row job `ty` — both dataflows'
-/// row jobs do. Recorded only at high verbosity, so otherwise the
-/// telemetry cost on the blend hot path is one branch per row.
-pub(crate) fn row_span(recorder: &Recorder, ty: usize) -> Option<WallSpan<'_>> {
-    recorder.detailed().then(|| {
-        recorder.wall_span("blend_row", Labels { row: Some(ty as u32), ..Labels::default() })
-    })
 }
 
 /// Blends every tile of tile row `ty` into `pixels` (the image rows this
 /// tile row covers, full width) — the sequential per-tile dataflow,
 /// untouched by the parallel dispatch so serial and parallel runs share
-/// every floating-point operation. The scene-sharding path
-/// (`crate::shard`) drives the same function per shard row, which is why
-/// sharded output is bit-identical by construction.
+/// every floating-point operation.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn blend_tile_row(
+fn blend_tile_row(
     splats: &[Splat2D],
     bins: &TileBins,
     camera: &Camera,
@@ -203,8 +140,7 @@ pub(crate) fn blend_tile_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binning::bin_splats;
-    use crate::preprocess::project_scene;
+    use crate::render_pfs;
     use gbu_math::approx_eq;
     use gbu_scene::{Gaussian3D, GaussianScene};
 
@@ -213,11 +149,8 @@ mod tests {
     }
 
     fn render_one(scene: &GaussianScene) -> (FrameBuffer, BlendStats) {
-        let cam = camera();
-        let cfg = RenderConfig::default();
-        let (splats, _) = project_scene(scene, &cam);
-        let (bins, _) = bin_splats(&splats, &cam, cfg.tile_size);
-        blend(&splats, &bins, &cam, &cfg)
+        let out = render_pfs(scene, &camera(), &RenderConfig::default());
+        (out.image, out.blend)
     }
 
     #[test]
@@ -239,11 +172,9 @@ mod tests {
         let scene = GaussianScene::new();
         let cam = camera();
         let cfg = RenderConfig { background: Vec3::new(0.2, 0.3, 0.4), ..Default::default() };
-        let (splats, _) = project_scene(&scene, &cam);
-        let (bins, _) = bin_splats(&splats, &cam, cfg.tile_size);
-        let (img, stats) = blend(&splats, &bins, &cam, &cfg);
-        assert_eq!(img.get(10, 10), Vec3::new(0.2, 0.3, 0.4));
-        assert_eq!(stats.fragments_evaluated, 0);
+        let out = render_pfs(&scene, &cam, &cfg);
+        assert_eq!(out.image.get(10, 10), Vec3::new(0.2, 0.3, 0.4));
+        assert_eq!(out.blend.fragments_evaluated, 0);
     }
 
     #[test]
@@ -310,7 +241,6 @@ mod tests {
 
     #[test]
     fn transmittance_never_negative() {
-        let cam = camera();
         let scene: GaussianScene = (0..20)
             .map(|i| {
                 Gaussian3D::isotropic(
@@ -321,10 +251,7 @@ mod tests {
                 )
             })
             .collect();
-        let cfg = RenderConfig::default();
-        let (splats, _) = project_scene(&scene, &cam);
-        let (bins, _) = bin_splats(&splats, &cam, cfg.tile_size);
-        let (img, _) = blend(&splats, &bins, &cam, &cfg);
+        let (img, _) = render_one(&scene);
         // Energy conservation: no pixel exceeds the (white) source color.
         for p in img.pixels() {
             assert!(p.x <= 1.0 + 1e-4 && p.y <= 1.0 + 1e-4 && p.z <= 1.0 + 1e-4);

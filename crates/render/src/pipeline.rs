@@ -1,15 +1,21 @@
 //! The staged frame pipeline: project (Step ❶) → bin (Step ❷) → blend
 //! (Step ❸), with first-class intermediate artifacts.
 //!
-//! The monolithic [`crate::render_pfs`] / [`crate::render_irss`] entry
+//! This module is the renderer's allocating front door: every stage
+//! returns freshly allocated artifacts, on the global pool or (`_pooled`)
+//! an explicit one. Below it sit one kernel entry per job —
+//! [`crate::binning::bin_into`], [`crate::pfs::blend_into`] and
+//! [`crate::irss::blend_precomputed_into`] — which reuse caller-owned
+//! buffers, plus the serial [`crate::binning::bin_splats`] oracle. The
+//! monolithic [`crate::render_pfs`] / [`crate::render_irss`] entry
 //! points are thin compositions over these stages. Naming the
 //! intermediates matters to everything that re-enters the pipeline
 //! midway:
 //!
 //! - the serving layer runs [`project`] + [`bin`] once per viewpoint and
 //!   replays Step ❸ per served frame;
-//! - the scene-sharding path ([`crate::shard`]) splits a [`BinnedFrame`]'s
-//!   tile rows across shards and merges the partial blends;
+//! - device sharding ([`crate::shard`]) splits a [`BinnedFrame`]'s tile
+//!   rows across devices;
 //! - the hardware model consumes the same artifacts (`Splat2D` lists and
 //!   `TileBins`) as `GBU_render_image` inputs.
 //!
@@ -22,7 +28,9 @@ use crate::binning::{self, TileBins};
 use crate::contrib::{self, QualityLevel};
 use crate::preprocess::{self, ProjectedBounds};
 use crate::stats::{BinningStats, BlendStats, PreprocessStats};
-use crate::{irss, pfs, FrameBuffer, RenderConfig, RenderOutput, Splat2D};
+use crate::{
+    irss, pfs, BinScratch, BlendScratch, FrameBuffer, RenderConfig, RenderOutput, Splat2D,
+};
 use gbu_par::ThreadPool;
 use gbu_scene::{Camera, GaussianScene};
 
@@ -101,12 +109,15 @@ pub fn bin(frame: &ProjectedFrame, tile_size: u32) -> BinnedFrame {
 pub fn bin_pooled(pool: &ThreadPool, frame: &ProjectedFrame, tile_size: u32) -> BinnedFrame {
     let recorder = gbu_telemetry::global();
     let _span = recorder.wall_span("bin", gbu_telemetry::Labels::default());
-    let (bins, stats) = binning::bin_splats_pooled(
+    let mut bins = TileBins { tile_size, tiles_x: 0, tiles_y: 0, offsets: vec![], entries: vec![] };
+    let stats = binning::bin_into(
         pool,
         &frame.splats,
         Some(&frame.bounds),
         &frame.camera,
         tile_size,
+        &mut BinScratch::new(),
+        &mut bins,
     );
     BinnedFrame { bins, stats }
 }
@@ -167,49 +178,31 @@ fn blend_splats(
 ) -> (FrameBuffer, BlendStats) {
     let recorder = gbu_telemetry::global();
     let _span = recorder.wall_span("blend", gbu_telemetry::Labels::default());
+    let mut image = FrameBuffer::new(camera.width, camera.height, config.background);
+    let mut stats = BlendStats::default();
+    let (scratch, out, st) = (&mut BlendScratch::new(), &mut image, &mut stats);
     match dataflow {
-        Dataflow::Pfs => pfs::blend_pooled(pool, splats, bins, camera, config),
+        Dataflow::Pfs => pfs::blend_into(pool, splats, bins, camera, config, scratch, out, st),
         Dataflow::Irss => {
             let isplats = irss::precompute_pooled(pool, splats);
-            let mut image = FrameBuffer::new(camera.width, camera.height, config.background);
-            let mut stats = BlendStats::default();
-            let mut scratch = crate::BlendScratch::new();
             irss::blend_precomputed_into(
-                pool,
-                splats,
-                &isplats,
-                bins,
-                camera,
-                config,
-                &mut scratch,
-                &mut image,
-                &mut stats,
-            );
-            (image, stats)
+                pool, splats, &isplats, bins, camera, config, scratch, out, st,
+            )
         }
     }
+    (image, stats)
 }
 
-/// Step ❸ at a chosen [`QualityLevel`], on the global pool.
+/// Step ❸ at a chosen [`QualityLevel`] on an explicit pool.
 ///
-/// [`QualityLevel::Exact`] delegates verbatim to [`blend`] — bit-identical
-/// output, pinned by `tests/quality_equivalence.rs`. Degraded levels score
-/// the frame's splats ([`contrib::contribution_scores`], reusing the
-/// carried [`ProjectedBounds`]), compact the low-contribution ones away,
-/// and blend the smaller frame with the same dataflow; the returned
-/// [`BlendStats`] therefore count only the splats actually blended, which
-/// is what the GPU timing model charges.
-pub fn blend_with_quality(
-    frame: &ProjectedFrame,
-    binned: &BinnedFrame,
-    dataflow: Dataflow,
-    config: &RenderConfig,
-    level: QualityLevel,
-) -> (FrameBuffer, BlendStats) {
-    blend_with_quality_pooled(gbu_par::global(), frame, binned, dataflow, config, level)
-}
-
-/// [`blend_with_quality`] on an explicit pool.
+/// [`QualityLevel::Exact`] delegates verbatim to [`blend_pooled`] —
+/// bit-identical output, pinned by `tests/quality_equivalence.rs`.
+/// Degraded levels score the frame's splats
+/// ([`contrib::contribution_scores`], reusing the carried
+/// [`ProjectedBounds`]), compact the low-contribution ones away, and
+/// blend the smaller frame with the same dataflow; the returned
+/// [`BlendStats`] therefore count only the splats actually blended,
+/// which is what the GPU timing model charges.
 pub fn blend_with_quality_pooled(
     pool: &ThreadPool,
     frame: &ProjectedFrame,

@@ -202,28 +202,20 @@ impl ProjectedBounds {
 }
 
 /// Projects an entire scene, producing splats and Step-❶ statistics, on
-/// the global thread pool.
+/// the global thread pool — [`project_scene_bounded`] without the carried
+/// bounds.
 pub fn project_scene(scene: &GaussianScene, camera: &Camera) -> (Vec<Splat2D>, PreprocessStats) {
-    project_scene_pooled(gbu_par::global(), scene, camera)
-}
-
-/// [`project_scene`] on an explicit pool. Each Gaussian projects
-/// independently; the survivors are folded back in index order, so the
-/// splat list (and every statistic) is identical at any thread count.
-pub fn project_scene_pooled(
-    pool: &gbu_par::ThreadPool,
-    scene: &GaussianScene,
-    camera: &Camera,
-) -> (Vec<Splat2D>, PreprocessStats) {
-    let (splats, _, stats) = project_scene_bounded(pool, scene, camera);
+    let (splats, _, stats) = project_scene_bounded(gbu_par::global(), scene, camera);
     (splats, stats)
 }
 
-/// [`project_scene_pooled`] that also carries the per-splat and per-batch
-/// screen bounds forward for the bounds-aware binning frontend
-/// ([`crate::binning::bin_into`]). The splat list and statistics are
-/// identical to [`project_scene_pooled`] — the bounds are a pure
-/// by-product of the off-screen cull each projection already performs.
+/// Projects an entire scene on `pool` and carries the per-splat and
+/// per-batch screen bounds forward for the bounds-aware binning frontend
+/// ([`crate::binning::bin_into`]). Each Gaussian projects independently;
+/// the survivors are folded back in index order, so the splat list (and
+/// every statistic) is identical at any thread count. The bounds are a
+/// pure by-product of the off-screen cull each projection already
+/// performs.
 pub fn project_scene_bounded(
     pool: &gbu_par::ThreadPool,
     scene: &GaussianScene,

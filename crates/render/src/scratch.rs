@@ -1,4 +1,5 @@
-//! Reusable working memory for the rendering hot path.
+//! Reusable working memory for the rendering hot path, and the one
+//! tile-row dispatch both blending dataflows run on.
 //!
 //! Both dataflows walk a tile with two tile-local arrays (accumulated
 //! color and transmittance per pixel). The original implementation
@@ -15,7 +16,13 @@
 //! job spans (`blend_row`, `bin_expand_batch`, ...) that a
 //! `Verbosity::High` recorder captures.
 
+use crate::binning::TileBins;
+use crate::stats::{self, BlendStats};
+use crate::{FrameBuffer, RenderConfig};
 use gbu_math::Vec3;
+use gbu_par::ThreadPool;
+use gbu_scene::Camera;
+use gbu_telemetry::Labels;
 
 /// Per-worker tile-local working buffers.
 #[derive(Debug, Default)]
@@ -62,6 +69,86 @@ impl BlendScratch {
         }
         &mut self.workers
     }
+}
+
+/// The tile-row dispatch behind `pfs::blend_into` and
+/// `irss::blend_precomputed_into`: resets `image` and `stats`, runs one
+/// pool job per tile row through the dataflow's row kernel `row`, and
+/// merges the row stats in tile-row order. Tiles are independent
+/// blending work and the kernel is the same sequential code at any
+/// thread count, so the output is bit-identical to a serial run (pinned
+/// by `tests/parallel_equivalence.rs`). Each job opens a `blend_row`
+/// span at `GBU_TRACE=2`; otherwise the telemetry cost on the hot path
+/// is one branch per row.
+///
+/// `row(scratch, ty, pixels, workload, stats)` blends tile row `ty` into
+/// `pixels` (the image rows it covers, full width) and, when
+/// `record_row_workload` is set, into `workload` (its tiles' slice of
+/// [`BlendStats::row_workload`]; empty otherwise).
+///
+/// # Panics
+///
+/// Panics if `image` does not match the camera's dimensions.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn blend_tile_rows<F>(
+    pool: &ThreadPool,
+    bins: &TileBins,
+    camera: &Camera,
+    config: &RenderConfig,
+    record_row_workload: bool,
+    scratch: &mut BlendScratch,
+    image: &mut FrameBuffer,
+    stats: &mut BlendStats,
+    row: F,
+) where
+    F: Fn(&mut TileScratch, u32, &mut [Vec3], &mut [[u32; 16]], &mut BlendStats) + Sync,
+{
+    assert_eq!(
+        (image.width(), image.height()),
+        (camera.width, camera.height),
+        "framebuffer/camera size mismatch"
+    );
+    image.fill(config.background);
+    stats.reset();
+    stats.tile_instances.extend((0..bins.tile_count()).map(|t| bins.entries_of(t).len() as u32));
+    // The row-workload table is partitioned per tile row alongside the
+    // image rows; take it out of `stats` so the jobs can borrow chunks.
+    let mut row_workload = std::mem::take(&mut stats.row_workload);
+    if record_row_workload {
+        row_workload.resize(bins.tile_count(), [0u32; 16]);
+    }
+
+    struct RowJob<'a> {
+        pixels: &'a mut [Vec3],
+        workload: &'a mut [[u32; 16]],
+        stats: BlendStats,
+    }
+
+    let row_px = bins.tile_size as usize * camera.width as usize;
+    let mut workload_chunks = row_workload.chunks_mut(bins.tiles_x as usize);
+    let mut jobs: Vec<RowJob> = image
+        .pixels_mut()
+        .chunks_mut(row_px)
+        .map(|pixels| RowJob {
+            pixels,
+            workload: workload_chunks.next().unwrap_or_default(),
+            stats: BlendStats::default(),
+        })
+        .collect();
+    let workers = pool.threads().min(jobs.len()).max(1);
+    let recorder = gbu_telemetry::global();
+    pool.for_each_mut_with(scratch.workers(workers), &mut jobs, |tile_scratch, ty, job| {
+        let _row_span = recorder.detailed().then(|| {
+            recorder.wall_span("blend_row", Labels { row: Some(ty as u32), ..Labels::default() })
+        });
+        row(tile_scratch, ty as u32, job.pixels, job.workload, &mut job.stats);
+    });
+
+    for job in &jobs {
+        stats::accumulate(stats, &job.stats);
+    }
+    drop(jobs);
+    stats.row_workload = row_workload;
 }
 
 /// Per-worker identity handed to binning's parallel regions so detailed

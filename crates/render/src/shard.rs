@@ -1,15 +1,14 @@
-//! Scene sharding over tile rows: split one frame's Step-❸ work across
-//! N shards, blend each shard into a disjoint partial-framebuffer
-//! region, and merge the partials back into the full frame.
+//! Scene sharding over tile rows: a [`ShardPlan`] splits one frame's
+//! Step-❸ work across N devices.
 //!
 //! Tile rows are the natural shard boundary: the blending dataflows
-//! already treat them as independent jobs (`pfs::blend_into` dispatches
-//! them across the thread pool), so a shard is just a *set of tile rows*
-//! and sharded output is bit-identical to the unsharded render by
-//! construction — every per-row operation is the same sequential code,
-//! and u64 statistic counters sum order-independently
-//! (`tests/shard_equivalence.rs` pins this for shard counts {1, 2, 4} ×
-//! every strategy × thread counts {1, 4}).
+//! already treat them as independent jobs, so a shard is just a *set of
+//! tile rows*. The plan is consumed by the device path — each shard's
+//! rows run on their own GBU device in `gbu_serve`'s cluster and the
+//! partial images merge back bit-identically to the unsharded device
+//! render (pinned by `gbu_serve`'s cluster tests for shard counts
+//! {1, 2, 4} × every strategy, including an empty scene and more shards
+//! than tile rows).
 //!
 //! Three [`ShardStrategy`] variants split the rows:
 //!
@@ -28,13 +27,6 @@
 //! DRAM feature traffic, then covers only that shard's tile range.
 
 use crate::binning::TileBins;
-use crate::irss::{self, IrssSplat};
-use crate::scratch::TileScratch;
-use crate::stats::{self, BlendStats};
-use crate::{pfs, FrameBuffer, RenderConfig, Splat2D};
-use gbu_math::Vec3;
-use gbu_par::ThreadPool;
-use gbu_scene::Camera;
 
 /// How a frame's tile rows are split over shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -301,156 +293,12 @@ impl ShardPlan {
     }
 }
 
-/// One shard's rendered output: the pixel bands of its tile rows plus
-/// the blending statistics of exactly those rows.
-#[derive(Debug, Clone)]
-pub struct ShardFrame {
-    rows: Vec<u32>,
-    /// Concatenated full-width pixel bands, one per row in `rows` order.
-    pixels: Vec<Vec3>,
-    /// Blend statistics of this shard's tiles (scalar counters only; the
-    /// per-tile tables are rebuilt at merge time).
-    pub stats: BlendStats,
-}
-
-impl ShardFrame {
-    /// The tile rows this shard rendered, ascending.
-    pub fn rows(&self) -> &[u32] {
-        &self.rows
-    }
-}
-
-/// Pixel-row height of tile row `ty` (the last row may be clipped).
-fn band_height(ty: u32, tile_size: u32, height: u32) -> usize {
-    (((ty + 1) * tile_size).min(height) - ty * tile_size) as usize
-}
-
-/// Blends shard `shard` of `plan` with the PFS dataflow, the shard's
-/// rows dispatched across `pool`.
-pub fn blend_shard_pfs(
-    pool: &ThreadPool,
-    splats: &[Splat2D],
-    bins: &TileBins,
-    camera: &Camera,
-    config: &RenderConfig,
-    plan: &ShardPlan,
-    shard: usize,
-) -> ShardFrame {
-    blend_shard_with(pool, camera, config, plan, shard, |scratch, ty, band, stats| {
-        pfs::blend_tile_row(splats, bins, camera, config, scratch, ty, band, stats);
-    })
-}
-
-/// Blends shard `shard` of `plan` with the IRSS dataflow (transforms
-/// precomputed once per frame, shared across shards).
-pub fn blend_shard_irss(
-    pool: &ThreadPool,
-    isplats: &[IrssSplat],
-    bins: &TileBins,
-    camera: &Camera,
-    config: &RenderConfig,
-    plan: &ShardPlan,
-    shard: usize,
-) -> ShardFrame {
-    blend_shard_with(pool, camera, config, plan, shard, |scratch, ty, band, stats| {
-        irss::blend_tile_row(isplats, bins, camera, config, scratch, ty, band, &mut [], stats);
-    })
-}
-
-/// The shared shard-blend scaffold: allocates the shard's pixel bands,
-/// dispatches its rows across the pool and accumulates row stats in row
-/// order — the identical structure `blend_into` uses for the full frame.
-fn blend_shard_with<F>(
-    pool: &ThreadPool,
-    camera: &Camera,
-    config: &RenderConfig,
-    plan: &ShardPlan,
-    shard: usize,
-    row_fn: F,
-) -> ShardFrame
-where
-    F: Fn(&mut TileScratch, u32, &mut [Vec3], &mut BlendStats) + Sync,
-{
-    assert!(!config.record_row_workload, "row-workload recording is not supported under sharding");
-    let rows = plan.shards[shard].rows.clone();
-    let width = camera.width as usize;
-    let total_px: usize =
-        rows.iter().map(|&ty| band_height(ty, plan.tile_size, camera.height) * width).sum();
-    let mut pixels = vec![config.background; total_px];
-
-    struct RowJob<'a> {
-        ty: u32,
-        band: &'a mut [Vec3],
-        stats: BlendStats,
-    }
-    let mut jobs: Vec<RowJob> = Vec::with_capacity(rows.len());
-    let mut rest: &mut [Vec3] = &mut pixels;
-    for &ty in &rows {
-        let h = band_height(ty, plan.tile_size, camera.height);
-        let (band, tail) = rest.split_at_mut(h * width);
-        jobs.push(RowJob { ty, band, stats: BlendStats::default() });
-        rest = tail;
-    }
-
-    let workers = pool.threads().min(jobs.len()).max(1);
-    let mut scratch: Vec<TileScratch> = (0..workers).map(|_| TileScratch::default()).collect();
-    pool.for_each_mut_with(&mut scratch, &mut jobs, |tile_scratch, _, job| {
-        row_fn(tile_scratch, job.ty, job.band, &mut job.stats);
-    });
-
-    let mut shard_stats = BlendStats::default();
-    for job in &jobs {
-        stats::accumulate(&mut shard_stats, &job.stats);
-    }
-    drop(jobs);
-    ShardFrame { rows, pixels, stats: shard_stats }
-}
-
-/// Reassembles the full frame from per-shard partials and aggregates
-/// their statistics — bit-identical to the unsharded blend for any shard
-/// count and strategy.
-///
-/// The merged [`BlendStats`] sums every scalar counter across shards (in
-/// shard order; u64 sums are order-independent) and rebuilds the
-/// per-tile instance table from `bins`, exactly as the unsharded blend
-/// records it.
-///
-/// # Panics
-///
-/// Panics unless the shards' rows cover every tile row exactly once.
-pub fn merge_shards(
-    bins: &TileBins,
-    camera: &Camera,
-    config: &RenderConfig,
-    shards: &[ShardFrame],
-) -> (FrameBuffer, BlendStats) {
-    let width = camera.width as usize;
-    let mut image = FrameBuffer::new(camera.width, camera.height, config.background);
-    let mut stats = BlendStats::default();
-    let mut covered = vec![false; bins.tiles_y as usize];
-    for sf in shards {
-        let mut cursor = 0usize;
-        for &ty in &sf.rows {
-            assert!(!covered[ty as usize], "tile row {ty} rendered by two shards");
-            covered[ty as usize] = true;
-            let h = band_height(ty, bins.tile_size, camera.height);
-            let y0 = (ty * bins.tile_size) as usize;
-            let dst = &mut image.pixels_mut()[y0 * width..y0 * width + h * width];
-            dst.copy_from_slice(&sf.pixels[cursor..cursor + h * width]);
-            cursor += h * width;
-        }
-        stats::accumulate(&mut stats, &sf.stats);
-    }
-    assert!(covered.iter().all(|&c| c), "shards must cover every tile row");
-    stats.tile_instances.extend((0..bins.tile_count()).map(|t| bins.entries_of(t).len() as u32));
-    (image, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{self, Dataflow};
-    use gbu_scene::{Gaussian3D, GaussianScene};
+    use crate::pipeline;
+    use gbu_math::Vec3;
+    use gbu_scene::{Camera, Gaussian3D, GaussianScene};
 
     fn scene_and_camera() -> (GaussianScene, Camera) {
         // Center-heavy cloud: contiguous row blocks are visibly imbalanced.
@@ -529,25 +377,6 @@ mod tests {
             total += sb.entries.len();
         }
         assert_eq!(total, binned.bins.entries.len(), "entries partition exactly");
-    }
-
-    #[test]
-    fn merged_shards_match_unsharded_blend() {
-        let (scene, camera) = scene_and_camera();
-        let cfg = RenderConfig::default();
-        let pool = ThreadPool::new(2);
-        let projected = pipeline::project(&scene, &camera);
-        let binned = pipeline::bin(&projected, cfg.tile_size);
-        let reference = pipeline::blend_pooled(&pool, &projected, &binned, Dataflow::Pfs, &cfg);
-        let plan = ShardPlan::new(ShardStrategy::CostBalanced, &binned.bins, 3);
-        let parts: Vec<ShardFrame> = (0..3)
-            .map(|s| {
-                blend_shard_pfs(&pool, &projected.splats, &binned.bins, &camera, &cfg, &plan, s)
-            })
-            .collect();
-        let (merged, stats) = merge_shards(&binned.bins, &camera, &cfg, &parts);
-        assert_eq!(merged.pixels(), reference.0.pixels(), "bit-identical image");
-        assert_eq!(stats, reference.1, "bit-identical statistics");
     }
 
     #[test]
@@ -668,19 +497,5 @@ mod tests {
         let counts = binned.bins.row_pair_counts();
         assert_eq!(counts.len(), binned.bins.tiles_y as usize);
         assert_eq!(counts.iter().sum::<u64>(), binned.bins.entries.len() as u64);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every tile row")]
-    fn merge_rejects_missing_rows() {
-        let (scene, camera) = scene_and_camera();
-        let cfg = RenderConfig::default();
-        let pool = ThreadPool::new(1);
-        let projected = pipeline::project(&scene, &camera);
-        let binned = pipeline::bin(&projected, cfg.tile_size);
-        let plan = ShardPlan::new(ShardStrategy::ContiguousRows, &binned.bins, 2);
-        let only_first =
-            vec![blend_shard_pfs(&pool, &projected.splats, &binned.bins, &camera, &cfg, &plan, 0)];
-        let _ = merge_shards(&binned.bins, &camera, &cfg, &only_first);
     }
 }

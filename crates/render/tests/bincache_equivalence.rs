@@ -7,6 +7,7 @@
 //! image.
 
 use gbu_math::Vec3;
+use gbu_par::global;
 use gbu_render::{binning, pipeline, BinCache, BinCacheConfig, Dataflow, RenderConfig};
 use gbu_scene::{Camera, Gaussian3D, GaussianScene};
 use proptest::prelude::*;
@@ -84,7 +85,7 @@ proptest! {
                 pitch += dp;
                 let cam = orbit(yaw, pitch);
                 let projected = pipeline::project(&scene, &cam);
-                let cached = cache.bin(&projected.splats, &cam, cfg.tile_size);
+                let cached = cache.bin_pooled(global(), &projected.splats, None, &cam, cfg.tile_size);
                 let cold = binning::bin_splats(&projected.splats, &cam, cfg.tile_size);
                 assert_bins_equal(&cached, &cold);
 
@@ -114,7 +115,7 @@ proptest! {
         let cam = orbit(0.4, 0.1);
         let mut cache = BinCache::new(BinCacheConfig { max_camera_delta: f32::INFINITY });
         let projected = pipeline::project(&scene, &cam);
-        cache.bin(&projected.splats, &cam, 16);
+        cache.bin_pooled(global(), &projected.splats, None, &cam, 16);
 
         // Dynamic-scene mutation: a Gaussian is added (avatar update).
         let mutated: GaussianScene = scene
@@ -132,15 +133,15 @@ proptest! {
 
         // Path 1: explicit invalidation.
         cache.invalidate();
-        let cached = cache.bin(&projected2.splats, &cam, 16);
+        let cached = cache.bin_pooled(global(), &projected2.splats, None, &cam, 16);
         let cold = binning::bin_splats(&projected2.splats, &cam, 16);
         assert_bins_equal(&cached, &cold);
         prop_assert!(cache.stats().invalidations >= 1);
 
         // Path 2: no invalidation, count mismatch → automatic cold.
         let mut cache2 = BinCache::new(BinCacheConfig { max_camera_delta: f32::INFINITY });
-        cache2.bin(&projected.splats, &cam, 16);
-        let cached2 = cache2.bin(&projected2.splats, &cam, 16);
+        cache2.bin_pooled(global(), &projected.splats, None, &cam, 16);
+        let cached2 = cache2.bin_pooled(global(), &projected2.splats, None, &cam, 16);
         assert_bins_equal(&cached2, &cold);
     }
 }
@@ -164,7 +165,7 @@ fn small_steps_hit_incremental_path() {
     for step in 0..5 {
         let cam = orbit(0.3 + step as f32 * 0.003, 0.1);
         let projected = pipeline::project(&scene, &cam);
-        let cached = cache.bin(&projected.splats, &cam, 16);
+        let cached = cache.bin_pooled(global(), &projected.splats, None, &cam, 16);
         let cold = binning::bin_splats(&projected.splats, &cam, 16);
         assert_eq!(cached.0.entries, cold.0.entries);
         assert_eq!(cached.0.offsets, cold.0.offsets);

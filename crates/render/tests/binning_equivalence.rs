@@ -1,14 +1,14 @@
 //! Step ❷'s parallel guarantee, in property form: batch-structured
 //! emission + the chunk-parallel stable radix sort produce `TileBins`
 //! **byte-identical** to the serial `bin_splats` at every thread count,
-//! with or without Step ❶'s carried bounds, through the fresh-allocation
-//! and the `bin_into` reuse entry points, and through the `BinCache`
-//! incremental path riding on the same primitives.
+//! with or without Step ❶'s carried bounds, through the allocating
+//! `pipeline::bin_pooled` and the `bin_into` reuse kernel, and through
+//! the `BinCache` incremental path riding on the same primitives.
 
 use gbu_math::Vec3;
 use gbu_par::ThreadPool;
 use gbu_render::stats::BinningStats;
-use gbu_render::{binning, preprocess, BinCache, BinCacheConfig, BinScratch};
+use gbu_render::{binning, pipeline, preprocess, BinCache, BinCacheConfig, BinScratch};
 use gbu_scene::{Camera, Gaussian3D, GaussianScene};
 use proptest::prelude::*;
 
@@ -51,10 +51,11 @@ fn assert_bins_eq(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Parallel binning — pooled fresh-allocation, carried-bounds, and
-    /// twice-reused `bin_into` — is byte-identical to serial
-    /// `bin_splats` at thread counts {1, 2, 4, 8}, camera included in
-    /// the randomization so tile grids and cull patterns vary.
+    /// Parallel binning — the allocating `pipeline::bin_pooled` and
+    /// twice-reused `bin_into` with and without carried bounds — is
+    /// byte-identical to serial `bin_splats` at thread counts
+    /// {1, 2, 4, 8}, camera included in the randomization so tile grids
+    /// and cull patterns vary.
     #[test]
     fn parallel_binning_is_byte_identical(
         scene in scene_strategy(),
@@ -63,33 +64,35 @@ proptest! {
     ) {
         let cam = Camera::orbit(160, 96, 1.0, Vec3::ZERO, 3.0, yaw, pitch);
         let serial = ThreadPool::new(1);
-        let (splats, bounds, _) = preprocess::project_scene_bounded(&serial, &scene, &cam);
-        let reference = binning::bin_splats(&splats, &cam, 16);
+        let frame = pipeline::project_pooled(&serial, &scene, &cam);
+        let (splats, bounds) = (&frame.splats, &frame.bounds);
+        let reference = binning::bin_splats(splats, &cam, 16);
 
         for threads in THREAD_COUNTS {
             let pool = ThreadPool::new(threads);
 
             // Carried bounds are identical at every thread count.
             let (_, bounds_t, _) = preprocess::project_scene_bounded(&pool, &scene, &cam);
-            prop_assert_eq!(&bounds_t, &bounds, "bounds differ at {} threads", threads);
+            prop_assert_eq!(&bounds_t, bounds, "bounds differ at {} threads", threads);
 
-            let pooled = binning::bin_splats_pooled(&pool, &splats, None, &cam, 16);
+            let pooled = pipeline::bin_pooled(&pool, &frame, 16);
+            let pooled = (pooled.bins, pooled.stats);
             assert_bins_eq(&pooled, &reference, &format!("pooled, {threads} threads"));
 
-            let bounded = binning::bin_splats_pooled(&pool, &splats, Some(&bounds), &cam, 16);
-            assert_bins_eq(&bounded, &reference, &format!("bounded, {threads} threads"));
-
-            // The reuse path, run twice so the second frame rides
-            // entirely on recycled buffers.
-            let mut scratch = BinScratch::new();
-            let mut bins = pooled.0.clone();
-            let mut stats = pooled.1.clone();
-            for _ in 0..2 {
-                stats = binning::bin_into(
-                    &pool, &splats, Some(&bounds), &cam, 16, &mut scratch, &mut bins,
-                );
+            // The reuse kernel with and without carried bounds, run twice
+            // so the second frame rides entirely on recycled buffers.
+            for carried in [None, Some(bounds)] {
+                let mut scratch = BinScratch::new();
+                let mut bins = pooled.0.clone();
+                let mut stats = pooled.1.clone();
+                for _ in 0..2 {
+                    stats = binning::bin_into(
+                        &pool, splats, carried, &cam, 16, &mut scratch, &mut bins,
+                    );
+                }
+                let what = format!("bin_into (bounds: {}), {threads} threads", carried.is_some());
+                assert_bins_eq(&(bins, stats), &reference, &what);
             }
-            assert_bins_eq(&(bins, stats), &reference, &format!("bin_into, {threads} threads"));
         }
     }
 
@@ -166,9 +169,16 @@ fn empty_and_fully_culled_inputs() {
     let cam = Camera::orbit(128, 96, 1.0, Vec3::ZERO, 4.0, 0.0, 0.0);
     let pool = ThreadPool::new(4);
     let reference = binning::bin_splats(&[], &cam, 16);
-    let pooled = binning::bin_splats_pooled(&pool, &[], None, &cam, 16);
-    assert_eq!(pooled.0.offsets, reference.0.offsets);
-    assert_eq!(pooled.0.entries, reference.0.entries);
-    assert_eq!(pooled.1, reference.1);
-    assert_eq!(pooled.1.instances, 0);
+    let mut bins = binning::TileBins {
+        tile_size: 16,
+        tiles_x: 0,
+        tiles_y: 0,
+        offsets: vec![],
+        entries: vec![],
+    };
+    let stats = binning::bin_into(&pool, &[], None, &cam, 16, &mut BinScratch::new(), &mut bins);
+    assert_eq!(bins.offsets, reference.0.offsets);
+    assert_eq!(bins.entries, reference.0.entries);
+    assert_eq!(stats, reference.1);
+    assert_eq!(stats.instances, 0);
 }

@@ -2,11 +2,13 @@
 //! IRSS blending (and Step-❶ projection) produce **bit-identical**
 //! images and statistics at every thread count, because tile rows are
 //! independent work merged in tile order and every per-tile operation is
-//! the same sequential code the serial path runs.
+//! the same sequential code the serial path runs — through both the
+//! allocating `pipeline` stages and the `_into` kernels they wrap.
 
 use gbu_math::Vec3;
 use gbu_par::ThreadPool;
-use gbu_render::{binning, irss, pfs, preprocess, RenderConfig};
+use gbu_render::pipeline::{self, BinnedFrame, Dataflow};
+use gbu_render::{binning, irss, pfs, RenderConfig};
 use gbu_scene::{Camera, Gaussian3D, GaussianScene};
 use proptest::prelude::*;
 
@@ -48,87 +50,73 @@ proptest! {
         let cam = Camera::orbit(160, 96, 1.0, Vec3::ZERO, 3.0, 0.4, 0.2);
         let cfg = RenderConfig { record_row_workload: true, ..RenderConfig::default() };
         let serial = ThreadPool::new(1);
-        let (splats, pre_ref) = preprocess::project_scene_pooled(&serial, &scene, &cam);
-        let (bins, _) = binning::bin_splats(&splats, &cam, cfg.tile_size);
-        let isplats_ref = irss::precompute_pooled(&serial, &splats);
-        let (pfs_ref, pfs_stats_ref) = pfs::blend_pooled(&serial, &splats, &bins, &cam, &cfg);
-        let (irss_ref, irss_stats_ref) = {
-            let mut image = gbu_render::FrameBuffer::new(cam.width, cam.height, cfg.background);
-            let mut stats = gbu_render::stats::BlendStats::default();
-            let mut scratch = gbu_render::BlendScratch::new();
-            irss::blend_precomputed_into(
-                &serial, &splats, &isplats_ref, &bins, &cam, &cfg,
-                &mut scratch, &mut image, &mut stats,
-            );
-            (image, stats)
-        };
+        let frame = pipeline::project_pooled(&serial, &scene, &cam);
+        let splats = &frame.splats;
+        let (bins, stats) = binning::bin_splats(splats, &cam, cfg.tile_size);
+        let binned = BinnedFrame { bins, stats };
+        let bins = &binned.bins;
+        let isplats_ref = irss::precompute_pooled(&serial, splats);
+        let (pfs_ref, pfs_stats_ref) =
+            pipeline::blend_pooled(&serial, &frame, &binned, Dataflow::Pfs, &cfg);
+        let (irss_ref, irss_stats_ref) =
+            pipeline::blend_pooled(&serial, &frame, &binned, Dataflow::Irss, &cfg);
+        prop_assert!(pfs_stats_ref.row_workload.is_empty(), "PFS records no row workload");
 
         for threads in THREAD_COUNTS {
             let pool = ThreadPool::new(threads);
 
-            let (splats_t, pre_t) = preprocess::project_scene_pooled(&pool, &scene, &cam);
-            prop_assert_eq!(&splats_t, &splats, "Step-1 splats differ at {} threads", threads);
-            prop_assert_eq!(&pre_t, &pre_ref, "Step-1 stats differ at {} threads", threads);
+            let frame_t = pipeline::project_pooled(&pool, &scene, &cam);
+            prop_assert_eq!(&frame_t.splats, splats, "Step-1 splats differ at {} threads", threads);
+            prop_assert_eq!(
+                &frame_t.stats, &frame.stats,
+                "Step-1 stats differ at {} threads", threads
+            );
 
-            let isplats_t = irss::precompute_pooled(&pool, &splats);
+            let isplats_t = irss::precompute_pooled(&pool, splats);
             prop_assert_eq!(
                 &isplats_t, &isplats_ref,
                 "IRSS transforms differ at {} threads", threads
             );
 
-            let (img, stats) = pfs::blend_pooled(&pool, &splats, &bins, &cam, &cfg);
-            prop_assert_eq!(
-                img.pixels(), pfs_ref.pixels(),
-                "PFS image differs at {} threads", threads
-            );
-            prop_assert_eq!(&stats, &pfs_stats_ref, "PFS stats differ at {} threads", threads);
+            for (dataflow, reference, reference_stats) in [
+                (Dataflow::Pfs, &pfs_ref, &pfs_stats_ref),
+                (Dataflow::Irss, &irss_ref, &irss_stats_ref),
+            ] {
+                let (img, stats) = pipeline::blend_pooled(&pool, &frame, &binned, dataflow, &cfg);
+                prop_assert_eq!(
+                    img.pixels(), reference.pixels(),
+                    "{:?} image differs at {} threads", dataflow, threads
+                );
+                prop_assert_eq!(
+                    &stats, reference_stats,
+                    "{:?} stats differ at {} threads", dataflow, threads
+                );
 
-            let mut img = gbu_render::FrameBuffer::new(cam.width, cam.height, cfg.background);
-            let mut stats = gbu_render::stats::BlendStats::default();
-            let mut scratch = gbu_render::BlendScratch::new();
-            // Blend twice through the reuse path: the second frame rides
-            // entirely on recycled buffers and must match too.
-            for _ in 0..2 {
-                irss::blend_precomputed_into(
-                    &pool, &splats, &isplats_t, &bins, &cam, &cfg,
-                    &mut scratch, &mut img, &mut stats,
+                // Blend twice through the reuse kernel: the second frame
+                // rides entirely on recycled buffers and must match too.
+                let mut img = gbu_render::FrameBuffer::new(cam.width, cam.height, cfg.background);
+                let mut stats = gbu_render::stats::BlendStats::default();
+                let mut scratch = gbu_render::BlendScratch::new();
+                for _ in 0..2 {
+                    let (scratch, img, stats) = (&mut scratch, &mut img, &mut stats);
+                    match dataflow {
+                        Dataflow::Pfs => {
+                            pfs::blend_into(&pool, splats, bins, &cam, &cfg, scratch, img, stats)
+                        }
+                        Dataflow::Irss => irss::blend_precomputed_into(
+                            &pool, splats, &isplats_t, bins, &cam, &cfg, scratch, img, stats,
+                        ),
+                    }
+                }
+                prop_assert_eq!(
+                    img.pixels(), reference.pixels(),
+                    "{:?} reused image differs at {} threads", dataflow, threads
+                );
+                prop_assert_eq!(
+                    &stats, reference_stats,
+                    "{:?} reused stats differ at {} threads", dataflow, threads
                 );
             }
-            prop_assert_eq!(
-                img.pixels(), irss_ref.pixels(),
-                "IRSS image differs at {} threads", threads
-            );
-            prop_assert_eq!(&stats, &irss_stats_ref, "IRSS stats differ at {} threads", threads);
         }
     }
-}
-
-/// The legacy entry points (global pool + fresh buffers) agree with the
-/// explicit-pool reuse path on a fixed scene.
-#[test]
-fn public_entry_points_match_reuse_path() {
-    let scene: GaussianScene = (0..25)
-        .map(|i| {
-            let a = i as f32 * 0.53;
-            Gaussian3D::isotropic(
-                Vec3::new(a.cos() * 0.6, a.sin() * 0.4, (a * 1.9).sin() * 0.5),
-                0.05 + 0.01 * (i % 4) as f32,
-                Vec3::new(0.8, 0.5, 0.3),
-                0.7,
-            )
-        })
-        .collect();
-    let cam = Camera::orbit(128, 96, 1.0, Vec3::ZERO, 3.0, 0.1, 0.3);
-    let cfg = RenderConfig::default();
-    let (splats, _) = preprocess::project_scene(&scene, &cam);
-    let (bins, _) = binning::bin_splats(&splats, &cam, cfg.tile_size);
-
-    let (img_global, stats_global) = pfs::blend(&splats, &bins, &cam, &cfg);
-    let pool = ThreadPool::new(3);
-    let mut img = gbu_render::FrameBuffer::new(cam.width, cam.height, cfg.background);
-    let mut stats = gbu_render::stats::BlendStats::default();
-    let mut scratch = gbu_render::BlendScratch::new();
-    pfs::blend_into(&pool, &splats, &bins, &cam, &cfg, &mut scratch, &mut img, &mut stats);
-    assert_eq!(img.pixels(), img_global.pixels());
-    assert_eq!(stats, stats_global);
 }

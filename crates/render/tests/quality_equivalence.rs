@@ -1,5 +1,5 @@
 //! Contribution-aware degraded rendering, in property form. Two
-//! guarantees ride on [`gbu_render::pipeline::blend_with_quality`]:
+//! guarantees ride on [`gbu_render::pipeline::blend_with_quality_pooled`]:
 //!
 //! 1. `QualityLevel::Exact` is a true no-op — it takes the ordinary
 //!    blend path, so images and statistics are **bit-identical** to
@@ -145,7 +145,8 @@ fn topk_full_fraction_matches_exact_and_psnr_degrades_monotonically() {
     let (exact, _) =
         pipeline::blend_pooled(gbu_par::global(), &frame, &binned, pipeline::Dataflow::Pfs, &cfg);
 
-    let (full, _) = pipeline::blend_with_quality(
+    let (full, _) = pipeline::blend_with_quality_pooled(
+        gbu_par::global(),
         &frame,
         &binned,
         pipeline::Dataflow::Pfs,
@@ -156,14 +157,15 @@ fn topk_full_fraction_matches_exact_and_psnr_degrades_monotonically() {
 
     let mut last = f64::INFINITY;
     for fraction in [0.75, 0.5, 0.25] {
-        let (img, _) = pipeline::blend_with_quality(
+        let (img, _) = pipeline::blend_with_quality_pooled(
+            gbu_par::global(),
             &frame,
             &binned,
             pipeline::Dataflow::Pfs,
             &cfg,
             QualityLevel::TopK { fraction },
         );
-        let psnr = gbu_render::contrib::psnr(&img, &exact);
+        let psnr = gbu_render::metrics::psnr(&img, &exact);
         assert!(
             psnr <= last,
             "PSNR must not improve as the keep-fraction shrinks: {psnr} after {last}"

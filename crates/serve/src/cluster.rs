@@ -556,10 +556,11 @@ impl ClusterBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{Session, SessionContent, SessionSpec};
+    use crate::session::{prepare_view, Session, SessionContent, SessionSpec};
     use crate::QosTarget;
     use gbu_core::Gbu;
     use gbu_math::Vec3;
+    use gbu_scene::{Camera, Gaussian3D, GaussianScene};
 
     fn prepared() -> Session {
         Session::prepare(
@@ -585,8 +586,7 @@ mod tests {
         }
     }
 
-    fn unsharded_baseline(session: &Session) -> (FrameBuffer, u64) {
-        let view = session.view(0);
+    fn unsharded_baseline(view: &PreparedView) -> (FrameBuffer, u64) {
         let mut gbu = Gbu::new(GbuConfig::paper());
         gbu.render_image(&view.splats, &view.bins, &view.camera, Vec3::ZERO).unwrap();
         let occupancy = gbu.in_flight_remaining().expect("frame in flight");
@@ -629,25 +629,41 @@ mod tests {
 
     #[test]
     fn sharded_frame_is_bit_identical_to_single_device() {
+        // The session's view, an empty 64x48 scene, and a one-Gaussian
+        // 64x32 frame with 2 tile rows (fewer than 4 shards).
         let session = prepared();
-        let (reference, _) = unsharded_baseline(&session);
-        for strategy in ShardStrategy::all() {
-            for shards in [1usize, 2, 4] {
-                let mut backend = cluster_backend(shards, 1);
-                let mode = sharded(shards, strategy);
-                assert!(backend.can_accept(mode));
-                backend.submit(session.view(0), ticket(0), mode, 0);
-                let mut done = drain_frames(&mut backend);
-                assert_eq!(done.len(), 1, "{strategy:?}/{shards}");
-                let c = done.remove(0);
-                assert_eq!(
-                    c.image.pixels(),
-                    reference.pixels(),
-                    "{strategy:?}/{shards}: merged image must be bit-identical"
-                );
-                assert_eq!(c.shard_cycles.len(), shards);
-                assert!(c.imbalance().expect("sharded") >= 1.0 - 1e-12);
-                assert!(c.dram_bytes > 0);
+        let empty = prepare_view(
+            &GaussianScene::new(),
+            Camera::orbit(64, 48, 1.0, Vec3::ZERO, 3.0, 0.0, 0.0),
+        );
+        let one: GaussianScene =
+            std::iter::once(Gaussian3D::isotropic(Vec3::ZERO, 0.2, Vec3::ONE, 0.9)).collect();
+        let short = prepare_view(&one, Camera::orbit(64, 32, 1.0, Vec3::ZERO, 3.0, 0.0, 0.0));
+        assert_eq!(short.bins.tiles_y, 2);
+        for view in [session.view(0), &empty, &short] {
+            let (reference, _) = unsharded_baseline(view);
+            for strategy in ShardStrategy::all() {
+                for shards in [1usize, 2, 4] {
+                    let what = format!(
+                        "{}x{} {strategy:?}/{shards}",
+                        view.camera.width, view.camera.height
+                    );
+                    let mut backend = cluster_backend(shards, 1);
+                    let mode = sharded(shards, strategy);
+                    assert!(backend.can_accept(mode));
+                    backend.submit(view, ticket(0), mode, 0);
+                    let mut done = drain_frames(&mut backend);
+                    assert_eq!(done.len(), 1, "{what}");
+                    let c = done.remove(0);
+                    assert_eq!(
+                        c.image.pixels(),
+                        reference.pixels(),
+                        "{what}: merged image must be bit-identical"
+                    );
+                    assert_eq!(c.shard_cycles.len(), shards);
+                    assert!(c.imbalance().expect("sharded") >= 1.0 - 1e-12);
+                    assert_eq!(c.dram_bytes > 0, !view.splats.is_empty());
+                }
             }
         }
     }
@@ -678,7 +694,7 @@ mod tests {
     #[test]
     fn sharding_shortens_the_critical_path() {
         let session = prepared();
-        let (_, unsharded_cycles) = unsharded_baseline(&session);
+        let (_, unsharded_cycles) = unsharded_baseline(session.view(0));
         let mut backend = cluster_backend(4, 1);
         backend.submit(session.view(0), ticket(0), sharded(4, ShardStrategy::CostBalanced), 0);
         let done = drain_frames(&mut backend);
@@ -722,7 +738,7 @@ mod tests {
     #[test]
     fn backend_mixes_sharded_and_unsharded_frames() {
         let session = prepared();
-        let (reference, _) = unsharded_baseline(&session);
+        let (reference, _) = unsharded_baseline(session.view(0));
         let mut backend = cluster_backend(3, 1);
         assert_eq!(backend.lane_count(), 3);
         assert_eq!(backend.device_count(), 3);
@@ -817,7 +833,7 @@ mod tests {
         assert!(fb.measured_cycles.iter().all(|&c| c > 0));
         // A second frame replans with the measurement and still merges
         // bit-identically.
-        let (reference, _) = unsharded_baseline(&session);
+        let (reference, _) = unsharded_baseline(session.view(0));
         backend.submit(session.view(0), ticket(1), mode, 0);
         let done = drain_frames(&mut backend);
         assert_eq!(done[0].image.pixels(), reference.pixels());

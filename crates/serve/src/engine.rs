@@ -42,6 +42,7 @@ use crate::store::SceneStore;
 use gbu_gpu::GpuConfig;
 use gbu_hw::GbuConfig;
 use gbu_render::FrameBuffer;
+use std::sync::Weak;
 
 /// Configuration of one serving engine.
 #[derive(Debug, Clone)]
@@ -270,15 +271,21 @@ struct QualityRuntime {
     next_tick: Option<u64>,
     /// Decision ticks to sit out after a shed/recover step.
     cooldown: u32,
-    /// Degraded-view cache: `(exact view Arc pointer, rung)` → the
-    /// compacted [`PreparedView`] and its probed device occupancy.
-    /// Pointer identity keys work because sessions hold their prepared
-    /// views alive for the engine's lifetime (same ledger scheme as
-    /// `prep_paid`).
-    views: std::collections::HashMap<(usize, usize), (std::sync::Arc<PreparedView>, u64)>,
-    /// Exact-view occupancy cache (Arc pointer → probed cycles), for the
-    /// cycles-saved accounting.
-    exact_cycles: std::collections::HashMap<usize, u64>,
+    /// Degraded-view cache: `(exact view Arc pointer, rung)` → a weak
+    /// handle on the exact view, the compacted [`PreparedView`] and its
+    /// probed device occupancy. Pointer keys are sound because the weak
+    /// handle keeps the exact view's allocation, so no other view can
+    /// land at that address while the entry exists (same ledger scheme
+    /// as `prep_paid`); `detach_session` drops entries whose view died.
+    #[allow(clippy::type_complexity)]
+    views: std::collections::HashMap<
+        (usize, usize),
+        (Weak<PreparedView>, std::sync::Arc<PreparedView>, u64),
+    >,
+    /// Exact-view occupancy cache (Arc pointer → weak handle, probed
+    /// cycles), for the cycles-saved accounting; pinned and purged like
+    /// `views`.
+    exact_cycles: std::collections::HashMap<usize, (Weak<PreparedView>, u64)>,
     /// Frames admitted as degraded counter-offers: frame id → (pinned
     /// rung, degraded min-service cycles). Entries retire at dispatch or
     /// drop.
@@ -350,10 +357,13 @@ pub struct ServeEngine {
     backlog_scratch: std::cell::RefCell<Vec<Vec<u64>>>,
     /// Cross-session preprocessing-reuse ledger
     /// ([`PrepConfig::share`]): per shared view handle (keyed by `Arc`
-    /// pointer identity), the wall cycle its Step-❶/❷ charge was last
-    /// paid. A dispatch within the camera-epoch window of a paid entry
-    /// rides free.
-    prep_paid: std::collections::HashMap<usize, u64>,
+    /// pointer identity), a weak handle on the view and the wall cycle
+    /// its Step-❶/❷ charge was last paid. A dispatch within the
+    /// camera-epoch window of a paid entry rides free. The weak handle
+    /// keeps the view's allocation, so a freed view's address cannot be
+    /// reused by another view while its entry exists; `detach_session`
+    /// drops entries whose view died.
+    prep_paid: std::collections::HashMap<usize, (Weak<PreparedView>, u64)>,
 }
 
 impl ServeEngine {
@@ -570,6 +580,14 @@ impl ServeEngine {
                 }
             }
         }
+        // Drop the per-view state of views nothing holds any more. The
+        // degraded views go first: `prep_paid` may be keyed on them.
+        let live = |view: &Weak<PreparedView>| view.strong_count() > 0;
+        if let Some(q) = self.quality.as_mut() {
+            q.views.retain(|_, (view, _, _)| live(view));
+            q.exact_cycles.retain(|_, (view, _)| live(view));
+        }
+        self.prep_paid.retain(|_, (view, _)| live(view));
         true
     }
 
@@ -1023,12 +1041,13 @@ impl ServeEngine {
         rung: usize,
     ) -> u64 {
         let key = (std::sync::Arc::as_ptr(view) as usize, rung);
-        if let Some(&(_, cycles)) = q.views.get(&key) {
+        if let Some(&(_, _, cycles)) = q.views.get(&key) {
             return cycles;
         }
         let degraded = Self::degrade_view(view, cfg.quality.ladder[rung - 1]);
         let cycles = probe_view_cycles(&degraded, &cfg.gbu);
-        q.views.insert(key, (std::sync::Arc::new(degraded), cycles));
+        q.views
+            .insert(key, (std::sync::Arc::downgrade(view), std::sync::Arc::new(degraded), cycles));
         cycles
     }
 
@@ -1040,7 +1059,10 @@ impl ServeEngine {
         view: &std::sync::Arc<PreparedView>,
     ) -> u64 {
         let key = std::sync::Arc::as_ptr(view) as usize;
-        *q.exact_cycles.entry(key).or_insert_with(|| probe_view_cycles(view, &cfg.gbu))
+        q.exact_cycles
+            .entry(key)
+            .or_insert_with(|| (std::sync::Arc::downgrade(view), probe_view_cycles(view, &cfg.gbu)))
+            .1
     }
 
     /// The counter-offer admission probe: the deepest ladder rung and
@@ -1081,7 +1103,7 @@ impl ServeEngine {
         } else {
             let exact = Self::exact_view_cycles(&mut q, &self.cfg, &view);
             let cycles = Self::degraded_view_cycles(&mut q, &self.cfg, &view, rung);
-            let degraded = q.views[&(std::sync::Arc::as_ptr(&view) as usize, rung)].0.clone();
+            let degraded = q.views[&(std::sync::Arc::as_ptr(&view) as usize, rung)].1.clone();
             let saved = exact.saturating_sub(cycles);
             self.metrics.quality_degraded(saved);
             if self.recorder.is_enabled() {
@@ -1635,7 +1657,7 @@ impl ServeEngine {
         if prep.share {
             let key = std::sync::Arc::as_ptr(view) as usize;
             let window = prep.share_window_cycles.unwrap_or(period).max(1);
-            if let Some(&paid) = self.prep_paid.get(&key) {
+            if let Some(&(_, paid)) = self.prep_paid.get(&key) {
                 if now.saturating_sub(paid) < window {
                     self.metrics.prep_shared(full);
                     if self.recorder.is_enabled() {
@@ -1645,7 +1667,7 @@ impl ServeEngine {
                     return 0;
                 }
             }
-            self.prep_paid.insert(key, now);
+            self.prep_paid.insert(key, (std::sync::Arc::downgrade(view), now));
         }
         self.metrics.prep_charged(full);
         if self.recorder.is_enabled() {
@@ -2558,5 +2580,63 @@ mod tests {
         };
         let private = run_workload(cfg, &classic, 0.5);
         assert_eq!(private.preprocessing.frames_shared, 0, "private views never falsely share");
+    }
+
+    #[test]
+    fn private_view_churn_never_shares_and_leaves_no_per_view_state() {
+        // Attach a private session, serve one frame, detach — 64 times.
+        // Each detach frees the session's views, so a later session's
+        // views can land at recycled addresses. The address-keyed
+        // per-view caches must neither carry state across sessions nor
+        // outlive the views they describe.
+        let gbu = GbuConfig::paper();
+        let ladder = QualityGovernor::default_ladder();
+        let probe = Session::prepare(tiny_spec(0, 0), &gbu);
+        let exact_min =
+            (0..3).map(|v| probe_view_cycles(probe.view(v), &gbu)).min().expect("three views");
+        let deepest = *ladder.last().expect("non-empty ladder");
+        let degraded = probe_view_cycles(&ServeEngine::degrade_view(probe.view(0), deepest), &gbu);
+        // At a 1 GHz clock, a `tight` frame period sits between the
+        // degraded and the exact service of view 0, so its frames are
+        // admitted as degraded counter-offers; `loose` frames run exact.
+        let period = (degraded + exact_min) / 2;
+        assert!(degraded < period && period < exact_min, "{degraded} < {period} < {exact_min}");
+        let tight = QosTarget { hz: 1e9 / period as f64 };
+        let loose = QosTarget { hz: tight.hz / 100.0 };
+        let mut cfg = ServeConfig {
+            admission: AdmissionControl { reject_unmeetable: true, ..AdmissionControl::default() },
+            quality: QualityGovernor { ladder, counter_offer: true, ..QualityGovernor::default() },
+            prep: Some(PrepConfig {
+                share: true,
+                share_window_cycles: Some(u64::MAX),
+                ..PrepConfig::default()
+            }),
+            ..ServeConfig::default()
+        };
+        cfg.gbu.clock_ghz = 1.0;
+        let mut engine = ServeEngine::new(cfg);
+        for round in 0..64 {
+            let qos = if round % 2 == 0 { tight } else { loose };
+            let id = engine.attach_session(Session::prepare(
+                SessionSpec { qos, ..tiny_spec(0, 0) },
+                &engine.config().gbu,
+            ));
+            engine.submit_frame(id, 0);
+            engine.drain();
+            assert!(engine.detach_session(id));
+        }
+        let report = engine.report();
+        assert_eq!(report.completed, 64);
+        assert_eq!(report.quality.counter_offers, 32, "every tight frame is counter-offered");
+        assert_eq!(report.quality.frames_degraded, 32);
+        assert_eq!(report.preprocessing.frames_shared, 0, "private views never share");
+        let q = engine.quality.as_ref().expect("active governor");
+        assert!(q.views.is_empty(), "{} degraded views outlive their sessions", q.views.len());
+        assert!(q.exact_cycles.is_empty(), "{} exact-cycle entries remain", q.exact_cycles.len());
+        assert!(
+            engine.prep_paid.is_empty(),
+            "{} prep ledger entries remain",
+            engine.prep_paid.len()
+        );
     }
 }

@@ -44,6 +44,12 @@ impl std::fmt::Display for DeviceError {
 impl std::error::Error for DeviceError {}
 
 /// A completed frame: the image plus the run's hardware statistics.
+///
+/// Built when [`Gbu::try_collect`] / [`Gbu::wait`] hands the frame out:
+/// the device holds only the [`GbuRunResult`] while the frame is in
+/// flight, and the image is copied once, at collection, out of
+/// `run.image`. Hosts that need no second copy take the run itself with
+/// [`Gbu::try_collect_run`].
 #[derive(Debug, Clone)]
 pub struct CompletedFrame {
     /// The rendered image.
@@ -54,7 +60,9 @@ pub struct CompletedFrame {
 
 #[derive(Debug)]
 struct InFlight {
-    result: CompletedFrame,
+    /// The run, image included; no copy of the image exists until the
+    /// frame is collected.
+    run: GbuRunResult,
     completion_cycle: u64,
     /// Full device occupancy of the frame (`max(D&B, Tile PE)` cycles),
     /// fixed at submission.
@@ -62,6 +70,10 @@ struct InFlight {
 }
 
 /// The GBU device.
+///
+/// A frame in flight holds one image, inside its [`GbuRunResult`];
+/// [`Gbu::try_collect`] and [`Gbu::wait`] copy it once, at collection,
+/// into the returned [`CompletedFrame`].
 ///
 /// # Example
 ///
@@ -179,11 +191,8 @@ impl Gbu {
         // Chunk-level pipeline (Fig. 13 bottom): D&B overlaps the Tile PE,
         // so the frame occupies max(D&B, Tile PE) cycles.
         let duration = d.cycles.max(run.compute_cycles);
-        self.in_flight = Some(InFlight {
-            result: CompletedFrame { image: run.image.clone(), run },
-            completion_cycle: self.clock + duration,
-            occupancy: duration,
-        });
+        self.in_flight =
+            Some(InFlight { run, completion_cycle: self.clock + duration, occupancy: duration });
         Ok(())
     }
 
@@ -205,7 +214,7 @@ impl Gbu {
     /// Off-chip feature traffic (bytes) of the in-flight frame — the
     /// device's share of DRAM bandwidth while it renders. `None` when idle.
     pub fn in_flight_dram_bytes(&self) -> Option<u64> {
-        self.in_flight.as_ref().map(|f| f.result.run.dram_bytes)
+        self.in_flight.as_ref().map(|f| f.run.dram_bytes)
     }
 
     /// Full device occupancy (`max(D&B, Tile PE)` cycles) of the
@@ -239,15 +248,24 @@ impl Gbu {
         }
     }
 
-    /// Collects the completed frame if the in-flight frame has finished.
-    pub fn try_collect(&mut self) -> Option<CompletedFrame> {
+    /// Collects the finished frame's run, image included, without
+    /// copying the image — `None` while the frame is still executing or
+    /// when the device is idle. Multi-device hosts
+    /// (`gbu_serve::DevicePool`) collect through this.
+    pub fn try_collect_run(&mut self) -> Option<GbuRunResult> {
         match &self.in_flight {
             Some(f) if self.clock >= f.completion_cycle => {
-                let f = self.in_flight.take().expect("checked above");
-                Some(f.result)
+                Some(self.in_flight.take().expect("checked above").run)
             }
             _ => None,
         }
+    }
+
+    /// Collects the completed frame if the in-flight frame has finished:
+    /// [`Gbu::try_collect_run`] plus the one copy of the image that
+    /// [`CompletedFrame::image`] holds.
+    pub fn try_collect(&mut self) -> Option<CompletedFrame> {
+        self.try_collect_run().map(|run| CompletedFrame { image: run.image.clone(), run })
     }
 
     /// `GBU_check_status(blocking = true)`: blocks (advances the clock to
@@ -364,6 +382,24 @@ mod tests {
         let mut gbu = Gbu::new(GbuConfig::paper());
         assert!(gbu.wait().is_none());
         assert_eq!(gbu.check_status(), GbuStatus::Idle);
+    }
+
+    #[test]
+    fn collected_run_carries_the_image_collect_copies() {
+        let (splats, bins, cam) = inputs();
+        let mut copied = Gbu::new(GbuConfig::paper());
+        let mut moved = Gbu::new(GbuConfig::paper());
+        copied.render_image(&splats, &bins, &cam, Vec3::ZERO).unwrap();
+        moved.render_image(&splats, &bins, &cam, Vec3::ZERO).unwrap();
+        assert!(moved.try_collect_run().is_none(), "not finished yet");
+        let frame = copied.wait().expect("frame in flight");
+        assert_eq!(frame.image.max_abs_diff(&frame.run.image), 0.0);
+        moved.advance(moved.in_flight_remaining().expect("frame in flight"));
+        let run = moved.try_collect_run().expect("frame finished");
+        assert_eq!(run.image.max_abs_diff(&frame.image), 0.0);
+        assert_eq!(run.compute_cycles, frame.run.compute_cycles);
+        assert_eq!(run.dram_bytes, frame.run.dram_bytes);
+        assert!(moved.try_collect().is_none(), "the run was handed out once");
     }
 
     #[test]

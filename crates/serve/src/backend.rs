@@ -45,6 +45,13 @@ impl ExecMode {
         }
     }
 
+    /// Whether a frame in this mode can dispatch when `open_lanes` live
+    /// lanes have an idle device: it needs `1 <= lanes_needed() <=
+    /// open_lanes`.
+    pub fn fits(self, open_lanes: usize) -> bool {
+        (1..=open_lanes).contains(&self.lanes_needed())
+    }
+
     /// Optimistic service-time lower bound for this mode, derived from
     /// the unsharded bound: blending cycles partition exactly over
     /// shards and D&B work can only duplicate across them, so the
@@ -154,6 +161,10 @@ mod tests {
         assert_eq!(ExecMode::Unsharded.lanes_needed(), 1);
         let sharded = ExecMode::Sharded { shards: 4, strategy: ShardStrategy::CostBalanced };
         assert_eq!(sharded.lanes_needed(), 4);
+        assert!(!ExecMode::Unsharded.fits(0) && ExecMode::Unsharded.fits(1));
+        assert!(!sharded.fits(3) && sharded.fits(4) && sharded.fits(9));
+        let degenerate = ExecMode::Sharded { shards: 0, strategy: ShardStrategy::CostBalanced };
+        assert!(!degenerate.fits(4), "a frame needs at least one lane");
         assert_eq!(ExecMode::Unsharded.min_service(1000), 1000);
         assert_eq!(sharded.min_service(1000), 250);
         assert_eq!(sharded.min_service(2), 1, "bound never collapses to zero");

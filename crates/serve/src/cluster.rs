@@ -21,7 +21,7 @@
 
 use crate::backend::{ExecCompletion, ExecMode, FrameDone};
 use crate::event::SessionId;
-use crate::pool::{DevicePool, PoolCompletion};
+use crate::pool::DevicePool;
 use crate::scheduler::FrameTicket;
 use crate::session::PreparedView;
 use gbu_gpu::GpuConfig;
@@ -29,32 +29,17 @@ use gbu_hw::GbuConfig;
 use gbu_render::shard::{ShardFeedback, ShardPlan, ShardStrategy};
 use gbu_render::FrameBuffer;
 
-/// Reassembles a frame from its shard partials: every shard's device
-/// image is full-size with background outside its rows; copy each
-/// shard's row bands over shard 0's image. Bit-identical to the
-/// unsharded device render (the per-row kernels are the same code).
-fn merge_part_images(
-    plan: &ShardPlan,
-    width: u32,
-    height: u32,
-    parts: &[PoolCompletion],
-) -> FrameBuffer {
-    let mut image = parts[0].frame.image.clone();
-    let w = width as usize;
-    for (s, part) in parts.iter().enumerate() {
-        if s == 0 {
-            continue;
-        }
-        let src = &part.frame.image;
-        for &ty in &plan.shards[s].rows {
-            let y0 = ty * plan.tile_size;
-            let y1 = ((ty + 1) * plan.tile_size).min(height);
-            let lo = y0 as usize * w;
-            let hi = y1 as usize * w;
-            image.pixels_mut()[lo..hi].copy_from_slice(&src.pixels()[lo..hi]);
-        }
+/// Copies shard `shard`'s tile-row bands of `src` (that shard's device
+/// image: full-size, background outside its rows) into `dst`.
+fn copy_shard_rows(plan: &ShardPlan, shard: usize, src: &FrameBuffer, dst: &mut FrameBuffer) {
+    let w = src.width() as usize;
+    for &ty in &plan.shards[shard].rows {
+        let y0 = ty * plan.tile_size;
+        let y1 = ((ty + 1) * plan.tile_size).min(src.height());
+        let lo = y0 as usize * w;
+        let hi = y1 as usize * w;
+        dst.pixels_mut()[lo..hi].copy_from_slice(&src.pixels()[lo..hi]);
     }
-    image
 }
 
 /// One sharded frame mid-flight on the cluster backend.
@@ -62,8 +47,6 @@ fn merge_part_images(
 struct PendingFrame {
     ticket: FrameTicket,
     plan: ShardPlan,
-    width: u32,
-    height: u32,
     submitted_at: u64,
     /// Lane each shard executes on (`lane_of_shard[s]`); a frame's
     /// shards occupy distinct lanes.
@@ -72,8 +55,18 @@ struct PendingFrame {
     /// read at submission — the contention-free measured service that
     /// feeds [`ShardStrategy::Measured`] replanning.
     occupancy_of_shard: Vec<u64>,
-    /// One slot per shard, filled as lanes report completions.
-    parts: Vec<Option<PoolCompletion>>,
+    /// Landing cycle of each shard, filled as lanes report completions.
+    landed_at: Vec<Option<u64>>,
+    /// Off-chip feature traffic of the shards landed so far.
+    dram_bytes: u64,
+    /// The frame's image so far: the first landed shard's device image,
+    /// with each later landing's rows copied in as it lands, so a frame
+    /// holds one image however many shards have landed. The plan's rows
+    /// partition the frame, so once every shard has landed each row
+    /// comes from its own shard whatever the landing order —
+    /// bit-identical to the unsharded device render (the per-row
+    /// kernels are the same code).
+    image: Option<FrameBuffer>,
 }
 
 /// N independent [`DevicePool`] lanes on one lockstep wall clock,
@@ -175,7 +168,7 @@ impl ClusterBackend {
     /// however many shards are still in flight).
     pub fn in_flight_frames(&self) -> usize {
         let shard_busy: usize =
-            self.pending.iter().map(|p| p.parts.iter().filter(|part| part.is_none()).count()).sum();
+            self.pending.iter().map(|p| p.landed_at.iter().filter(|at| at.is_none()).count()).sum();
         let busy: usize = self.lanes.iter().map(DevicePool::busy_count).sum();
         busy - shard_busy + self.pending.len()
     }
@@ -189,8 +182,7 @@ impl ClusterBackend {
     /// (`Unsharded`: some live lane has an idle device;
     /// `Sharded { shards }`: at least `shards` live lanes each have one.)
     pub fn can_accept(&self, mode: ExecMode) -> bool {
-        let open = self.open_lane_count();
-        mode.lanes_needed() <= open && mode.lanes_needed() >= 1
+        mode.fits(self.open_lane_count())
     }
 
     /// Dispatches `view` on behalf of `ticket` in `mode`. The frame first
@@ -288,12 +280,12 @@ impl ClusterBackend {
                 self.pending.push(PendingFrame {
                     ticket,
                     plan,
-                    width: view.camera.width,
-                    height: view.camera.height,
                     submitted_at,
                     lane_of_shard,
                     occupancy_of_shard,
-                    parts: (0..shards).map(|_| None).collect(),
+                    landed_at: vec![None; shards],
+                    dram_bytes: 0,
+                    image: None,
                 });
                 first_device
             }
@@ -332,7 +324,7 @@ impl ClusterBackend {
     /// runs (landed partials are simply discarded with `p`).
     fn cancel_unlanded_shards(&mut self, p: &PendingFrame) {
         for (s, &lane) in p.lane_of_shard.iter().enumerate() {
-            if p.parts[s].is_some() {
+            if p.landed_at[s].is_some() {
                 continue; // this shard already landed
             }
             let pool = &mut self.lanes[lane];
@@ -369,7 +361,7 @@ impl ClusterBackend {
                             .iter()
                             .position(|&l| l == lane_idx)
                             .expect("completion lane is one of the frame's shard lanes");
-                        debug_assert!(p.parts[shard].is_none(), "one completion per shard");
+                        debug_assert!(p.landed_at[shard].is_none(), "one completion per shard");
                         shard_events.push(ExecCompletion::Shard {
                             ticket: p.ticket,
                             shard,
@@ -377,13 +369,20 @@ impl ClusterBackend {
                             at: completion.completed_at,
                             service_cycles: completion.completed_at - p.submitted_at,
                         });
-                        p.parts[shard] = Some(completion);
+                        p.landed_at[shard] = Some(completion.completed_at);
+                        p.dram_bytes += completion.run.dram_bytes;
+                        match &mut p.image {
+                            Some(image) => {
+                                copy_shard_rows(&p.plan, shard, &completion.run.image, image);
+                            }
+                            None => p.image = Some(completion.run.image),
+                        }
                     }
                     None => unsharded_done.push(FrameDone {
                         ticket: completion.ticket,
                         completed_at: completion.completed_at,
-                        dram_bytes: completion.frame.run.dram_bytes,
-                        image: completion.frame.image,
+                        dram_bytes: completion.run.dram_bytes,
+                        image: completion.run.image,
                         shard_cycles: Vec::new(),
                     }),
                 }
@@ -396,19 +395,15 @@ impl ClusterBackend {
         let mut sharded_done = Vec::new();
         let mut i = 0;
         while i < self.pending.len() {
-            if self.pending[i].parts.iter().any(Option::is_none) {
+            if self.pending[i].landed_at.iter().any(Option::is_none) {
                 i += 1;
                 continue;
             }
             let p = self.pending.remove(i);
-            let parts: Vec<PoolCompletion> =
-                p.parts.into_iter().map(|part| part.expect("all shards landed")).collect();
-            let completed_at =
-                parts.iter().map(|c| c.completed_at).max().expect("at least one shard");
-            let shard_cycles: Vec<u64> =
-                parts.iter().map(|c| c.completed_at - p.submitted_at).collect();
-            let dram_bytes = parts.iter().map(|c| c.frame.run.dram_bytes).sum();
-            let image = merge_part_images(&p.plan, p.width, p.height, &parts);
+            let landed: Vec<u64> =
+                p.landed_at.iter().map(|at| at.expect("all shards landed")).collect();
+            let completed_at = *landed.iter().max().expect("at least one shard");
+            let shard_cycles: Vec<u64> = landed.iter().map(|at| at - p.submitted_at).collect();
             // Retain the measurement for the session's next Measured plan.
             let idx = p.ticket.session.index();
             if self.feedback.len() <= idx {
@@ -421,9 +416,9 @@ impl ClusterBackend {
             sharded_done.push(FrameDone {
                 ticket: p.ticket,
                 completed_at,
-                image,
+                image: p.image.expect("a landed shard supplies the image"),
                 shard_cycles,
-                dram_bytes,
+                dram_bytes: p.dram_bytes,
             });
         }
 
@@ -640,30 +635,36 @@ mod tests {
             std::iter::once(Gaussian3D::isotropic(Vec3::ZERO, 0.2, Vec3::ONE, 0.9)).collect();
         let short = prepare_view(&one, Camera::orbit(64, 32, 1.0, Vec3::ZERO, 3.0, 0.0, 0.0));
         assert_eq!(short.bins.tiles_y, 2);
+        // The unsharded path rides along: its image is the device run's
+        // own, handed through the pool without a copy.
+        let modes: Vec<ExecMode> = std::iter::once(ExecMode::Unsharded)
+            .chain(ShardStrategy::all().into_iter().flat_map(|strategy| {
+                [1usize, 2, 4].into_iter().map(move |shards| sharded(shards, strategy))
+            }))
+            .collect();
         for view in [session.view(0), &empty, &short] {
             let (reference, _) = unsharded_baseline(view);
-            for strategy in ShardStrategy::all() {
-                for shards in [1usize, 2, 4] {
-                    let what = format!(
-                        "{}x{} {strategy:?}/{shards}",
-                        view.camera.width, view.camera.height
-                    );
-                    let mut backend = cluster_backend(shards, 1);
-                    let mode = sharded(shards, strategy);
-                    assert!(backend.can_accept(mode));
-                    backend.submit(view, ticket(0), mode, 0);
-                    let mut done = drain_frames(&mut backend);
-                    assert_eq!(done.len(), 1, "{what}");
-                    let c = done.remove(0);
-                    assert_eq!(
-                        c.image.pixels(),
-                        reference.pixels(),
-                        "{what}: merged image must be bit-identical"
-                    );
-                    assert_eq!(c.shard_cycles.len(), shards);
-                    assert!(c.imbalance().expect("sharded") >= 1.0 - 1e-12);
-                    assert_eq!(c.dram_bytes > 0, !view.splats.is_empty());
-                }
+            for &mode in &modes {
+                let what = format!("{}x{} {mode:?}", view.camera.width, view.camera.height);
+                let shards = match mode {
+                    ExecMode::Unsharded => 0,
+                    ExecMode::Sharded { shards, .. } => shards,
+                };
+                let mut backend = cluster_backend(shards.max(1), 1);
+                assert!(backend.can_accept(mode));
+                backend.submit(view, ticket(0), mode, 0);
+                let mut done = drain_frames(&mut backend);
+                assert_eq!(done.len(), 1, "{what}");
+                let c = done.remove(0);
+                assert_eq!(
+                    c.image.pixels(),
+                    reference.pixels(),
+                    "{what}: merged image must be bit-identical"
+                );
+                assert_eq!(c.shard_cycles.len(), shards, "{what}");
+                assert_eq!(c.imbalance().is_some(), shards > 0, "{what}");
+                assert!(c.imbalance().is_none_or(|i| i >= 1.0 - 1e-12), "{what}");
+                assert_eq!(c.dram_bytes > 0, !view.splats.is_empty(), "{what}");
             }
         }
     }

@@ -42,6 +42,8 @@ use crate::store::SceneStore;
 use gbu_gpu::GpuConfig;
 use gbu_hw::GbuConfig;
 use gbu_render::FrameBuffer;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Weak;
 
 /// Configuration of one serving engine.
@@ -321,6 +323,19 @@ pub struct ServeEngine {
     roster: Vec<(String, f64)>,
     /// Ready queue of admitted frames.
     queue: Vec<FrameTicket>,
+    /// Queued frames per session index — what the per-session quota
+    /// reads at admission instead of filtering the queue. Kept in step
+    /// with `queue` by `enqueue` / `dequeue`.
+    queued: Vec<usize>,
+    /// Session QoS timers as a min-heap of `(next arrival cycle, session
+    /// index)`, with lazy deletion: a detached session's entry stays
+    /// until it reaches the top and is found stale (`timer_is_live`).
+    /// Every armed timer has exactly one entry.
+    timers: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Attached sessions whose QoS timer still has requests to
+    /// generate (`Slot::next_arrival` is `Some`) — exact, unlike the
+    /// heap's length, which counts stale entries too.
+    armed_timers: usize,
     /// Lifecycle state of every frame ever assigned an id.
     statuses: Vec<FrameStatus>,
     /// Events generated outside `step_until` (submission, detach),
@@ -351,10 +366,9 @@ pub struct ServeEngine {
     /// for the duration of quality passes.
     quality: Option<QualityRuntime>,
     /// Reused buffer for [`ClusterBackend::lane_backlogs_into`] in the
-    /// admission wait estimate — a `RefCell` because `wait_estimate`
-    /// takes `&self` on the hot submit path and must not allocate a
-    /// fresh `Vec<Vec<u64>>` per probe.
-    backlog_scratch: std::cell::RefCell<Vec<Vec<u64>>>,
+    /// admission wait estimate, so the per-arrival probe does not
+    /// allocate a fresh `Vec<Vec<u64>>`.
+    backlog_scratch: Vec<Vec<u64>>,
     /// Cross-session preprocessing-reuse ledger
     /// ([`PrepConfig::share`]): per shared view handle (keyed by `Arc`
     /// pointer identity), a weak handle on the view and the wall cycle
@@ -439,6 +453,9 @@ impl ServeEngine {
             slots: Vec::new(),
             roster: Vec::new(),
             queue: Vec::new(),
+            queued: Vec::new(),
+            timers: BinaryHeap::new(),
+            armed_timers: 0,
             statuses: Vec::new(),
             pending: Vec::new(),
             images: Vec::new(),
@@ -448,7 +465,7 @@ impl ServeEngine {
             shard_trace: Vec::new(),
             fleet,
             quality,
-            backlog_scratch: std::cell::RefCell::new(Vec::new()),
+            backlog_scratch: Vec::new(),
             prep_paid: std::collections::HashMap::new(),
         }
     }
@@ -507,7 +524,12 @@ impl ServeEngine {
         let next_arrival = (session.spec.frames > 0).then_some((base.saturating_add(phase), 0));
         self.roster.push((session.spec.name.clone(), session.spec.qos.hz));
         let min_service = mode.min_service(session.min_frame_cycles());
+        if let Some((at, _)) = next_arrival {
+            self.timers.push(Reverse((at, id.0)));
+            self.armed_timers += 1;
+        }
         self.slots.push(Some(Slot { session, period, mode, min_service, next_arrival }));
+        self.queued.push(0);
         // Migration policy: every unsharded session gets a home lane at
         // attach (the coldest live lane), mirrored into the backend as a
         // placement affinity. No SessionMigrated event — assignment is
@@ -547,9 +569,19 @@ impl ServeEngine {
     /// [`DropReason::SessionDetached`]). Returns `false` when the id was
     /// never attached or already detached.
     pub fn detach_session(&mut self, id: SessionId) -> bool {
-        let Some(slot) = self.slots.get_mut(id.index()) else { return false };
-        if slot.take().is_none() {
+        // The slot drops here, so the per-view purge below sees its
+        // views released.
+        let Some(armed) = self
+            .slots
+            .get_mut(id.index())
+            .and_then(Option::take)
+            .map(|slot| slot.next_arrival.is_some())
+        else {
             return false;
+        };
+        // The timer's heap entry goes stale and is discarded lazily.
+        if armed {
+            self.armed_timers -= 1;
         }
         let now = self.now();
         // The backend clock lags at the last event; bring it forward to
@@ -562,7 +594,7 @@ impl ServeEngine {
         let mut i = 0;
         while i < self.queue.len() {
             if self.queue[i].session == id {
-                let ticket = self.queue.remove(i);
+                let ticket = self.dequeue(i);
                 self.drop_ticket(ticket, DropReason::SessionDetached, now);
             } else {
                 i += 1;
@@ -658,7 +690,7 @@ impl ServeEngine {
         self.pending.is_empty()
             && self.queue.is_empty()
             && self.backend.in_flight_frames() == 0
-            && self.slots.iter().flatten().all(|s| s.next_arrival.is_none())
+            && self.armed_timers == 0
     }
 
     /// Advances the simulation until the next event lies beyond `cycle`,
@@ -703,8 +735,7 @@ impl ServeEngine {
             // Advance to the next event: completion, timer arrival, a
             // pushed frame whose stamped arrival is still in the future,
             // or a fleet intervention (plan event / autoscale tick).
-            let next_timer =
-                self.slots.iter().flatten().filter_map(|s| s.next_arrival.map(|(at, _)| at)).min();
+            let next_timer = self.next_timer();
             let next_push = self.queue.iter().map(|t| t.arrival).filter(|&a| a > now).min();
             let next_completion =
                 self.backend.next_completion_dt().map(|dt| now.saturating_add(dt));
@@ -788,6 +819,7 @@ impl ServeEngine {
     /// do.
     pub fn finish(&mut self) -> Vec<ServeEvent> {
         let now = self.now();
+        self.queued.fill(0);
         for ticket in std::mem::take(&mut self.queue) {
             self.drop_ticket(ticket, DropReason::Gated, now);
         }
@@ -823,6 +855,43 @@ impl ServeEngine {
         let id = FrameId(self.statuses.len() as u64);
         self.statuses.push(FrameStatus::Queued);
         id
+    }
+
+    /// Appends `ticket` to the ready queue, counting it against its
+    /// session.
+    fn enqueue(&mut self, ticket: FrameTicket) {
+        self.queued[ticket.session.index()] += 1;
+        self.queue.push(ticket);
+    }
+
+    /// Removes and returns the queued ticket at `index`, keeping the
+    /// queue order of the rest.
+    fn dequeue(&mut self, index: usize) -> FrameTicket {
+        let ticket = self.queue.remove(index);
+        self.queued[ticket.session.index()] -= 1;
+        ticket
+    }
+
+    /// Whether the timer-heap entry `(at, session)` is still the
+    /// session's armed timer — `false` once the session detached.
+    fn timer_is_live(&self, at: u64, session: u32) -> bool {
+        self.slots[session as usize]
+            .as_ref()
+            .and_then(|slot| slot.next_arrival)
+            .is_some_and(|(next, _)| next == at)
+    }
+
+    /// The earliest armed session timer: discards stale entries off the
+    /// top of the heap, then peeks. Amortised O(log S) per discarded
+    /// entry, O(1) otherwise.
+    fn next_timer(&mut self) -> Option<u64> {
+        while let Some(&Reverse((at, session))) = self.timers.peek() {
+            if self.timer_is_live(at, session) {
+                return Some(at);
+            }
+            self.timers.pop();
+        }
+        None
     }
 
     /// Applies an event's status transition (frame-lifecycle events
@@ -911,7 +980,7 @@ impl ServeEngine {
             self.shard_trace.retain(|&(id, ..)| id != ticket.id);
         }
         self.emit(ServeEvent::Requeued { frame: ticket.id, session: ticket.session, reason, at });
-        self.queue.push(ticket);
+        self.enqueue(ticket);
     }
 
     // ------------------------------------------------------------------
@@ -968,9 +1037,7 @@ impl ServeEngine {
     /// generated by a session timer — the condition under which the
     /// periodic controllers keep offering their ticks to the event loop.
     fn work_pending(&self) -> bool {
-        !self.queue.is_empty()
-            || self.backend.in_flight_frames() > 0
-            || self.slots.iter().flatten().any(|s| s.next_arrival.is_some())
+        !self.queue.is_empty() || self.backend.in_flight_frames() > 0 || self.armed_timers > 0
     }
 
     // ------------------------------------------------------------------
@@ -1409,13 +1476,16 @@ impl ServeEngine {
     }
 
     /// Estimated wait (cycles) a new arrival of `session` sees before the
-    /// backend can start it: a greedy earliest-free schedule over the
-    /// backend's lanes, where each device starts at its remaining
-    /// in-flight work (when [`AdmissionControl::in_flight_aware`]; zero
-    /// when idle or the term is off) and every queued frame's optimistic
-    /// service time is placed on the earliest-free device of each of the
+    /// backend can start it: the greedy earliest-free schedule of
+    /// [`greedy_wait`] over the backend's live lanes, where each device
+    /// starts at its remaining in-flight work (when
+    /// [`AdmissionControl::in_flight_aware`]; zero when idle or the term
+    /// is off) and every queued frame's optimistic service time is placed,
+    /// in queue order, on the earliest-free device of each of the
     /// `lanes_needed` earliest-free lanes its mode occupies (when
-    /// [`AdmissionControl::queue_aware`]).
+    /// [`AdmissionControl::queue_aware`]). Lanes rank by (earliest-free
+    /// cycle, lane index) and devices within a lane by (backlog, device
+    /// index); that tie-break is part of the result, not a detail.
     ///
     /// The estimate is lane-aware: an unsharded candidate waits for the
     /// earliest-free device anywhere, while a k-shard candidate waits for
@@ -1424,55 +1494,37 @@ impl ServeEngine {
     /// yields zero, keeping the bound optimistic — it also ignores
     /// contention, matching `min_service`'s own optimism — so a
     /// rejection is still a proof of unmeetability.
-    fn wait_estimate(&self, session: SessionId) -> u64 {
-        let ac = &self.cfg.admission;
-        // Probe into a reused scratch buffer: admission runs this on
-        // every submission, and rebuilding a `Vec<Vec<u64>>` per probe
-        // showed up as pure allocator churn on the cluster backend.
-        let mut scratch = self.backlog_scratch.borrow_mut();
+    ///
+    /// Cost per arrival, with L live lanes of d devices and Q queued
+    /// frames of lane need k: O(L·d) to read the backlogs into a reused
+    /// buffer, then O(L + Q·k·(log L + d)) for the schedule.
+    fn wait_estimate(&mut self, session: SessionId) -> u64 {
+        let ac = self.cfg.admission;
+        let mut lanes = std::mem::take(&mut self.backlog_scratch);
         if ac.in_flight_aware {
-            self.backend.lane_backlogs_into(&mut scratch);
+            self.backend.lane_backlogs_into(&mut lanes);
         } else {
             // Same live-lane/device shape, all idle — without touching
             // the per-device in-flight state the term would discard
             // anyway. (Lanes are uniformly sized.)
             let live = self.backend.live_lane_count();
             let per_lane = self.backend.device_count() / self.backend.lane_count();
-            scratch.resize_with(live, Vec::new);
-            for lane in scratch.iter_mut() {
+            lanes.resize_with(live, Vec::new);
+            for lane in lanes.iter_mut() {
                 lane.clear();
                 lane.resize(per_lane, 0);
             }
         }
-        let lanes = &mut *scratch;
-        if lanes.is_empty() {
-            // Every lane is down: nothing to measure a backlog against.
-            // Stay optimistic (the fleet may restore a lane before the
-            // deadline) — a rejection must remain a proof of
-            // unmeetability.
-            return 0;
-        }
-        // Earliest-free device of a lane.
-        let lane_free = |lane: &[u64]| lane.iter().copied().min().expect("lanes are non-empty");
-        if ac.queue_aware {
-            for t in &self.queue {
-                let (k, service) = self.mode_requirements(t.session);
-                // The k earliest-free lanes this frame would occupy.
-                let mut order: Vec<usize> = (0..lanes.len()).collect();
-                order.sort_by_key(|&l| (lane_free(&lanes[l]), l));
-                for &l in order.iter().take(k.min(lanes.len())) {
-                    let d = (0..lanes[l].len())
-                        .min_by_key(|&d| lanes[l][d])
-                        .expect("lanes are non-empty");
-                    lanes[l][d] = lanes[l][d].saturating_add(service);
-                }
-            }
-        }
+        // With every lane down there is no backlog to measure: the
+        // schedule answers zero and stays optimistic (the fleet may
+        // restore a lane before the deadline) — a rejection must remain
+        // a proof of unmeetability.
+        let queued = if ac.queue_aware { &self.queue[..] } else { &[] };
         let (k, _) = self.mode_requirements(session);
-        let mut frees: Vec<u64> = lanes.iter().map(|l| lane_free(l)).collect();
-        frees.sort_unstable();
-        // The candidate's critical-path lane: the k-th earliest-free.
-        frees[k.min(frees.len()) - 1]
+        let wait =
+            greedy_wait(&mut lanes, queued.iter().map(|t| self.mode_requirements(t.session)), k);
+        self.backlog_scratch = lanes;
+        wait
     }
 
     /// Runs the admission decision for `ticket` at time `at`, queueing it
@@ -1485,7 +1537,7 @@ impl ServeEngine {
         } else {
             0
         };
-        let session_depth = self.queue.iter().filter(|t| t.session == ticket.session).count();
+        let session_depth = self.queued[ticket.session.index()];
         match self.cfg.admission.decide(
             self.queue.len(),
             session_depth,
@@ -1505,7 +1557,7 @@ impl ServeEngine {
                     );
                     self.recorder.counter("serve.admitted").add(1);
                 }
-                self.queue.push(ticket);
+                self.enqueue(ticket);
                 self.emit(ServeEvent::Admitted { frame: ticket.id, session: ticket.session, at });
             }
             Err(reason) => {
@@ -1540,7 +1592,7 @@ impl ServeEngine {
                                 );
                                 self.recorder.counter("serve.quality.counter_offers").add(1);
                             }
-                            self.queue.push(ticket);
+                            self.enqueue(ticket);
                             self.emit(ServeEvent::Admitted {
                                 frame: ticket.id,
                                 session: ticket.session,
@@ -1562,8 +1614,26 @@ impl ServeEngine {
     }
 
     /// Admits every timer-generated arrival due at or before `now`.
+    ///
+    /// Due sessions come off the timer heap and are drained in ascending
+    /// session index, each session's due arrivals back to back — the
+    /// order a sweep over every slot produces, so admission order and
+    /// `FrameId`s do not depend on the heap. Cost: O(D log S) for D due
+    /// sessions out of S armed timers, plus one pop per stale entry of a
+    /// detached session.
     fn admit_due(&mut self, now: u64) {
-        for s in 0..self.slots.len() {
+        let mut due = Vec::new();
+        while let Some(&Reverse((at, s))) = self.timers.peek() {
+            if at > now {
+                break;
+            }
+            self.timers.pop();
+            if self.timer_is_live(at, s) {
+                due.push(s as usize);
+            }
+        }
+        due.sort_unstable();
+        for s in due {
             while let Some((slot, (at, frame))) =
                 self.slots[s].as_ref().and_then(|slot| Some((slot, slot.next_arrival?)))
             {
@@ -1583,6 +1653,10 @@ impl ServeEngine {
                 let next_frame = frame + 1;
                 self.slots[s].as_mut().expect("slot checked above").next_arrival =
                     (next_frame < frames).then_some((at.saturating_add(period), next_frame));
+            }
+            match self.slots[s].as_ref().and_then(|slot| slot.next_arrival) {
+                Some((at, _)) => self.timers.push(Reverse((at, s as u32))),
+                None => self.armed_timers -= 1,
             }
         }
     }
@@ -1617,7 +1691,7 @@ impl ServeEngine {
                 None => slot_min,
             };
             if now.saturating_add(min_service) > t.deadline {
-                self.queue.remove(i);
+                self.dequeue(i);
                 if let Some(q) = q.as_mut() {
                     q.pinned.remove(&t.id.index());
                 }
@@ -1698,9 +1772,19 @@ impl ServeEngine {
     /// unsharded backfill can no longer starve a wide frame forever
     /// (this matters most during scale-down, when the lane supply is
     /// shrinking under the wide frame).
+    ///
+    /// Each round reads the backend's open-lane count once and tests
+    /// every queued frame's mode against it ([`ExecMode::fits`], the
+    /// test [`ClusterBackend::can_accept`] makes), so a round costs
+    /// O(L + Q) for L lanes and Q queued frames; a round with no open
+    /// lane stops before looking at the queue. The scheduler picks among
+    /// the eligible frames, which it sees in queue order, so its
+    /// tie-breaks do not depend on which frames are ineligible.
     fn dispatch(&mut self, now: u64) {
-        loop {
-            if self.queue.is_empty() {
+        while !self.queue.is_empty() {
+            let open = self.backend.open_lane_count();
+            if open == 0 {
+                // Every frame needs at least one lane.
                 break;
             }
             // Lane reservation: the widest arrived frame's lane need,
@@ -1717,17 +1801,17 @@ impl ServeEngine {
             } else {
                 0
             };
-            let open = if reserve > 0 { self.backend.open_lane_count() } else { 0 };
             let eligible_mask: Vec<bool> = self
                 .queue
                 .iter()
                 .map(|t| {
-                    let slot = self.slots[t.session.index()]
+                    let mode = self.slots[t.session.index()]
                         .as_ref()
-                        .expect("queued frames of detached sessions are dropped at detach");
-                    let k = slot.mode.lanes_needed();
+                        .expect("queued frames of detached sessions are dropped at detach")
+                        .mode;
+                    let k = mode.lanes_needed();
                     t.arrival <= now
-                        && self.backend.can_accept(slot.mode)
+                        && mode.fits(open)
                         && (reserve == 0 || k >= reserve || open >= reserve + k)
                 })
                 .collect();
@@ -1756,7 +1840,7 @@ impl ServeEngine {
                     .position(|t| t.id == picked)
                     .expect("picked ticket comes from the queue")
             };
-            let ticket = self.queue.remove(qi);
+            let ticket = self.dequeue(qi);
             let slot = self.slots[ticket.session.index()]
                 .as_ref()
                 .expect("queued frames of detached sessions are dropped at detach");
@@ -1822,6 +1906,57 @@ impl ServeHandle<'_> {
     pub fn poll(&self, frame: FrameId) -> FrameStatus {
         self.engine.poll(frame)
     }
+}
+
+/// The greedy earliest-free schedule behind the admission wait estimate,
+/// as a pure function of its inputs.
+///
+/// `lanes` holds each live lane's per-device backlog in cycles (every
+/// lane non-empty) and is consumed as scratch; `queued` yields each
+/// queued frame's `(lanes needed, optimistic service)` in queue order;
+/// `k` is the candidate's lane need. Each queued frame in turn adds its
+/// service (saturating) to the earliest-free device — lowest device
+/// index on ties — of each of its `min(need, L)` earliest-free lanes.
+/// The answer is the candidate's critical-path lane: the k-th earliest
+/// lane-free cycle once every queued frame is placed (0 without lanes).
+///
+/// Lanes rank by `(earliest-free cycle, lane index)`. The lane index is
+/// part of the contract: lanes of several devices can share an
+/// earliest-free cycle yet differ in their other devices, so which one
+/// a frame lands on changes later answers. A binary min-heap on that
+/// key holds the ranking, so a queued frame costs O(k·(log L + d)) — k
+/// pops, k device updates, k pushes — and the candidate's answer is its
+/// k-th pop.
+fn greedy_wait(
+    lanes: &mut [Vec<u64>],
+    queued: impl IntoIterator<Item = (usize, u64)>,
+    k: usize,
+) -> u64 {
+    let lane_free = |lane: &[u64]| lane.iter().copied().min().expect("lanes are non-empty");
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+        lanes.iter().enumerate().map(|(l, lane)| Reverse((lane_free(lane), l))).collect();
+    let mut taken = Vec::new();
+    for (need, service) in queued {
+        // Pop every lane the frame occupies before pushing any back: a
+        // frame's lanes are distinct.
+        taken.clear();
+        for _ in 0..need.min(lanes.len()) {
+            let Some(Reverse((_, l))) = heap.pop() else { unreachable!("one entry per lane") };
+            taken.push(l);
+        }
+        for &l in &taken {
+            let lane = &mut lanes[l];
+            let d = (0..lane.len()).min_by_key(|&d| lane[d]).expect("lanes are non-empty");
+            lane[d] = lane[d].saturating_add(service);
+            heap.push(Reverse((lane_free(lane), l)));
+        }
+    }
+    let mut free = 0;
+    for _ in 0..k.min(lanes.len()) {
+        let Some(Reverse((f, _))) = heap.pop() else { unreachable!("one entry per lane") };
+        free = f;
+    }
+    free
 }
 
 /// Batch entry point at a fixed clock: attaches clones of `sessions`,
@@ -2638,5 +2773,130 @@ mod tests {
             "{} prep ledger entries remain",
             engine.prep_paid.len()
         );
+    }
+
+    #[test]
+    fn timer_arrivals_admit_in_session_order_through_churn() {
+        // Six sessions on one QoS grid (equal rate, zero phase): every
+        // arrival cycle is shared. Session 2 detaches and session 6
+        // attaches on the grid mid-run; at every shared cycle the
+        // admissions must come in ascending session id with gap-free
+        // frame ids.
+        let spec = |i: usize| SessionSpec { qos: QosTarget::VR_72, frames: 8, ..tiny_spec(i, 8) };
+        let sessions: Vec<Session> =
+            (0..6).map(|i| Session::prepare(spec(i), &GbuConfig::paper())).collect();
+        let mut cfg = ServeConfig { devices: 4, ..ServeConfig::default() };
+        cfg.gbu.clock_ghz = calibrated_clock_ghz(&sessions, 4, 0.5);
+        let period = QosTarget::VR_72.period_cycles(cfg.gbu.clock_ghz);
+        let mut engine = ServeEngine::new(cfg);
+        for session in &sessions {
+            engine.attach_session(session.clone());
+        }
+        let mut events = engine.step_until(3 * period);
+        assert!(engine.detach_session(SessionId(2)));
+        let late = engine.attach_session(Session::prepare(spec(6), &GbuConfig::paper()));
+        assert_eq!(late, SessionId(6));
+        // Coarse and fine slices alike.
+        events.extend(engine.step_until(5 * period + period / 3));
+        while !engine.is_drained() {
+            events.extend(engine.step_until(engine.now() + period / 7));
+        }
+        let admitted: Vec<(u64, SessionId, FrameId)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                ServeEvent::Admitted { frame, session, at } => Some((at, session, frame)),
+                _ => None,
+            })
+            .collect();
+        let ids: Vec<u64> = admitted.iter().map(|&(_, _, f)| f.index()).collect();
+        assert_eq!(ids, (0..ids.len() as u64).collect::<Vec<_>>(), "gap-free frame ids");
+        for pair in admitted.windows(2) {
+            let ((a0, s0, _), (a1, s1, _)) = (pair[0], pair[1]);
+            assert!(a0 <= a1, "arrivals admit in time order");
+            if a0 == a1 {
+                assert!(s0 < s1, "at cycle {a0}: session {s1:?} admitted after {s0:?}");
+            }
+        }
+        let at = |cycle: u64| -> Vec<SessionId> {
+            admitted.iter().filter(|&&(a, _, _)| a == cycle).map(|&(_, s, _)| s).collect()
+        };
+        assert_eq!(at(0), (0..6).map(SessionId).collect::<Vec<_>>());
+        assert_eq!(at(4 * period), [0, 1, 3, 4, 5, 6].map(SessionId));
+        assert_eq!(at(8 * period), [6].map(SessionId), "only the late session has frames left");
+        let generated = |s: u32| admitted.iter().filter(|&&(_, id, _)| id == SessionId(s)).count();
+        assert_eq!(generated(2), 4, "the detached session's timer stops");
+        assert_eq!(generated(6), 8);
+        assert_eq!(engine.report().generated, 6 * 8 - 4 + 8);
+    }
+
+    /// The sort-based admission schedule, one fresh sort of every lane
+    /// per queued frame: the oracle for [`greedy_wait`].
+    fn greedy_wait_sorted(
+        lanes: &mut [Vec<u64>],
+        queued: impl IntoIterator<Item = (usize, u64)>,
+        k: usize,
+    ) -> u64 {
+        if lanes.is_empty() {
+            return 0;
+        }
+        let lane_free = |lane: &[u64]| lane.iter().copied().min().expect("lanes are non-empty");
+        for (need, service) in queued {
+            let mut order: Vec<usize> = (0..lanes.len()).collect();
+            order.sort_by_key(|&l| (lane_free(&lanes[l]), l));
+            for &l in order.iter().take(need.min(lanes.len())) {
+                let d =
+                    (0..lanes[l].len()).min_by_key(|&d| lanes[l][d]).expect("lanes are non-empty");
+                lanes[l][d] = lanes[l][d].saturating_add(service);
+            }
+        }
+        let mut frees: Vec<u64> = lanes.iter().map(|l| lane_free(l)).collect();
+        frees.sort_unstable();
+        frees[k.min(frees.len()) - 1]
+    }
+
+    /// `small` cycles, or `small` cycles short of `u64::MAX` when
+    /// `near_max`, so that sums saturate.
+    fn cycles(small: u64, near_max: bool) -> u64 {
+        if near_max {
+            u64::MAX - small
+        } else {
+            small
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// The heap schedule answers exactly what the sorting one does.
+        /// Small cycle ranges make lane ties common, lanes of 2–3 devices
+        /// make the lane-index tie-break change answers, and one value in
+        /// eight sits near `u64::MAX`.
+        #[test]
+        fn heap_wait_estimate_matches_the_sorting_oracle(
+            n_lanes in 1usize..17,
+            devices in 1usize..4,
+            backlogs in proptest::prop::collection::vec((0u64..6, 0u32..8), 48..49),
+            queued in proptest::prop::collection::vec((1usize..5, 0u64..5, 0u32..8), 0..24),
+            k in 1usize..5,
+        ) {
+            let lanes: Vec<Vec<u64>> = (0..n_lanes)
+                .map(|l| {
+                    (0..devices)
+                        .map(|d| {
+                            let (small, pick) = backlogs[l * devices + d];
+                            cycles(small, pick == 0)
+                        })
+                        .collect()
+                })
+                .collect();
+            let queued: Vec<(usize, u64)> = queued
+                .iter()
+                .map(|&(need, small, pick)| (need, cycles(small, pick == 0)))
+                .collect();
+            let k = k.min(n_lanes);
+            let expected = greedy_wait_sorted(&mut lanes.clone(), queued.iter().copied(), k);
+            let got = greedy_wait(&mut lanes.clone(), queued.iter().copied(), k);
+            proptest::prop_assert_eq!(got, expected, "lanes {:?} queued {:?} k {}", lanes, queued, k);
+        }
     }
 }

@@ -13,10 +13,9 @@
 
 use crate::scheduler::FrameTicket;
 use crate::session::PreparedView;
-use gbu_core::device::CompletedFrame;
 use gbu_core::Gbu;
 use gbu_gpu::GpuConfig;
-use gbu_hw::GbuConfig;
+use gbu_hw::{GbuConfig, GbuRunResult};
 use gbu_math::Vec3;
 use gbu_render::binning::TileBins;
 use gbu_render::Splat2D;
@@ -32,8 +31,10 @@ pub struct PoolCompletion {
     pub device: usize,
     /// Wall cycle at which it completed.
     pub completed_at: u64,
-    /// The rendered frame and its hardware counters.
-    pub frame: CompletedFrame,
+    /// The device run: the rendered image (`run.image`, the only copy —
+    /// collected with [`Gbu::try_collect_run`]) and its hardware
+    /// counters.
+    pub run: GbuRunResult,
 }
 
 #[derive(Debug)]
@@ -351,11 +352,11 @@ impl DevicePool {
             let prep_burn = (whole as u64).min(a.prep);
             a.prep -= prep_burn;
             job.gbu.advance(whole as u64 - prep_burn);
-            if let Some(frame) = job.gbu.try_collect() {
+            if let Some(run) = job.gbu.try_collect_run() {
                 let ticket = a.ticket;
                 *job.slot = None;
                 job.completion =
-                    Some(PoolCompletion { ticket, device: job.device, completed_at: clock, frame });
+                    Some(PoolCompletion { ticket, device: job.device, completed_at: clock, run });
             }
         });
 

@@ -23,11 +23,9 @@ use gbu_math::{Vec3, F16};
 use gbu_par::ThreadPool;
 use gbu_render::binning::TileBins;
 use gbu_render::irss::RowOutcome;
+use gbu_render::pfs::T_SATURATED;
 use gbu_render::{alpha_from_q, FrameBuffer, Splat2D};
 use gbu_scene::Camera;
-
-/// Transmittance cutoff, identical to the software rasteriser.
-const T_SATURATED: f32 = 1e-4;
 
 /// The Tile PE: configuration plus rendering entry points.
 #[derive(Debug, Clone, Default)]

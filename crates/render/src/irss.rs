@@ -23,6 +23,7 @@
 //! which the property tests assert.
 
 use crate::binning::TileBins;
+use crate::pfs::T_SATURATED;
 use crate::preprocess::pixel_center;
 use crate::scratch::{blend_tile_rows, BlendScratch, TileScratch};
 use crate::splat::{alpha_from_q, Splat2D};
@@ -280,9 +281,9 @@ fn blend_tile_row(
         }
         let (x0, y0, x1, y1) = bins.tile_pixel_rect(tile, camera.width, camera.height);
         let w = (x1 - x0) as usize;
-        let active_px = w * (y1 - y0) as usize;
-        let (color, trans) = tile_scratch.tile(active_px);
-        let mut alive = active_px;
+        let buf = tile_scratch.tile(w, (y1 - y0) as usize);
+        let (color, trans) = (buf.color, buf.trans);
+        let mut alive = trans.len();
 
         for (ei, &entry) in entries.iter().enumerate() {
             if alive == 0 {
@@ -314,21 +315,23 @@ fn blend_tile_row(
                         // evaluation (Sec. IV-B); interior fragments cost 2.
                         stats.setup_flops += FLOPS_Q_FULL;
                         let row_idx = (py - y0) as usize;
+                        let mut blended = 0u64;
                         let cost = isp.march(&span, x1, |px, q| {
-                            stats.fragments_significant += 1;
                             let idx = row_idx * w + (px - x0) as usize;
-                            if trans[idx] < crate::pfs::T_SATURATED {
+                            if trans[idx] < T_SATURATED {
                                 return;
                             }
                             let alpha = alpha_from_q(isp.opacity, q);
-                            stats.fragments_blended += 1;
-                            stats.blend_flops += FLOPS_BLEND;
+                            blended += 1;
                             color[idx] += isp.color * (alpha * trans[idx]);
                             trans[idx] *= 1.0 - alpha;
-                            if trans[idx] < crate::pfs::T_SATURATED {
+                            if trans[idx] < T_SATURATED {
                                 alive -= 1;
                             }
                         });
+                        stats.fragments_significant += u64::from(cost.inside);
+                        stats.fragments_blended += blended;
+                        stats.blend_flops += blended * FLOPS_BLEND;
                         stats.fragments_evaluated += u64::from(cost.evaluated);
                         stats.q_flops += u64::from(cost.evaluated.saturating_sub(1)) * FLOPS_Q_T2;
                         instance_row_max = instance_row_max.max(cost.evaluated);
@@ -341,13 +344,7 @@ fn blend_tile_row(
             stats.instance_row_max_sum += u64::from(instance_row_max);
         }
 
-        for py in y0..y1 {
-            for px in x0..x1 {
-                let idx = (py - y0) as usize * w + (px - x0) as usize;
-                pixels[(py - y0) as usize * width + px as usize] =
-                    color[idx] + config.background * trans[idx];
-            }
-        }
+        tile_scratch.composite(pixels, width, x0 as usize, config.background);
     }
 }
 

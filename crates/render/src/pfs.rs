@@ -11,6 +11,23 @@
 //! This dataflow's per-fragment redundancy (most lockstep evaluations land
 //! outside the truncated ellipse) is the paper's Challenge 2 and the
 //! motivation for IRSS.
+//!
+//! # What the counters model
+//!
+//! The statistics, including the 11-FLOP charge per evaluated fragment,
+//! model the GPU's lockstep lanes, not the host loop. On the GPU every
+//! pixel of a tile that has not saturated evaluates Eq. 7 for each
+//! processed instance. So [`BlendStats::fragments_evaluated`] is the
+//! sum, over processed instances, of the tile's pixels not yet saturated
+//! when the instance starts. Edge tiles have fewer than 256 pixels, and
+//! saturation is per pixel. A pixel's transmittance changes only when
+//! that pixel blends, so the live set at an instance's start is exactly
+//! the set of lanes that evaluate it.
+//!
+//! The host loop is shaped for the CPU instead. Per instance, one
+//! branch-free, vectorizable pass evaluates `q` for every pixel of the
+//! tile, saturated or not; a second pass blends only the significant
+//! fragments of live pixels. The counters are folded once per tile.
 
 use crate::binning::TileBins;
 use crate::preprocess::pixel_center;
@@ -18,7 +35,7 @@ use crate::scratch::{blend_tile_rows, BlendScratch, TileScratch};
 use crate::splat::{alpha_from_q, Splat2D};
 use crate::stats::{BlendStats, FLOPS_BLEND, FLOPS_Q_FULL};
 use crate::{FrameBuffer, RenderConfig};
-use gbu_math::Vec3;
+use gbu_math::{Sym2, Vec3};
 use gbu_par::ThreadPool;
 use gbu_scene::Camera;
 
@@ -67,7 +84,8 @@ pub fn blend_into(
 /// Blends every tile of tile row `ty` into `pixels` (the image rows this
 /// tile row covers, full width) — the sequential per-tile dataflow,
 /// untouched by the parallel dispatch so serial and parallel runs share
-/// every floating-point operation.
+/// every floating-point operation. The module docs describe its two
+/// passes per instance and why its per-tile counters are exact.
 #[allow(clippy::too_many_arguments)]
 fn blend_tile_row(
     splats: &[Splat2D],
@@ -87,11 +105,13 @@ fn blend_tile_row(
             continue;
         }
         let (x0, y0, x1, y1) = bins.tile_pixel_rect(tile, camera.width, camera.height);
-        let w = (x1 - x0) as usize;
-        let h = (y1 - y0) as usize;
-        let active_px = w * h;
-        let (color, trans) = tile_scratch.tile(active_px);
-        let mut alive = active_px;
+        let (w, h) = ((x1 - x0) as usize, (y1 - y0) as usize);
+        let buf = tile_scratch.tile(w, h);
+        for (col, cx) in buf.centers_x.iter_mut().enumerate() {
+            *cx = pixel_center(x0 + col as u32, y0).x;
+        }
+        let mut alive = w * h;
+        let (mut evaluated, mut blended) = (0u64, 0u64);
 
         for (ei, &entry) in entries.iter().enumerate() {
             if alive == 0 {
@@ -99,40 +119,50 @@ fn blend_tile_row(
                 break;
             }
             stats.instances += 1;
+            // Every live pixel evaluates this instance, and a pixel's
+            // transmittance changes only when that pixel blends, so the
+            // live count at the instance's start is its evaluated count.
+            evaluated += alive as u64;
             let s = &splats[entry as usize];
-            for py in y0..y1 {
-                for px in x0..x1 {
-                    let idx = (py - y0) as usize * w + (px - x0) as usize;
-                    if trans[idx] < T_SATURATED {
-                        continue; // lane exited
-                    }
-                    stats.fragments_evaluated += 1;
-                    stats.q_flops += FLOPS_Q_FULL;
-                    let q = s.q_at(pixel_center(px, py));
-                    if q > s.threshold {
-                        continue;
-                    }
-                    stats.fragments_significant += 1;
-                    let alpha = alpha_from_q(s.opacity, q);
-                    stats.fragments_blended += 1;
-                    stats.blend_flops += FLOPS_BLEND;
-                    color[idx] += s.color * (alpha * trans[idx]);
-                    trans[idx] *= 1.0 - alpha;
-                    if trans[idx] < T_SATURATED {
-                        alive -= 1;
-                    }
+            quadratic_forms(s, buf.centers_x, y0, buf.q);
+            for (idx, &q) in buf.q.iter().enumerate() {
+                if q > s.threshold || buf.trans[idx] < T_SATURATED {
+                    continue;
+                }
+                let alpha = alpha_from_q(s.opacity, q);
+                blended += 1;
+                buf.color[idx] += s.color * (alpha * buf.trans[idx]);
+                buf.trans[idx] *= 1.0 - alpha;
+                if buf.trans[idx] < T_SATURATED {
+                    alive -= 1;
                 }
             }
         }
 
-        // Composite over the background and write back. `pixels` starts
-        // at image row `y0` (the tile row's first row), full width.
-        for py in y0..y1 {
-            for px in x0..x1 {
-                let idx = (py - y0) as usize * w + (px - x0) as usize;
-                pixels[(py - y0) as usize * width + px as usize] =
-                    color[idx] + config.background * trans[idx];
-            }
+        // Every significant fragment of a live pixel blends under PFS.
+        stats.fragments_evaluated += evaluated;
+        stats.q_flops += evaluated * FLOPS_Q_FULL;
+        stats.fragments_significant += blended;
+        stats.fragments_blended += blended;
+        stats.blend_flops += blended * FLOPS_BLEND;
+        tile_scratch.composite(pixels, width, x0 as usize, config.background);
+    }
+}
+
+/// Writes Eq. 7's `q` for every pixel of a tile into `q` (row-major,
+/// `centers_x.len()` wide, first row at image row `y0`). The pass is
+/// branch-free, so it vectorizes, and performs [`Splat2D::q_at`]'s
+/// operations in the same order at each pixel centre, so every `q` is
+/// bit-identical to it.
+fn quadratic_forms(s: &Splat2D, centers_x: &[f32], y0: u32, q: &mut [f32]) {
+    let Sym2 { a, b, c } = s.conic;
+    let b2 = 2.0 * b;
+    for (row, q_row) in q.chunks_exact_mut(centers_x.len()).enumerate() {
+        let dy = pixel_center(0, y0 + row as u32).y - s.mean.y;
+        let cyy = c * dy * dy;
+        for (qv, &cx) in q_row.iter_mut().zip(centers_x) {
+            let dx = cx - s.mean.x;
+            *qv = a * dx * dx + b2 * dx * dy + cyy;
         }
     }
 }

@@ -2,8 +2,11 @@
 //! tile-row dispatch both blending dataflows run on.
 //!
 //! Both dataflows walk a tile with two tile-local arrays (accumulated
-//! color and transmittance per pixel). The original implementation
-//! allocated them per `blend` call; [`BlendScratch`] owns one
+//! color and transmittance per pixel), and PFS adds two more (one
+//! instance's quadratic form per pixel, and the tile's pixel-centre x
+//! coordinates); both composite the tile over the background through
+//! one [`TileScratch`] method. The original implementation
+//! allocated the arrays per `blend` call; [`BlendScratch`] owns one
 //! [`TileScratch`] per pool worker, so repeated-render loops (device
 //! simulation, serving, benchmarks) make no per-tile or per-pixel
 //! allocations once warm — the only per-frame heap touch left in a
@@ -29,22 +32,60 @@ use gbu_telemetry::Labels;
 pub struct TileScratch {
     color: Vec<Vec3>,
     trans: Vec<f32>,
+    /// PFS: one instance's Eq.-7 quadratic form per tile pixel.
+    q: Vec<f32>,
+    /// PFS: the tile's pixel-centre x coordinates, one per column.
+    centers_x: Vec<f32>,
+    /// Width and height of the tile last handed out by [`Self::tile`].
+    shape: (usize, usize),
+}
+
+/// One tile's working buffers, row-major over its `w × h` pixel
+/// rectangle (`centers_x` has one entry per column).
+pub(crate) struct TileBuffers<'a> {
+    /// Accumulated color, zeroed.
+    pub(crate) color: &'a mut [Vec3],
+    /// Transmittance, reset to 1.
+    pub(crate) trans: &'a mut [f32],
+    /// Eq.-7 quadratic form of the instance being blended; stale.
+    pub(crate) q: &'a mut [f32],
+    /// Pixel-centre x coordinates; stale.
+    pub(crate) centers_x: &'a mut [f32],
 }
 
 impl TileScratch {
-    /// Hands out the first `active_px` entries of the color/transmittance
-    /// buffers, re-initialised to zero color and full transmittance
-    /// (growing the buffers on first use).
-    pub(crate) fn tile(&mut self, active_px: usize) -> (&mut [Vec3], &mut [f32]) {
-        if self.color.len() < active_px {
-            self.color.resize(active_px, Vec3::ZERO);
-            self.trans.resize(active_px, 1.0);
+    /// Hands out the buffers of a `w × h` tile, color zeroed and
+    /// transmittance full (growing the buffers on first use).
+    pub(crate) fn tile(&mut self, w: usize, h: usize) -> TileBuffers<'_> {
+        let px = w * h;
+        if self.color.len() < px {
+            self.color.resize(px, Vec3::ZERO);
+            self.trans.resize(px, 1.0);
+            self.q.resize(px, 0.0);
         }
-        let color = &mut self.color[..active_px];
-        let trans = &mut self.trans[..active_px];
+        if self.centers_x.len() < w {
+            self.centers_x.resize(w, 0.0);
+        }
+        self.shape = (w, h);
+        let color = &mut self.color[..px];
+        let trans = &mut self.trans[..px];
         color.fill(Vec3::ZERO);
         trans.fill(1.0);
-        (color, trans)
+        TileBuffers { color, trans, q: &mut self.q[..px], centers_x: &mut self.centers_x[..w] }
+    }
+
+    /// Composites the last tile over `background` into `pixels` — the
+    /// image rows of the tile's tile row, `width` wide — with the tile's
+    /// left edge at column `x0`.
+    pub(crate) fn composite(&self, pixels: &mut [Vec3], width: usize, x0: usize, background: Vec3) {
+        let (w, h) = self.shape;
+        let px = w * h;
+        let rows = self.color[..px].chunks_exact(w).zip(self.trans[..px].chunks_exact(w));
+        for ((color, trans), image_row) in rows.zip(pixels.chunks_mut(width)) {
+            for ((out, &c), &t) in image_row[x0..x0 + w].iter_mut().zip(color).zip(trans) {
+                *out = c + background * t;
+            }
+        }
     }
 }
 

@@ -64,9 +64,11 @@ pub struct BlendStats {
     /// (splat, tile) instances processed.
     pub instances: u64,
     /// Fragments on which Eq. 7 (or its shared-computation equivalent) was
-    /// evaluated. Under PFS this is `256 × instances` minus saturated-tile
-    /// skips; under IRSS only fragments inside / at the boundary of row
-    /// spans are counted.
+    /// evaluated. Under PFS this is the sum, over processed instances, of
+    /// the tile's pixels not yet saturated when the instance starts (edge
+    /// tiles have fewer than 256 pixels, and saturation is per pixel);
+    /// under IRSS only fragments inside / at the boundary of row spans
+    /// are counted.
     pub fragments_evaluated: u64,
     /// Fragments whose opacity cleared the `1/255` cutoff (the paper's
     /// "significant" fragments).

@@ -1427,27 +1427,27 @@ pub fn shard(ctx: &Ctx) {
 
     // Unsharded baseline: one frame on one uncontended device.
     let gbu_cfg = GbuConfig::paper();
+    let view = PreparedView::new(
+        projected.splats.clone(),
+        binned.bins.clone(),
+        camera.clone(),
+        gbu_serve::ViewPrepStats {
+            gaussians: scene.gaussians.len() as u64,
+            instances: binned.stats.instances,
+            sort_passes: binned.stats.sort_passes,
+        },
+        &gbu_cfg,
+    );
+    let base_cycles = view.occupancy;
     let mut gbu = Gbu::new(gbu_cfg.clone());
-    gbu.render_image(&projected.splats, &binned.bins, &camera, gbu_math::Vec3::ZERO)
+    gbu.render_image(&view.splats, &view.bins, &camera, gbu_math::Vec3::ZERO)
         .expect("baseline device is idle");
-    let base_cycles = gbu.in_flight_remaining().expect("frame in flight");
     let base = gbu.wait().expect("frame in flight");
     println!(
         "   unsharded device occupancy: {:.2} Mcycles, {:.2} MB feature traffic",
         base_cycles as f64 / 1e6,
         base.run.dram_bytes as f64 / 1e6
     );
-
-    let view = PreparedView {
-        splats: projected.splats.clone(),
-        bins: binned.bins.clone(),
-        camera: camera.clone(),
-        prep: gbu_serve::ViewPrepStats {
-            gaussians: scene.gaussians.len() as u64,
-            instances: binned.stats.instances,
-            sort_passes: binned.stats.sort_passes,
-        },
-    };
     let ticket = FrameTicket {
         id: FrameId::from_index(0),
         session: SessionId::from_index(0),
@@ -2638,12 +2638,12 @@ pub fn share(ctx: &Ctx) {
 ///   baselines, with every degraded dispatch drawn from the rung ladder
 ///   section A just validated.
 pub fn quality(ctx: &Ctx) {
-    use gbu_render::{contrib, pipeline, QualityLevel, RenderConfig};
+    use gbu_render::{pipeline, QualityLevel, RenderConfig};
     use gbu_scene::synth::SceneBuilder;
     use gbu_scene::{Camera, ScaleProfile};
     use gbu_serve::{
-        calibrated_clock_ghz, run_sessions, workload, AdmissionControl, Policy, QosTarget,
-        QualityGovernor, ServeConfig,
+        calibrated_clock_ghz, run_sessions, workload, AdmissionControl, Policy, PreparedView,
+        QosTarget, QualityGovernor, ServeConfig, ViewPrepStats,
     };
 
     /// Offered load vs pool capacity in section B: enough pressure that
@@ -2677,13 +2677,6 @@ pub fn quality(ctx: &Ctx) {
     let frame = pipeline::project(&scene, &cam);
     let binned = pipeline::bin(&frame, rcfg.tile_size);
     let gbu_cfg = gbu_hw::GbuConfig::paper();
-    let probe_cycles = |splats: &[Splat2D], bins: &gbu_render::binning::TileBins| -> u64 {
-        let mut probe = gbu_core::Gbu::new(gbu_cfg.clone());
-        probe.render_image(splats, bins, &cam, Vec3::ZERO).expect("probe device is idle");
-        let occupancy = probe.in_flight_remaining().expect("frame in flight");
-        probe.wait().expect("frame in flight");
-        occupancy
-    };
 
     // Gate 1: Exact is a true no-op for both dataflows.
     let dataflows = [pipeline::Dataflow::Pfs, pipeline::Dataflow::Irss];
@@ -2706,10 +2699,12 @@ pub fn quality(ctx: &Ctx) {
             plain
         })
         .collect();
-    let exact_cycles = probe_cycles(&frame.splats, &binned.bins);
+    // Priced as the governor prices it: the exact view and its siblings.
+    let (splats, bins) = (frame.splats.clone(), binned.bins.clone());
+    let exact = PreparedView::new(splats, bins, cam.clone(), ViewPrepStats::default(), &gbu_cfg);
+    let exact_cycles = exact.occupancy;
 
     let ladder = QualityGovernor::default_ladder();
-    let scores = contrib::contribution_scores(&frame.splats, Some(&frame.bounds), &frame.camera);
     let mut rows = vec![vec![
         "exact".to_string(),
         frame.splats.len().to_string(),
@@ -2721,9 +2716,8 @@ pub fn quality(ctx: &Ctx) {
     let mut ladder_json = Vec::new();
     let mut prev_cycles = exact_cycles;
     for (i, &level) in ladder.iter().enumerate() {
-        let keep = contrib::select(&scores, level).expect("ladder rungs are degraded");
-        let (splats, bins) = contrib::compact(&frame.splats, &binned.bins, &keep);
-        let cycles = probe_cycles(&splats, &bins);
+        let rung = exact.degraded(level);
+        let (splats, cycles) = (&rung.splats, rung.occupancy);
         // Gate 2: every rung strictly cheaper than the one above it.
         if cycles >= prev_cycles {
             eprintln!(

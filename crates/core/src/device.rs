@@ -31,12 +31,22 @@ pub enum DeviceError {
     /// `render_image` was called while a frame was still in flight —
     /// the hardware has a single frame context.
     Busy,
+    /// The bins' tile size is not the rows the Row PEs cover.
+    TileSize {
+        /// [`GbuConfig::covered_rows`] of the device.
+        expected: u32,
+        /// Tile size the bins were built with.
+        got: u32,
+    },
 }
 
 impl std::fmt::Display for DeviceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DeviceError::Busy => write!(f, "a frame is already in execution"),
+            DeviceError::TileSize { expected, got } => {
+                write!(f, "{got}-px tiles do not fit Row PEs covering {expected} rows")
+            }
         }
     }
 }
@@ -139,7 +149,9 @@ impl Gbu {
     ///
     /// # Errors
     ///
-    /// [`DeviceError::Busy`] when a frame is already in execution.
+    /// [`DeviceError::Busy`] when a frame is already in execution;
+    /// [`DeviceError::TileSize`] when `bins.tile_size` is not the rows
+    /// the Row PEs cover.
     pub fn render_image(
         &mut self,
         splats: &[Splat2D],
@@ -160,7 +172,7 @@ impl Gbu {
     ///
     /// # Errors
     ///
-    /// [`DeviceError::Busy`] when a frame is already in execution.
+    /// As [`Gbu::render_image`].
     pub fn render_scoped(
         &mut self,
         splats: &[Splat2D],
@@ -181,6 +193,10 @@ impl Gbu {
     ) -> Result<(), DeviceError> {
         if self.in_flight.is_some() {
             return Err(DeviceError::Busy);
+        }
+        let expected = self.engine.config.covered_rows();
+        if bins.tile_size != expected {
+            return Err(DeviceError::TileSize { expected, got: bins.tile_size });
         }
         let d = if scoped {
             dnb::run_scoped(splats, bins, &self.engine.config)
@@ -324,6 +340,19 @@ mod tests {
         gbu.wait();
         // After completion a new frame is accepted.
         gbu.render_image(&splats, &bins, &cam, Vec3::ZERO).unwrap();
+    }
+
+    #[test]
+    fn bins_that_do_not_fit_the_row_pes_are_rejected() {
+        let (splats, _, cam) = inputs();
+        let mut gbu = Gbu::new(GbuConfig::paper());
+        for tile_size in [8, 32] {
+            let (bins, _) = binning::bin_splats(&splats, &cam, tile_size);
+            let want = DeviceError::TileSize { expected: 16, got: tile_size };
+            assert_eq!(gbu.render_image(&splats, &bins, &cam, Vec3::ZERO), Err(want.clone()));
+            assert_eq!(gbu.render_scoped(&splats, &bins, &cam, Vec3::ZERO), Err(want));
+            assert_eq!(gbu.check_status(), GbuStatus::Idle, "a rejected frame never starts");
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl GbuConfig {
     }
 
     /// Rows covered by one Tile PE (`row_pes × rows_per_pe`, must equal
-    /// the 16-row tile height).
+    /// the bins' tile height: 16 in the paper).
     pub fn covered_rows(&self) -> u32 {
         self.row_pes * self.rows_per_pe
     }

@@ -175,6 +175,10 @@ impl TileEngine {
     /// dispatched across the pool one tile row at a time. Results are
     /// merged in tile order, so cycle counts and the image are identical
     /// at every thread count.
+    ///
+    /// # Panics
+    ///
+    /// When `bins.tile_size` is not [`GbuConfig::covered_rows`].
     #[allow(clippy::too_many_arguments)]
     pub fn render_pooled(
         &self,
@@ -186,6 +190,8 @@ impl TileEngine {
         background: Vec3,
         policy: Policy,
     ) -> GbuRunResult {
+        let (got, covered) = (bins.tile_size, self.config.covered_rows());
+        assert!(got == covered, "{got}-px tiles do not fit Row PEs covering {covered} rows");
         if self.config.fp16_datapath {
             self.render_with::<StateF16>(pool, splats, dnb, bins, camera, background, policy)
         } else {
@@ -206,7 +212,6 @@ impl TileEngine {
     ) -> GbuRunResult {
         assert_eq!(dnb.transforms.len(), splats.len(), "D&B transforms mismatch splat list");
         let cfg = &self.config;
-        assert_eq!(cfg.covered_rows(), 16, "Row PEs must cover the 16-row tile");
         let mut image = FrameBuffer::new(camera.width, camera.height, background);
         let mut result = GbuRunResult {
             image: FrameBuffer::new(1, 1, background),
@@ -312,20 +317,16 @@ impl TileEngine {
                         let RowOutcome::Span(span) = outcome else { continue };
                         nspans += 1;
                         let row_idx = (py - y0) as usize;
-                        let mut frags = 0u64;
-                        isp.march(&span, x1, |px, q| {
-                            frags += 1;
-                            let idx = row_idx * w + (px - x0) as usize;
-                            let st = &mut state[idx];
+                        let cost = isp.march(&span, x1, |px, q| {
+                            let st = &mut state[row_idx * w + (px - x0) as usize];
                             if st.transmittance() < T_SATURATED {
                                 return;
                             }
                             st.blend(alpha_from_q(isp.opacity, q), isp.color);
                         });
-                        // The marching above counts interior fragments;
-                        // the terminating out-of-threshold fragment also
-                        // occupies a threshold-unit cycle.
-                        let evaluated = frags + u64::from(span.first_x as u64 + frags < x1 as u64);
+                        // Counts the terminating out-of-threshold fragment
+                        // too: it also occupies a threshold-unit cycle.
+                        let evaluated = u64::from(cost.evaluated);
                         job.fragments += evaluated;
                         let task =
                             cfg.rowpe_setup_cycles + evaluated.div_ceil(cfg.rowpe_frags_per_cycle);
@@ -414,8 +415,9 @@ mod tests {
     fn fp32_engine_matches_software_irss() {
         let cfg = GbuConfig { fp16_datapath: false, ..GbuConfig::paper() };
         let (r, _, sw_image) = run_engine(cfg, 60);
-        let diff = r.image.max_abs_diff(&sw_image);
-        assert!(diff < 1e-5, "hardware FP32 path must equal software IRSS, diff {diff}");
+        let bits = |p: &Vec3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+        let same = r.image.pixels().iter().map(bits).eq(sw_image.pixels().iter().map(bits));
+        assert!(same, "hardware FP32 path must equal software IRSS bit for bit");
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! 3-thread pools. Inputs cover tile sizes 8, 16 and 32, frame sizes
 //! that clip the edge tiles, a non-black background, and opaque stacks
 //! that saturate single pixels mid-instance and whole tiles.
+//! Those references blend over the bins under test, so PFS is also pinned
+//! to a binning-free one, which catches a Step-❷ bound dropping a fragment.
 
 use gbu_math::{Quat, Vec3};
 use gbu_par::ThreadPool;
@@ -78,6 +80,28 @@ fn empty_frame(bins: &TileBins, camera: &Camera, config: &RenderConfig) -> (Vec<
         ..BlendStats::default()
     };
     (image, stats)
+}
+
+/// PFS without Step ❷: every splat at every pixel of the frame, front to
+/// back in (depth, index) order, with the kernels' `q_at`, `alpha_from_q`
+/// and saturation rule. Only the image has a binning-free meaning.
+fn binning_free_pfs(splats: &[Splat2D], camera: &Camera, background: Vec3) -> Vec<Vec3> {
+    let mut order: Vec<usize> = (0..splats.len()).collect();
+    order.sort_by(|&a, &b| splats[a].depth.total_cmp(&splats[b].depth).then(a.cmp(&b)));
+    let pixels = (camera.width * camera.height) as usize;
+    let (mut color, mut trans) = (vec![Vec3::ZERO; pixels], vec![1.0f32; pixels]);
+    for s in order.into_iter().map(|i| &splats[i]) {
+        for (i, (c, t)) in color.iter_mut().zip(&mut trans).enumerate() {
+            let q = s.q_at(pixel_center(i as u32 % camera.width, i as u32 / camera.width));
+            if *t < T_SATURATED || q > s.threshold {
+                continue;
+            }
+            let alpha = alpha_from_q(s.opacity, q);
+            *c += s.color * (alpha * *t);
+            *t *= 1.0 - alpha;
+        }
+    }
+    color.iter().zip(&trans).map(|(&c, &t)| c + background * t).collect()
 }
 
 /// PFS, one fragment at a time: every live pixel of the tile evaluates
@@ -285,28 +309,50 @@ fn build_scene(gaussians: Vec<RandomGaussian>) -> Vec<Gaussian3D> {
         .collect()
 }
 
+/// Random scenes with two opaque stacks (one broad, one tiny) at a
+/// random tile size and a clipped frame size: `(scene, camera, tile)`.
+fn random_frame() -> impl Strategy<Value = (GaussianScene, Camera, u32)> {
+    (
+        random_gaussians(),
+        0usize..3,
+        (2u32..6, 2u32..5),
+        (1u32..8, 1u32..8),
+        0.0f32..6.2,
+        (-0.5f32..0.5, -0.4f32..0.4, 0.6f32..1.5, 10u32..30),
+        (-0.5f32..0.5, -0.4f32..0.4, 0.005f32..0.03, 3u32..10),
+    )
+        .prop_map(|(gaussians, tile_pick, tiles, rem, azimuth, broad, tiny)| {
+            let tile_size = TILE_SIZES[tile_pick];
+            let camera = frame_camera(tile_size, tiles, rem, azimuth);
+            let mut scene = build_scene(gaussians);
+            scene.extend(opaque_stack(&camera, Vec3::new(broad.0, broad.1, 0.0), broad.2, broad.3));
+            scene.extend(opaque_stack(&camera, Vec3::new(tiny.0, tiny.1, 0.0), tiny.2, tiny.3));
+            (scene.into_iter().collect(), camera, tile_size)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random scenes with two opaque stacks (one broad, one tiny) over
-    /// random tile sizes and clipped frame sizes.
     #[test]
-    fn blends_match_the_per_fragment_reference(
-        gaussians in random_gaussians(),
-        tile_pick in 0usize..3,
-        tiles in (2u32..6, 2u32..5),
-        rem in (1u32..8, 1u32..8),
-        azimuth in 0.0f32..6.2,
-        broad in (-0.5f32..0.5, -0.4f32..0.4, 0.6f32..1.5, 10u32..30),
-        tiny in (-0.5f32..0.5, -0.4f32..0.4, 0.005f32..0.03, 3u32..10),
-    ) {
-        let tile_size = TILE_SIZES[tile_pick];
-        let camera = frame_camera(tile_size, tiles, rem, azimuth);
-        let mut scene = build_scene(gaussians);
-        scene.extend(opaque_stack(&camera, Vec3::new(broad.0, broad.1, 0.0), broad.2, broad.3));
-        scene.extend(opaque_stack(&camera, Vec3::new(tiny.0, tiny.1, 0.0), tiny.2, tiny.3));
-        let scene: GaussianScene = scene.into_iter().collect();
+    fn blends_match_the_per_fragment_reference((scene, camera, tile_size) in random_frame()) {
         check_against_reference(&scene, &camera, tile_size);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn pfs_matches_the_binning_free_reference((scene, camera, tile_size) in random_frame()) {
+        let config = RenderConfig { tile_size, background: BACKGROUND, ..RenderConfig::default() };
+        let pool = ThreadPool::new(3);
+        let frame = pipeline::project_pooled(&pool, &scene, &camera);
+        let binned = pipeline::bin_pooled(&pool, &frame, tile_size);
+        let (image, _) = pipeline::blend_pooled(&pool, &frame, &binned, Dataflow::Pfs, &config);
+        let want = binning_free_pfs(&frame.splats, &camera, BACKGROUND);
+        let at = format!("tile {tile_size}, {}x{}", camera.width, camera.height);
+        assert!(bits(image.pixels()) == bits(&want), "PFS differs from the reference ({at})");
     }
 }
 

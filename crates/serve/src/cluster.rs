@@ -581,11 +581,10 @@ mod tests {
         }
     }
 
-    fn unsharded_baseline(view: &PreparedView) -> (FrameBuffer, u64) {
+    fn unsharded_baseline(view: &PreparedView) -> FrameBuffer {
         let mut gbu = Gbu::new(GbuConfig::paper());
         gbu.render_image(&view.splats, &view.bins, &view.camera, Vec3::ZERO).unwrap();
-        let occupancy = gbu.in_flight_remaining().expect("frame in flight");
-        (gbu.wait().expect("frame in flight").image, occupancy)
+        gbu.wait().expect("frame in flight").image
     }
 
     fn cluster_backend(lanes: usize, devices_per_lane: usize) -> ClusterBackend {
@@ -627,13 +626,15 @@ mod tests {
         // The session's view, an empty 64x48 scene, and a one-Gaussian
         // 64x32 frame with 2 tile rows (fewer than 4 shards).
         let session = prepared();
+        let gbu = GbuConfig::paper();
         let empty = prepare_view(
             &GaussianScene::new(),
             Camera::orbit(64, 48, 1.0, Vec3::ZERO, 3.0, 0.0, 0.0),
+            &gbu,
         );
         let one: GaussianScene =
             std::iter::once(Gaussian3D::isotropic(Vec3::ZERO, 0.2, Vec3::ONE, 0.9)).collect();
-        let short = prepare_view(&one, Camera::orbit(64, 32, 1.0, Vec3::ZERO, 3.0, 0.0, 0.0));
+        let short = prepare_view(&one, Camera::orbit(64, 32, 1.0, Vec3::ZERO, 3.0, 0.0, 0.0), &gbu);
         assert_eq!(short.bins.tiles_y, 2);
         // The unsharded path rides along: its image is the device run's
         // own, handed through the pool without a copy.
@@ -643,7 +644,7 @@ mod tests {
             }))
             .collect();
         for view in [session.view(0), &empty, &short] {
-            let (reference, _) = unsharded_baseline(view);
+            let reference = unsharded_baseline(view);
             for &mode in &modes {
                 let what = format!("{}x{} {mode:?}", view.camera.width, view.camera.height);
                 let shards = match mode {
@@ -695,7 +696,7 @@ mod tests {
     #[test]
     fn sharding_shortens_the_critical_path() {
         let session = prepared();
-        let (_, unsharded_cycles) = unsharded_baseline(session.view(0));
+        let unsharded_cycles = session.view(0).occupancy;
         let mut backend = cluster_backend(4, 1);
         backend.submit(session.view(0), ticket(0), sharded(4, ShardStrategy::CostBalanced), 0);
         let done = drain_frames(&mut backend);
@@ -739,7 +740,7 @@ mod tests {
     #[test]
     fn backend_mixes_sharded_and_unsharded_frames() {
         let session = prepared();
-        let (reference, _) = unsharded_baseline(session.view(0));
+        let reference = unsharded_baseline(session.view(0));
         let mut backend = cluster_backend(3, 1);
         assert_eq!(backend.lane_count(), 3);
         assert_eq!(backend.device_count(), 3);
@@ -834,7 +835,7 @@ mod tests {
         assert!(fb.measured_cycles.iter().all(|&c| c > 0));
         // A second frame replans with the measurement and still merges
         // bit-identically.
-        let (reference, _) = unsharded_baseline(session.view(0));
+        let reference = unsharded_baseline(session.view(0));
         backend.submit(session.view(0), ticket(1), mode, 0);
         let done = drain_frames(&mut backend);
         assert_eq!(done[0].image.pixels(), reference.pixels());

@@ -37,7 +37,7 @@ use crate::fleet::{AutoscaleConfig, FleetAction, FleetConfig};
 use crate::metrics::{RunInfo, ServeMetrics, ServeReport};
 use crate::quality::QualityGovernor;
 use crate::scheduler::{AdmissionControl, FrameTicket, Policy, Scheduler};
-use crate::session::{probe_view_cycles, PreparedView, Session, SessionSpec};
+use crate::session::{PreparedView, Session, SessionSpec};
 use crate::store::SceneStore;
 use gbu_gpu::GpuConfig;
 use gbu_hw::GbuConfig;
@@ -110,10 +110,9 @@ pub struct ServeConfig {
     /// When set, [`ServeEngine::attach_spec`] resolves sessions through
     /// this shared [`SceneStore`]
     /// ([`Session::prepare_shared`](crate::session::Session::prepare_shared)):
-    /// scenes and prepared viewpoints are interned across sessions, and
-    /// view preparation is lazy (only viewpoints the session's frame
-    /// count can reach). `None` (default) keeps the classic per-session
-    /// preparation, byte-identical to pre-store behaviour.
+    /// scenes and prepared viewpoints are interned across sessions.
+    /// `None` (default) keeps the classic per-session preparation
+    /// (a private store), which prices and renders identically.
     pub scene_store: Option<SceneStore>,
     /// Quality governor: degradation ladder plus the counter-offer and
     /// pressure-shedding mechanisms ([`crate::QualityGovernor`]). The
@@ -273,25 +272,9 @@ struct QualityRuntime {
     next_tick: Option<u64>,
     /// Decision ticks to sit out after a shed/recover step.
     cooldown: u32,
-    /// Degraded-view cache: `(exact view Arc pointer, rung)` → a weak
-    /// handle on the exact view, the compacted [`PreparedView`] and its
-    /// probed device occupancy. Pointer keys are sound because the weak
-    /// handle keeps the exact view's allocation, so no other view can
-    /// land at that address while the entry exists (same ledger scheme
-    /// as `prep_paid`); `detach_session` drops entries whose view died.
-    #[allow(clippy::type_complexity)]
-    views: std::collections::HashMap<
-        (usize, usize),
-        (Weak<PreparedView>, std::sync::Arc<PreparedView>, u64),
-    >,
-    /// Exact-view occupancy cache (Arc pointer → weak handle, probed
-    /// cycles), for the cycles-saved accounting; pinned and purged like
-    /// `views`.
-    exact_cycles: std::collections::HashMap<usize, (Weak<PreparedView>, u64)>,
-    /// Frames admitted as degraded counter-offers: frame id → (pinned
-    /// rung, degraded min-service cycles). Entries retire at dispatch or
-    /// drop.
-    pinned: std::collections::HashMap<u64, (usize, u64)>,
+    /// Frames admitted as degraded counter-offers: frame id → pinned
+    /// rung. Entries retire at dispatch or drop.
+    pinned: std::collections::HashMap<u64, usize>,
     /// Telemetry gauge tracking the global level through shed/recover.
     level_gauge: gbu_telemetry::Gauge,
 }
@@ -440,8 +423,6 @@ impl ServeEngine {
                 level: 0,
                 next_tick: cfg.quality.shed_on_pressure.then_some(cfg.quality.interval),
                 cooldown: 0,
-                views: std::collections::HashMap::new(),
-                exact_cycles: std::collections::HashMap::new(),
                 pinned: std::collections::HashMap::new(),
                 level_gauge,
             }
@@ -612,14 +593,9 @@ impl ServeEngine {
                 }
             }
         }
-        // Drop the per-view state of views nothing holds any more. The
-        // degraded views go first: `prep_paid` may be keyed on them.
-        let live = |view: &Weak<PreparedView>| view.strong_count() > 0;
-        if let Some(q) = self.quality.as_mut() {
-            q.views.retain(|_, (view, _, _)| live(view));
-            q.exact_cycles.retain(|_, (view, _)| live(view));
-        }
-        self.prep_paid.retain(|_, (view, _)| live(view));
+        // Drop the prep ledger entries of views nothing holds any more
+        // (a view's degraded siblings died with it).
+        self.prep_paid.retain(|_, (view, _)| view.strong_count() > 0);
         true
     }
 
@@ -1087,64 +1063,20 @@ impl ServeEngine {
         self.work_pending().then_some(tick)
     }
 
-    /// Builds the degraded sibling of a prepared view at `level`: scores
-    /// the view's splats ([`gbu_render::contrib`]), keeps the
-    /// high-contribution ones and compacts splats + bins, so the GBU
-    /// timing model prices exactly the surviving work.
-    fn degrade_view(view: &PreparedView, level: gbu_render::QualityLevel) -> PreparedView {
-        use gbu_render::contrib;
-        let scores = contrib::contribution_scores(&view.splats, None, &view.camera);
-        let keep = contrib::select(&scores, level).expect("ladder rungs are degraded levels");
-        let (splats, bins) = contrib::compact(&view.splats, &view.bins, &keep);
-        PreparedView { splats, bins, camera: view.camera.clone(), prep: view.prep }
-    }
-
-    /// Device-occupancy cycles of `view` degraded to ladder rung `rung`,
-    /// building and caching the degraded view on first use.
-    fn degraded_view_cycles(
-        q: &mut QualityRuntime,
-        cfg: &ServeConfig,
-        view: &std::sync::Arc<PreparedView>,
-        rung: usize,
-    ) -> u64 {
-        let key = (std::sync::Arc::as_ptr(view) as usize, rung);
-        if let Some(&(_, _, cycles)) = q.views.get(&key) {
-            return cycles;
-        }
-        let degraded = Self::degrade_view(view, cfg.quality.ladder[rung - 1]);
-        let cycles = probe_view_cycles(&degraded, &cfg.gbu);
-        q.views
-            .insert(key, (std::sync::Arc::downgrade(view), std::sync::Arc::new(degraded), cycles));
-        cycles
-    }
-
-    /// Device-occupancy cycles of the exact `view`, cached per handle —
-    /// the baseline for the cycles-saved accounting.
-    fn exact_view_cycles(
-        q: &mut QualityRuntime,
-        cfg: &ServeConfig,
-        view: &std::sync::Arc<PreparedView>,
-    ) -> u64 {
-        let key = std::sync::Arc::as_ptr(view) as usize;
-        q.exact_cycles
-            .entry(key)
-            .or_insert_with(|| (std::sync::Arc::downgrade(view), probe_view_cycles(view, &cfg.gbu)))
-            .1
+    /// `view`'s degraded sibling at ladder rung `rung` (1-based).
+    fn rung_view(&self, view: &PreparedView, rung: usize) -> std::sync::Arc<PreparedView> {
+        view.degraded(self.cfg.quality.ladder[rung - 1])
     }
 
     /// The counter-offer admission probe: the deepest ladder rung and
     /// the frame's min-service cycles at that rung (its own view,
     /// degraded). `None` without an active governor.
-    fn degraded_min_service(&mut self, ticket: FrameTicket) -> Option<(usize, u64)> {
-        let mut q = self.quality.take()?;
+    fn degraded_min_service(&self, ticket: FrameTicket) -> Option<(usize, u64)> {
+        self.quality.as_ref()?;
         let rung = self.cfg.quality.ladder.len();
-        let result = self.slots.get(ticket.session.index()).and_then(|s| s.as_ref()).map(|slot| {
-            let view = slot.session.view_handle(ticket.frame).clone();
-            let cycles = Self::degraded_view_cycles(&mut q, &self.cfg, &view, rung);
-            (rung, slot.mode.min_service(cycles))
-        });
-        self.quality = Some(q);
-        result
+        let slot = self.slots.get(ticket.session.index())?.as_ref()?;
+        let cycles = self.rung_view(slot.session.view(ticket.frame), rung).occupancy;
+        Some((rung, slot.mode.min_service(cycles)))
     }
 
     /// Substitutes the degraded prepared view for a dispatch when the
@@ -1160,7 +1092,7 @@ impl ServeEngine {
     ) -> std::sync::Arc<PreparedView> {
         let Some(mut q) = self.quality.take() else { return view };
         let pinned = q.pinned.remove(&ticket.id.index());
-        let rung = pinned.map_or(q.level, |(r, _)| r.max(q.level));
+        let rung = pinned.map_or(q.level, |r| r.max(q.level));
         let out = if rung == 0 {
             self.metrics.quality_exact();
             if self.recorder.is_enabled() {
@@ -1168,10 +1100,8 @@ impl ServeEngine {
             }
             view
         } else {
-            let exact = Self::exact_view_cycles(&mut q, &self.cfg, &view);
-            let cycles = Self::degraded_view_cycles(&mut q, &self.cfg, &view, rung);
-            let degraded = q.views[&(std::sync::Arc::as_ptr(&view) as usize, rung)].1.clone();
-            let saved = exact.saturating_sub(cycles);
+            let degraded = self.rung_view(&view, rung);
+            let saved = view.occupancy.saturating_sub(degraded.occupancy);
             self.metrics.quality_degraded(saved);
             if self.recorder.is_enabled() {
                 self.recorder.mark(
@@ -1581,7 +1511,7 @@ impl ServeEngine {
                                 .as_mut()
                                 .expect("degraded_min_service implies an active governor")
                                 .pinned
-                                .insert(ticket.id.index(), (rung, degraded_min));
+                                .insert(ticket.id.index(), rung);
                             self.metrics.quality_counter_offer();
                             if self.recorder.is_enabled() {
                                 self.recorder.mark(
@@ -1675,15 +1605,13 @@ impl ServeEngine {
             let t = self.queue[i];
             let slot_min =
                 self.slots[t.session.index()].as_ref().map_or(0, |slot| slot.min_service);
-            let min_service = match q.as_mut() {
+            let min_service = match q.as_ref() {
                 Some(q) => {
-                    let rung =
-                        q.pinned.get(&t.id.index()).map_or(q.level, |&(r, _)| r.max(q.level));
+                    let rung = q.pinned.get(&t.id.index()).map_or(q.level, |&r| r.max(q.level));
                     match (rung, self.slots[t.session.index()].as_ref()) {
                         (0, _) | (_, None) => slot_min,
                         (rung, Some(slot)) => {
-                            let view = slot.session.view_handle(t.frame).clone();
-                            let cycles = Self::degraded_view_cycles(q, &self.cfg, &view, rung);
+                            let cycles = self.rung_view(slot.session.view(t.frame), rung).occupancy;
                             slot.mode.min_service(cycles).min(slot_min)
                         }
                     }
@@ -1845,7 +1773,7 @@ impl ServeEngine {
                 .as_ref()
                 .expect("queued frames of detached sessions are dropped at detach");
             let (mode, period) = (slot.mode, slot.period);
-            let view = slot.session.view_handle(ticket.frame).clone();
+            let view = slot.session.view(ticket.frame).clone();
             let view = self.quality_substitute(view, ticket, now);
             let prep_cycles = self.prep_charge_cycles(&view, period, now);
             let device = self.backend.submit(&view, ticket, mode, prep_cycles);
@@ -2627,27 +2555,30 @@ mod tests {
         // shared store with prep modelling off must be indistinguishable
         // down to the serialized report.
         let specs: Vec<SessionSpec> = (0..4).map(|i| tiny_spec(i % 2, 3)).collect();
-        let classic = {
-            let sessions: Vec<Session> =
-                specs.iter().map(|s| Session::prepare(s.clone(), &GbuConfig::paper())).collect();
-            run_workload(ServeConfig::default(), &sessions, 0.5)
+        let gbu = GbuConfig::paper();
+        let classic = crate::workload::prepare_all(specs.clone(), &gbu);
+        let store = crate::store::SceneStore::new();
+        let stored = crate::workload::prepare_all_shared(specs, &gbu, &store);
+        let cfg = ServeConfig { scene_store: Some(store), ..ServeConfig::default() };
+        let json = |cfg: ServeConfig, sessions| run_workload(cfg, sessions, 0.5).to_json();
+        assert_eq!(json(ServeConfig::default(), &classic), json(cfg, &stored));
+    }
+
+    #[test]
+    fn push_only_store_session_reports_like_a_classic_one() {
+        // A push-only store session renders and prices the view each
+        // submission names, exactly like a classic one.
+        let report = |scene_store| {
+            let mut engine =
+                ServeEngine::new(ServeConfig { scene_store, ..ServeConfig::default() });
+            let id = engine.attach_spec(tiny_spec(1, 0));
+            for v in 0..3 {
+                engine.submit_frame(id, v);
+                engine.drain();
+            }
+            engine.report().to_json()
         };
-        let stored = {
-            let store = crate::store::SceneStore::new();
-            let cfg = ServeConfig { scene_store: Some(store), ..ServeConfig::default() };
-            let sessions: Vec<Session> = specs
-                .iter()
-                .map(|s| {
-                    Session::prepare_shared(
-                        s.clone(),
-                        &GbuConfig::paper(),
-                        &cfg.scene_store.clone().unwrap(),
-                    )
-                })
-                .collect();
-            run_workload(cfg, &sessions, 0.5)
-        };
-        assert_eq!(classic.to_json(), stored.to_json());
+        assert_eq!(report(None), report(Some(crate::store::SceneStore::new())));
     }
 
     #[test]
@@ -2721,16 +2652,15 @@ mod tests {
     fn private_view_churn_never_shares_and_leaves_no_per_view_state() {
         // Attach a private session, serve one frame, detach — 64 times.
         // Each detach frees the session's views, so a later session's
-        // views can land at recycled addresses. The address-keyed
-        // per-view caches must neither carry state across sessions nor
-        // outlive the views they describe.
+        // views can land at recycled addresses. The address-keyed prep
+        // ledger must neither carry state across sessions nor outlive
+        // the views (degraded siblings included) it describes.
         let gbu = GbuConfig::paper();
         let ladder = QualityGovernor::default_ladder();
         let probe = Session::prepare(tiny_spec(0, 0), &gbu);
-        let exact_min =
-            (0..3).map(|v| probe_view_cycles(probe.view(v), &gbu)).min().expect("three views");
+        let exact_min = probe.min_frame_cycles();
         let deepest = *ladder.last().expect("non-empty ladder");
-        let degraded = probe_view_cycles(&ServeEngine::degrade_view(probe.view(0), deepest), &gbu);
+        let degraded = probe.view(0).degraded(deepest).occupancy;
         // At a 1 GHz clock, a `tight` frame period sits between the
         // degraded and the exact service of view 0, so its frames are
         // admitted as degraded counter-offers; `loose` frames run exact.
@@ -2765,9 +2695,6 @@ mod tests {
         assert_eq!(report.quality.counter_offers, 32, "every tight frame is counter-offered");
         assert_eq!(report.quality.frames_degraded, 32);
         assert_eq!(report.preprocessing.frames_shared, 0, "private views never share");
-        let q = engine.quality.as_ref().expect("active governor");
-        assert!(q.views.is_empty(), "{} degraded views outlive their sessions", q.views.len());
-        assert!(q.exact_cycles.is_empty(), "{} exact-cycle entries remain", q.exact_cycles.len());
         assert!(
             engine.prep_paid.is_empty(),
             "{} prep ledger entries remain",

@@ -11,6 +11,7 @@
 
 use crate::event::{DropReason, RejectReason, RequeueReason};
 use crate::scheduler::FrameTicket;
+use gbu_telemetry::json_escape;
 
 /// Lifecycle record of one completed frame.
 #[derive(Debug, Clone, Copy)]
@@ -684,26 +685,6 @@ fn json_f(v: f64) -> String {
     }
 }
 
-/// JSON string literal with RFC 8259 escaping (Rust's `{:?}` uses
-/// `\u{..}` braces, which JSON parsers reject).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 impl ServeReport {
     /// Serialises the report as a JSON object (hand-rolled; the workspace
     /// has no serde).
@@ -713,10 +694,10 @@ impl ServeReport {
             .iter()
             .map(|s| {
                 format!(
-                    "{{\"name\":{},\"qos_hz\":{},\"generated\":{},\"completed\":{},\
+                    "{{\"name\":\"{}\",\"qos_hz\":{},\"generated\":{},\"completed\":{},\
                      \"rejected\":{},\"dropped\":{},\"missed\":{},\"achieved_fps\":{},\
                      \"p95_latency_ms\":{}}}",
-                    json_str(&s.name),
+                    json_escape(&s.name),
                     json_f(s.qos_hz),
                     s.generated,
                     s.completed,
@@ -799,7 +780,7 @@ impl ServeReport {
             self.lifetime.requeued,
         );
         format!(
-            "{{\"policy\":{},\"devices\":{},\"lifetime\":{lifetime},\"generated\":{},\"completed\":{},\
+            "{{\"policy\":\"{}\",\"devices\":{},\"lifetime\":{lifetime},\"generated\":{},\"completed\":{},\
              \"rejected\":{},\"dropped\":{},\"missed\":{},\"reject_reasons\":{},\
              \"drop_reasons\":{},\"requeued\":{},\"requeue_reasons\":{},\"migrated\":{},\
              \"lane_churn\":{},\"throughput_fps\":{},\"p50_latency_ms\":{},\
@@ -807,7 +788,7 @@ impl ServeReport {
              \"device_utilization\":{},\"wall_seconds\":{},\
              \"preprocessing\":{preprocessing},\"quality\":{quality}{sharding},\
              \"sessions\":[{}]}}",
-            json_str(&self.policy),
+            json_escape(&self.policy),
             self.devices,
             self.generated,
             self.completed,

@@ -10,9 +10,9 @@
 //! device cycles.
 //!
 //! This module holds the *policy* (a degradation ladder plus hysteresis
-//! thresholds); the mechanism lives in the engine, which caches a
-//! degraded [`crate::PreparedView`] per (view, rung) and substitutes it
-//! at dispatch. Two independent mechanisms hang off one config:
+//! thresholds); the engine prices and dispatches each view's degraded
+//! sibling, which [`crate::PreparedView::degraded`] builds once and keeps
+//! on the view. Two independent mechanisms hang off one config:
 //!
 //! - **Counter-offer admission** ([`QualityGovernor::counter_offer`]):
 //!   when deadline-aware admission proves a frame unmeetable at exact

@@ -7,9 +7,11 @@
 //! [`QosTarget`] fixing the frame cadence and deadline.
 //!
 //! Preparation runs Rendering Steps ❶/❷ (projection + binning) once per
-//! viewpoint, exactly what the host GPU would hand the GBU each frame;
-//! serving then replays the viewpoints round-robin, so the steady-state
-//! per-frame work the scheduler sees is the paper's Step ❸.
+//! viewpoint, exactly what the host GPU would hand the GBU each frame,
+//! and prices each viewpoint once ([`PreparedView::occupancy`]); serving
+//! then replays the viewpoints round-robin, so the steady-state
+//! per-frame work the scheduler sees is the paper's Step ❸. Every
+//! session is prepared through a [`SceneStore`], shared or private.
 
 use crate::backend::ExecMode;
 use crate::store::SceneStore;
@@ -17,10 +19,10 @@ use gbu_core::apps::FrameScenario;
 use gbu_hw::GbuConfig;
 use gbu_math::Vec3;
 use gbu_render::binning::TileBins;
-use gbu_render::{pipeline, Splat2D};
+use gbu_render::{contrib, pipeline, QualityLevel, Splat2D};
 use gbu_scene::synth::SceneBuilder;
 use gbu_scene::{Camera, DatasetScene, GaussianScene, ScaleProfile};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A frame-rate / deadline class (the refresh rates AR/VR runtimes pin).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,8 +124,9 @@ pub struct ViewPrepStats {
 }
 
 /// A preprocessed viewpoint: the outputs of Rendering Steps ❶/❷ that the
-/// host GPU hands to `GBU_render_image`.
-#[derive(Debug, Clone)]
+/// host GPU hands to `GBU_render_image`, and the one price of them that
+/// calibration, admission, the drop pass and the quality governor read.
+#[derive(Debug)]
 pub struct PreparedView {
     /// Projected, depth-sorted splats.
     pub splats: Vec<Splat2D>,
@@ -133,6 +136,51 @@ pub struct PreparedView {
     pub camera: Camera,
     /// Size of the preprocessing work that built this view.
     pub prep: ViewPrepStats,
+    /// Device-occupancy cycles — max(D&B, Tile PE), exactly what
+    /// `GBU_render_image` schedules — probed once by [`PreparedView::new`].
+    pub occupancy: u64,
+    /// The GBU configuration `occupancy` (and every sibling's) was
+    /// measured under.
+    pub gbu: GbuConfig,
+    /// Degraded siblings built so far, one per [`QualityLevel`].
+    degraded: Mutex<Vec<(QualityLevel, Arc<PreparedView>)>>,
+}
+
+impl PreparedView {
+    /// Wraps Step-❶/❷ artifacts as a view and probes its occupancy.
+    pub fn new(
+        splats: Vec<Splat2D>,
+        bins: TileBins,
+        camera: Camera,
+        prep: ViewPrepStats,
+        gbu: &GbuConfig,
+    ) -> Self {
+        let occupancy = probe_view_cycles(&splats, &bins, &camera, gbu);
+        let degraded = Mutex::default();
+        Self { splats, bins, camera, prep, occupancy, gbu: gbu.clone(), degraded }
+    }
+
+    /// The sibling of this view at degraded `level`: the splats with the
+    /// highest [`gbu_render::contrib`] scores, splats + bins compacted so
+    /// the timing model prices only the surviving work. Built on first
+    /// request and kept on this view, so it lives and dies with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `level` is [`QualityLevel::Exact`] or invalid.
+    pub fn degraded(&self, level: QualityLevel) -> Arc<PreparedView> {
+        let mut table = self.degraded.lock().expect("no sibling build panicked");
+        if let Some((_, view)) = table.iter().find(|(l, _)| *l == level) {
+            return Arc::clone(view);
+        }
+        let scores = contrib::contribution_scores(&self.splats, None, &self.camera);
+        let keep = contrib::select(&scores, level).expect("a degraded level selects a subset");
+        let (splats, bins) = contrib::compact(&self.splats, &self.bins, &keep);
+        let view =
+            Arc::new(PreparedView::new(splats, bins, self.camera.clone(), self.prep, &self.gbu));
+        table.push((level, Arc::clone(&view)));
+        view
+    }
 }
 
 /// A prepared session, ready to be served.
@@ -146,15 +194,9 @@ pub struct Session {
     /// The spec this session was built from.
     pub spec: SessionSpec,
     /// Preprocessed viewpoints, replayed round-robin as the camera
-    /// stream. Behind `Arc` so sessions resolved through a
-    /// [`SceneStore`] share one copy of each prepared view (classic
-    /// preparation still builds private views — the handles just make
-    /// sharing free when a store is in play).
+    /// stream. Behind `Arc` so sessions resolved through one
+    /// [`SceneStore`] share one copy of each prepared view.
     views: Vec<Arc<PreparedView>>,
-    /// Device-occupancy cycles of each view — max(D&B, Tile PE), exactly
-    /// what `GBU_render_image` schedules — measured once at preparation
-    /// time on a scratch device (used for load calibration, not serving).
-    view_cycles: Vec<u64>,
 }
 
 /// Number of orbit viewpoints prepared per session.
@@ -220,8 +262,8 @@ pub(crate) fn orbit_camera(
 }
 
 /// Steps ❶/❷ through the staged pipeline — the exact artifacts the host
-/// GPU hands to `GBU_render_image` each frame.
-pub(crate) fn prepare_view(scene: &GaussianScene, camera: Camera) -> PreparedView {
+/// GPU hands to `GBU_render_image` each frame — priced on `gbu`.
+pub(crate) fn prepare_view(scene: &GaussianScene, camera: Camera, gbu: &GbuConfig) -> PreparedView {
     let projected = pipeline::project(scene, &camera);
     let binned = pipeline::bin(&projected, 16);
     let prep = ViewPrepStats {
@@ -229,80 +271,48 @@ pub(crate) fn prepare_view(scene: &GaussianScene, camera: Camera) -> PreparedVie
         instances: binned.stats.instances,
         sort_passes: binned.stats.sort_passes,
     };
-    PreparedView { splats: projected.splats, bins: binned.bins, camera, prep }
+    PreparedView::new(projected.splats, binned.bins, camera, prep, gbu)
 }
 
 /// Measures one view's device occupancy on a scratch device: the frame
 /// occupies the device for max(D&B, Tile PE) cycles — what
 /// `render_image` scheduled, not just the tile-engine share.
-pub(crate) fn probe_view_cycles(view: &PreparedView, gbu: &GbuConfig) -> u64 {
+fn probe_view_cycles(splats: &[Splat2D], bins: &TileBins, camera: &Camera, gbu: &GbuConfig) -> u64 {
     let mut probe = gbu_core::Gbu::new(gbu.clone());
-    probe
-        .render_image(&view.splats, &view.bins, &view.camera, Vec3::ZERO)
-        .expect("probe device is idle");
-    let occupancy = probe.in_flight_remaining().expect("frame in flight");
-    probe.wait().expect("frame in flight");
-    occupancy
-}
-
-fn orbit_views(
-    scene: &GaussianScene,
-    width: u32,
-    height: u32,
-    seed: u64,
-) -> Vec<Arc<PreparedView>> {
-    (0..VIEWS_PER_SESSION)
-        .map(|v| Arc::new(prepare_view(scene, orbit_camera(scene, width, height, seed, v))))
-        .collect()
+    probe.render_image(splats, bins, camera, Vec3::ZERO).expect("probe device is idle");
+    probe.in_flight_occupancy().expect("frame in flight")
 }
 
 impl Session {
-    /// Builds the session: resolves the scene, preprocesses
-    /// `VIEWS_PER_SESSION` viewpoints and measures each view once on a
-    /// scratch device for load calibration.
+    /// Builds the session over a private [`SceneStore`], so no other
+    /// session shares its scene or views.
     pub fn prepare(spec: SessionSpec, gbu: &GbuConfig) -> Self {
-        let (scene, width, height) = resolve_scene(&spec.content);
-        let seed = orbit_seed(&spec);
-        let views = orbit_views(&scene, width, height, seed);
-        let view_cycles = views.iter().map(|v| probe_view_cycles(v, gbu)).collect();
-        Self { spec, views, view_cycles }
+        Self::prepare_shared(spec, gbu, &SceneStore::new())
     }
 
-    /// [`Session::prepare`] through a shared [`SceneStore`]: the scene
-    /// and every prepared viewpoint (including its calibration probe)
-    /// are interned, so N sessions over the same content share one copy
-    /// and pay Steps ❶/❷ once. Also lazy: only viewpoints the session's
-    /// frame count can actually reach are prepared, instead of eagerly
-    /// projecting all `VIEWS_PER_SESSION` orbits up front.
+    /// Resolves the scene and prepares (Steps ❶/❷ + occupancy probe on
+    /// `gbu`) all `VIEWS_PER_SESSION` viewpoints through `store`, which
+    /// interns them: N sessions over the same content share one copy and
+    /// pay Steps ❶/❷ once.
     pub fn prepare_shared(spec: SessionSpec, gbu: &GbuConfig, store: &SceneStore) -> Self {
-        let needed = VIEWS_PER_SESSION.min(spec.frames.max(1) as usize);
         let seed = orbit_seed(&spec);
-        let mut views = Vec::with_capacity(needed);
-        let mut view_cycles = Vec::with_capacity(needed);
-        for v in 0..needed {
-            let (view, cycles) = store.view(&spec.content, seed, v, gbu);
-            views.push(view);
-            view_cycles.push(cycles);
-        }
-        Self { spec, views, view_cycles }
+        let views =
+            (0..VIEWS_PER_SESSION).map(|v| store.view(&spec.content, seed, v, gbu)).collect();
+        Self { spec, views }
     }
 
     /// The viewpoint frame `index` renders (round-robin camera stream).
-    pub fn view(&self, index: u32) -> &PreparedView {
-        &self.views[index as usize % self.views.len()]
-    }
-
-    /// The shared handle of the viewpoint frame `index` renders — scene
-    /// identity for the cross-session preprocessing-reuse discount
-    /// (frames over the same `Arc` share one Step-❶/❷ charge per epoch).
-    pub fn view_handle(&self, index: u32) -> &Arc<PreparedView> {
+    /// The handle is scene identity for the cross-session
+    /// preprocessing-reuse discount (frames over the same `Arc` share one
+    /// Step-❶/❷ charge per epoch).
+    pub fn view(&self, index: u32) -> &Arc<PreparedView> {
         &self.views[index as usize % self.views.len()]
     }
 
     /// Mean device-occupancy cycles over this session's viewpoints.
     pub fn mean_frame_cycles(&self) -> f64 {
-        let sum: u64 = self.view_cycles.iter().sum();
-        sum as f64 / self.view_cycles.len() as f64
+        let sum: u64 = self.views.iter().map(|v| v.occupancy).sum();
+        sum as f64 / self.views.len() as f64
     }
 
     /// Cheapest viewpoint's device-occupancy cycles — the optimistic
@@ -310,7 +320,7 @@ impl Session {
     /// deadline-drop pass use: if even this bound cannot fit before the
     /// deadline on an uncontended device, the frame is unmeetable.
     pub fn min_frame_cycles(&self) -> u64 {
-        self.view_cycles.iter().copied().min().unwrap_or(0)
+        self.views.iter().map(|v| v.occupancy).min().unwrap_or(0)
     }
 
     /// Device cycles this session demands per second of simulated time at
@@ -394,12 +404,29 @@ mod tests {
         let shared = Session::prepare_shared(spec(120), &gbu, &store);
         assert_eq!(classic.views.len(), shared.views.len());
         for v in 0..classic.views.len() as u32 {
-            assert_eq!(classic.view(v).splats, shared.view(v).splats);
-            assert_eq!(classic.view(v).bins.entries, shared.view(v).bins.entries);
-            assert_eq!(classic.view(v).bins.offsets, shared.view(v).bins.offsets);
-            assert_eq!(classic.view(v).prep, shared.view(v).prep);
+            let (c, s) = (classic.view(v), shared.view(v));
+            assert_eq!(
+                (&c.splats, &c.bins.entries, &c.bins.offsets),
+                (&s.splats, &s.bins.entries, &s.bins.offsets)
+            );
+            assert_eq!((c.prep, c.occupancy), (s.prep, s.occupancy));
         }
-        assert_eq!(classic.view_cycles, shared.view_cycles);
+    }
+
+    #[test]
+    fn shared_preparation_is_lazy_in_frame_count() {
+        // It is not: short and push-only store sessions get the whole
+        // orbit too, so they render and price every frame like classic ones.
+        let store = SceneStore::new();
+        let gbu = GbuConfig::paper();
+        for frames in [0, 1] {
+            let spec = SessionSpec { frames, ..spec(60) };
+            let classic = Session::prepare(spec.clone(), &gbu);
+            let shared = Session::prepare_shared(spec, &gbu, &store);
+            assert_eq!(shared.views.len(), VIEWS_PER_SESSION, "{frames} frames");
+            assert_eq!(classic.min_frame_cycles(), shared.min_frame_cycles());
+            assert_eq!(classic.mean_frame_cycles(), shared.mean_frame_cycles());
+        }
     }
 
     #[test]
@@ -410,25 +437,23 @@ mod tests {
         let b =
             Session::prepare_shared(SessionSpec { name: "s1".into(), ..spec(80) }, &gbu, &store);
         // Same content through the same store: the views are one Arc.
-        assert!(Arc::ptr_eq(a.view_handle(0), b.view_handle(0)));
+        assert!(Arc::ptr_eq(a.view(0), b.view(0)));
         // Classic sessions never share, even for identical content.
         let c = Session::prepare(spec(80), &gbu);
-        assert!(!Arc::ptr_eq(a.view_handle(0), c.view_handle(0)));
+        assert!(!Arc::ptr_eq(a.view(0), c.view(0)));
     }
 
     #[test]
-    fn shared_preparation_is_lazy_in_frame_count() {
-        let store = SceneStore::new();
-        let gbu = GbuConfig::paper();
-        let one = Session::prepare_shared(SessionSpec { frames: 1, ..spec(60) }, &gbu, &store);
-        assert_eq!(one.views.len(), 1, "a 1-frame session prepares 1 view, not the full orbit");
-        // Push-only sessions (frames == 0) still need a viewpoint.
-        let push = Session::prepare_shared(
-            SessionSpec { name: "push".into(), frames: 0, ..spec(60) },
-            &gbu,
-            &store,
-        );
-        assert_eq!(push.views.len(), 1);
+    fn degraded_siblings_are_built_once_per_level() {
+        let view = Session::prepare(spec(200), &GbuConfig::paper()).view(0).clone();
+        let half = view.degraded(QualityLevel::TopK { fraction: 0.5 });
+        assert!(Arc::ptr_eq(&half, &view.degraded(QualityLevel::TopK { fraction: 0.5 })));
+        let quarter = view.degraded(QualityLevel::TopK { fraction: 0.25 });
+        assert!(quarter.splats.len() < half.splats.len() && half.splats.len() < view.splats.len());
+        assert!(quarter.occupancy < half.occupancy && half.occupancy < view.occupancy);
+        let (splats, bins, camera) = (half.splats.clone(), half.bins.clone(), half.camera.clone());
+        let fresh = PreparedView::new(splats, bins, camera, half.prep, &view.gbu);
+        assert_eq!(fresh.occupancy, half.occupancy, "a sibling is priced like any view");
     }
 
     #[test]

@@ -1,23 +1,22 @@
 //! Workspace-level scene store: cross-session interning of resolved
 //! scenes and prepared viewpoints.
 //!
-//! Millions of viewers mostly look at a handful of scenes, yet classic
-//! [`Session::prepare`](crate::session::Session::prepare) gives every
-//! session a private `GaussianScene` copy and re-runs Steps ❶/❷ per
-//! viewpoint. A [`SceneStore`] interns both behind `Arc`s, keyed by
-//! content identity, so N sessions over the same content share one
-//! immutable scene and one set of prepared views — including the
-//! per-view device-occupancy probe used for load calibration. Resolve
-//! sessions through it with
+//! Millions of viewers mostly look at a handful of scenes. A
+//! [`SceneStore`] interns scenes and prepared views behind `Arc`s, keyed
+//! by content identity, so N sessions over the same content share one
+//! immutable scene and one set of prepared views — each view carrying
+//! its device occupancy and, once the quality governor asks, its
+//! degraded siblings ([`crate::PreparedView`]). Resolve sessions through it with
 //! [`Session::prepare_shared`](crate::session::Session::prepare_shared)
 //! or by setting [`crate::ServeConfig::scene_store`].
 //!
-//! The store is deliberately *identical-result* caching: a stored view
-//! is produced by the exact same `resolve scene → orbit camera →
-//! project → bin → probe` path as classic preparation, so a session
-//! prepared through the store is indistinguishable from a classic one
-//! except for the shared `Arc` identity (which the preprocessing-reuse
-//! discount keys on).
+//! The store is the only preparation path: classic
+//! [`Session::prepare`](crate::session::Session::prepare) runs the same
+//! `resolve scene → orbit camera → project → bin → probe` lookups
+//! through a private store that no other session sees. A session
+//! prepared through a shared store is therefore indistinguishable from
+//! a classic one by construction, except for the shared `Arc` identity
+//! (which the preprocessing-reuse discount keys on).
 
 use crate::session::{self, PreparedView, SessionContent};
 use gbu_hw::GbuConfig;
@@ -54,7 +53,7 @@ impl SceneKey {
 }
 
 /// Prepared-view identity: scene + resolution + orbit + the GBU config
-/// the calibration probe ran against.
+/// the view's occupancy probe ran against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ViewKey {
     scene: SceneKey,
@@ -72,8 +71,8 @@ pub struct SceneStoreCounters {
     pub scene_hits: u64,
     /// Scene resolutions that had to build the scene.
     pub scene_misses: u64,
-    /// View preparations served from the store (Steps ❶/❷ + probe
-    /// skipped).
+    /// View preparations served from the store (Steps ❶/❷ + occupancy
+    /// probe skipped).
     pub view_hits: u64,
     /// View preparations that had to run Steps ❶/❷ + probe.
     pub view_misses: u64,
@@ -94,7 +93,7 @@ struct StoreInner {
     /// (authoritative for dataset content, whose dims come from the
     /// scenario camera).
     scenes: HashMap<SceneKey, (Arc<GaussianScene>, u32, u32)>,
-    views: HashMap<ViewKey, (Arc<PreparedView>, u64)>,
+    views: HashMap<ViewKey, Arc<PreparedView>>,
     counters: SceneStoreCounters,
 }
 
@@ -129,8 +128,8 @@ impl std::fmt::Debug for SceneStore {
     }
 }
 
-/// FNV-1a fingerprint of a `GbuConfig` (via its `Debug` form) — probe
-/// cycles are only reusable across sessions on the same device config.
+/// FNV-1a fingerprint of a `GbuConfig` (via its `Debug` form) — a view's
+/// occupancy is only reusable across sessions on the same device config.
 fn gbu_fingerprint(gbu: &GbuConfig) -> u64 {
     format!("{gbu:?}")
         .bytes()
@@ -186,15 +185,15 @@ impl SceneStore {
         (scene, width, height)
     }
 
-    /// Shared handle + calibration cycles for one orbit viewpoint,
-    /// preparing (Steps ❶/❷ + probe) and interning it on first request.
+    /// Shared handle of one orbit viewpoint, preparing it (Steps ❶/❷ +
+    /// occupancy probe on `gbu`) and interning it on first request.
     pub(crate) fn view(
         &self,
         content: &SessionContent,
         orbit_seed: u64,
         v: usize,
         gbu: &GbuConfig,
-    ) -> (Arc<PreparedView>, u64) {
+    ) -> Arc<PreparedView> {
         let (scene, width, height) = self.scene(content);
         let key = ViewKey {
             scene: SceneKey::of(content),
@@ -210,11 +209,10 @@ impl SceneStore {
             return hit;
         }
         let camera = session::orbit_camera(&scene, width, height, orbit_seed, v);
-        let view = Arc::new(session::prepare_view(&scene, camera));
-        let cycles = session::probe_view_cycles(&view, gbu);
+        let view = Arc::new(session::prepare_view(&scene, camera, gbu));
         let mut g = self.inner.lock().unwrap();
         g.record(false, |c| c.view_misses += 1);
-        g.views.entry(key).or_insert((view, cycles)).clone()
+        Arc::clone(g.views.entry(key).or_insert(view))
     }
 }
 
@@ -251,8 +249,8 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((w, h), (64, 64));
         assert_eq!((hw, hh), (128, 96));
-        let (v_sd, _) = store.view(&synthetic(7), 7, 0, &gbu);
-        let (v_hd, _) = store.view(&hd, 7, 0, &gbu);
+        let v_sd = store.view(&synthetic(7), 7, 0, &gbu);
+        let v_hd = store.view(&hd, 7, 0, &gbu);
         assert!(!Arc::ptr_eq(&v_sd, &v_hd));
         assert_eq!(v_sd.camera.width, 64);
         assert_eq!(v_hd.camera.width, 128);
@@ -262,16 +260,15 @@ mod tests {
     fn views_are_interned_with_probe_cycles() {
         let store = SceneStore::new();
         let gbu = GbuConfig::paper();
-        let (a, ca) = store.view(&synthetic(7), 7, 0, &gbu);
-        let (b, cb) = store.view(&synthetic(7), 7, 0, &gbu);
+        let a = store.view(&synthetic(7), 7, 0, &gbu);
+        let b = store.view(&synthetic(7), 7, 0, &gbu);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(ca, cb);
-        assert!(ca > 0);
+        assert!(a.occupancy > 0);
         let s = store.stats();
         assert_eq!((s.view_hits, s.view_misses), (1, 1));
         assert_eq!(store.view_count(), 1);
         // A different orbit viewpoint is a distinct entry.
-        let (c, _) = store.view(&synthetic(7), 7, 1, &gbu);
+        let c = store.view(&synthetic(7), 7, 1, &gbu);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(store.view_count(), 2);
     }

@@ -1,7 +1,7 @@
 //! One function per paper table/figure. Each prints the regenerated
 //! rows/series next to the paper's reported values where applicable.
 
-use crate::common::Ctx;
+use crate::common::{run_info, Ctx, Gate};
 use gbu_core::apps::{self, FrameScenario};
 use gbu_core::reports::{bar, fmt_f, fmt_pct, fmt_x, table};
 use gbu_core::system::{self, Design, FrameMeasurement};
@@ -14,6 +14,7 @@ use gbu_render::irss::{IrssSplat, RowOutcome};
 use gbu_render::stats::irss_gpu_lane_utilization;
 use gbu_render::{binning, preprocess, Splat2D};
 use gbu_scene::{DatasetScene, SceneKind};
+use gbu_telemetry::json::{self, Fixed, Json};
 
 /// Tab. I: algorithm and dataset setup.
 pub fn tab1(ctx: &Ctx) {
@@ -947,18 +948,15 @@ pub fn render(ctx: &Ctx) {
     let pools: Vec<(usize, ThreadPool)> =
         THREADS.iter().map(|&t| (t, ThreadPool::new(t))).collect();
 
-    fn per_thread_json(pairs: &[(usize, f64)]) -> String {
-        let fields: Vec<String> = pairs.iter().map(|(t, ms)| format!("\"{t}\":{ms:.4}")).collect();
-        format!("{{{}}}", fields.join(","))
+    fn per_thread_json(pairs: &[(usize, f64)]) -> Json {
+        json::object(|o| {
+            for (t, ms) in pairs {
+                o.field(&t.to_string(), Fixed(*ms, 4));
+            }
+        })
     }
 
-    let invalid = std::cell::Cell::new(false);
-    let check = |label: &str, v: f64| {
-        if !v.is_finite() || v <= 0.0 {
-            eprintln!("INVALID: {label} = {v}");
-            invalid.set(true);
-        }
-    };
+    let gate = Gate::new("render bench");
 
     let mut scene_jsons = Vec::new();
     let mut rows = Vec::new();
@@ -994,12 +992,12 @@ pub fn render(ctx: &Ctx) {
             let ms = best_ms(reps, || {
                 let _ = gbu_render::preprocess::project_scene_bounded(pool, &scene, &camera);
             });
-            check(&format!("{scene_name}/preprocess@{t}"), ms);
+            gate.positive(&format!("{scene_name}/preprocess@{t}"), ms);
             pre_ms.push((*t, ms));
             let ms = best_ms(reps, || {
                 let _ = irss::precompute_pooled(pool, &splats);
             });
-            check(&format!("{scene_name}/precompute@{t}"), ms);
+            gate.positive(&format!("{scene_name}/precompute@{t}"), ms);
             xform_ms.push((*t, ms));
         }
 
@@ -1012,7 +1010,7 @@ pub fn render(ctx: &Ctx) {
         let bin_serial_ms = best_ms(reps, || {
             let _ = gbu_render::binning::bin_splats(&splats, &camera, cfg.tile_size);
         });
-        check(&format!("{scene_name}/binning/serial"), bin_serial_ms);
+        gate.positive(&format!("{scene_name}/binning/serial"), bin_serial_ms);
         let mut bin_scratch = BinScratch::new();
         let mut bin_out = bins.clone();
         let mut bin = |pool: &ThreadPool| {
@@ -1026,14 +1024,14 @@ pub fn render(ctx: &Ctx) {
                 &mut bin_out,
             );
             let t = pool.threads();
-            if bin_out.offsets != bins.offsets || bin_out.entries != bins.entries {
-                eprintln!("INVALID: {scene_name}/binning@{t}: parallel bins diverge from serial");
-                invalid.set(true);
-            }
-            if par_stats != bin_stats {
-                eprintln!("INVALID: {scene_name}/binning@{t}: stats diverge from serial");
-                invalid.set(true);
-            }
+            gate.check(
+                bin_out.offsets == bins.offsets && bin_out.entries == bins.entries,
+                format_args!("{scene_name}/binning@{t}: parallel bins diverge from serial"),
+            );
+            gate.check(
+                par_stats == bin_stats,
+                format_args!("{scene_name}/binning@{t}: stats diverge from serial"),
+            );
         };
         let bin_record = job_record(reps, || bin(serial));
         let mut bin_wall = Vec::new();
@@ -1041,9 +1039,9 @@ pub fn render(ctx: &Ctx) {
         let mut bin_4t = [0.0f64; 2]; // [wall, critical path] at 4 threads
         for (t, pool) in &pools {
             let ms = best_ms(reps, || bin(pool));
-            check(&format!("{scene_name}/binning@{t}"), ms);
+            gate.positive(&format!("{scene_name}/binning@{t}"), ms);
             let cp = critical_path_ms(&bin_record, *t);
-            check(&format!("{scene_name}/binning/critical_path@{t}"), cp);
+            gate.positive(&format!("{scene_name}/binning/critical_path@{t}"), cp);
             bin_wall.push((*t, ms));
             bin_cp.push((*t, cp));
             if *t == 4 {
@@ -1062,16 +1060,16 @@ pub fn render(ctx: &Ctx) {
             (_, false) | ("large", true) => 1.0,
             _ => 0.0,
         };
-        if bin_speedup_cp <= cp_floor {
-            eprintln!(
-                "INVALID: {scene_name}/binning: critical-path speedup at 4 threads \
+        gate.check(
+            bin_speedup_cp > cp_floor,
+            format_args!(
+                "{scene_name}/binning: critical-path speedup at 4 threads \
                  {bin_speedup_cp:.3}x <= {cp_floor}x"
-            );
-            invalid.set(true);
-        }
+            ),
+        );
         let bin_mpairs = bin_stats.instances as f64 / (bin_serial_ms / 1e3) / 1e6;
-        check(&format!("{scene_name}/binning/pairs"), bin_stats.instances as f64);
-        check(&format!("{scene_name}/binning/mpairs_per_s"), bin_mpairs);
+        gate.positive(&format!("{scene_name}/binning/pairs"), bin_stats.instances as f64);
+        gate.positive(&format!("{scene_name}/binning/mpairs_per_s"), bin_mpairs);
         rows.push(vec![
             scene_name.to_string(),
             "binning".to_string(),
@@ -1081,17 +1079,16 @@ pub fn render(ctx: &Ctx) {
             fmt_x(bin_speedup_cp),
             fmt_f(bin_mpairs, 1),
         ]);
-        let binning_json = format!(
-            "\"binning\":{{\"serial_ms\":{bin_serial_ms:.4},\"wall_ms\":{},\
-             \"critical_path_ms\":{},\"pairs\":{},\"sort_passes\":{},\
-             \"mpairs_per_s_serial\":{bin_mpairs:.2},\
-             \"speedup_4t\":{{\"wall\":{bin_speedup_wall:.3},\
-             \"critical_path\":{bin_speedup_cp:.3}}}}}",
-            per_thread_json(&bin_wall),
-            per_thread_json(&bin_cp),
-            bin_stats.instances,
-            bin_stats.sort_passes,
-        );
+        let binning_json = json::object(|o| {
+            o.field("serial_ms", Fixed(bin_serial_ms, 4));
+            o.field("wall_ms", per_thread_json(&bin_wall));
+            o.field("critical_path_ms", per_thread_json(&bin_cp));
+            o.field("pairs", bin_stats.instances).field("sort_passes", bin_stats.sort_passes);
+            o.field("mpairs_per_s_serial", Fixed(bin_mpairs, 2)).object("speedup_4t", |o| {
+                o.field("wall", Fixed(bin_speedup_wall, 3));
+                o.field("critical_path", Fixed(bin_speedup_cp, 3));
+            });
+        });
 
         // Step ❸, both dataflows, through the allocation-free reuse path.
         let mut image = FrameBuffer::new(camera.width, camera.height, cfg.background);
@@ -1129,12 +1126,12 @@ pub fn render(ctx: &Ctx) {
             let mut model = Vec::new();
             for (t, pool) in &pools {
                 let ms = best_ms(reps, || blend(pool));
-                check(&format!("{scene_name}/{dataflow}@{t}"), ms);
+                gate.positive(&format!("{scene_name}/{dataflow}@{t}"), ms);
                 if *t == 1 {
                     serial_sums[di] = ms;
                 }
                 let cp = critical_path_ms(&record, *t);
-                check(&format!("{scene_name}/{dataflow}/critical_path@{t}"), cp);
+                gate.positive(&format!("{scene_name}/{dataflow}/critical_path@{t}"), cp);
                 wall.push((*t, ms));
                 model.push((*t, cp));
                 if *t == 4 {
@@ -1142,8 +1139,9 @@ pub fn render(ctx: &Ctx) {
                 }
             }
             let throughput = stats.fragments_evaluated as f64 / (serial_sums[di] / 1e3) / 1e6;
-            check(&format!("{scene_name}/{dataflow}/throughput"), throughput);
-            check(&format!("{scene_name}/{dataflow}/fragments"), stats.fragments_evaluated as f64);
+            gate.positive(&format!("{scene_name}/{dataflow}/throughput"), throughput);
+            let fragments = stats.fragments_evaluated;
+            gate.positive(&format!("{scene_name}/{dataflow}/fragments"), fragments as f64);
             rows.push(vec![
                 scene_name.to_string(),
                 dataflow.to_string(),
@@ -1153,39 +1151,36 @@ pub fn render(ctx: &Ctx) {
                 fmt_x(serial_sums[di] / four_thread[di][1]),
                 fmt_f(throughput, 1),
             ]);
-            dataflow_jsons.push(format!(
-                "\"{dataflow}\":{{\"serial_ms\":{:.4},\"wall_ms\":{},\"critical_path_ms\":{},\
-                 \"fragments\":{},\"mfrag_per_s_serial\":{:.2}}}",
-                serial_sums[di],
-                per_thread_json(&wall),
-                per_thread_json(&model),
-                stats.fragments_evaluated,
-                throughput,
-            ));
+            dataflow_jsons.push(json::object(|o| {
+                o.field("serial_ms", Fixed(serial_sums[di], 4));
+                o.field("wall_ms", per_thread_json(&wall));
+                o.field("critical_path_ms", per_thread_json(&model));
+                o.field("fragments", fragments).field("mfrag_per_s_serial", Fixed(throughput, 2));
+            }));
         }
 
         let blend_serial = serial_sums[0] + serial_sums[1];
         let speedup_wall = blend_serial / (four_thread[0][0] + four_thread[1][0]);
         let speedup_cp = blend_serial / (four_thread[0][1] + four_thread[1][1]);
-        check(&format!("{scene_name}/blend_speedup_4t"), speedup_cp);
+        gate.positive(&format!("{scene_name}/blend_speedup_4t"), speedup_cp);
         println!(
             "   {scene_name}: PFS+IRSS blend speedup at 4 threads: {:.2}x wall, {:.2}x critical-path",
             speedup_wall, speedup_cp
         );
 
-        scene_jsons.push(format!(
-            "{{\"name\":\"{scene_name}\",\"gaussians\":{},\"splats\":{},\"width\":{width},\
-             \"height\":{height},\"occupied_tiles\":{},\"preprocess_wall_ms\":{},\
-             \"irss_precompute_wall_ms\":{},{binning_json},{},{},\
-             \"blend_speedup_4t\":{{\"wall\":{speedup_wall:.3},\"critical_path\":{speedup_cp:.3}}}}}",
-            scene.len(),
-            splats.len(),
-            bin_stats.occupied_tiles,
-            per_thread_json(&pre_ms),
-            per_thread_json(&xform_ms),
-            dataflow_jsons[0],
-            dataflow_jsons[1],
-        ));
+        scene_jsons.push(json::object(|o| {
+            o.field("name", scene_name).field("gaussians", scene.len());
+            o.field("splats", splats.len()).field("width", width).field("height", height);
+            o.field("occupied_tiles", bin_stats.occupied_tiles);
+            o.field("preprocess_wall_ms", per_thread_json(&pre_ms));
+            o.field("irss_precompute_wall_ms", per_thread_json(&xform_ms));
+            o.field("binning", &binning_json);
+            o.field("pfs", &dataflow_jsons[0]).field("irss", &dataflow_jsons[1]);
+            o.object("blend_speedup_4t", |o| {
+                o.field("wall", Fixed(speedup_wall, 3));
+                o.field("critical_path", Fixed(speedup_cp, 3));
+            });
+        }));
     }
 
     println!(
@@ -1204,27 +1199,12 @@ pub fn render(ctx: &Ctx) {
         )
     );
 
-    if invalid.get() {
-        eprintln!("render bench produced invalid output; failing");
-        std::process::exit(1);
-    }
-
-    let threads_json: Vec<String> = THREADS.iter().map(usize::to_string).collect();
-    let json = format!(
-        "{{\"experiment\":\"render_bench\",\"profile\":\"{:?}\",\"run_info\":{},\
-         \"host_cores\":{host_cores},\
-         \"threads\":[{}],\"reps\":{reps},\"scenes\":[{}]}}\n",
-        ctx.profile,
-        run_info(),
-        threads_json.join(","),
-        scene_jsons.join(",")
-    );
-    // The committed trajectory is bench/full-profile data; the `test`
-    // profile is the CI smoke configuration and lands under the
-    // gitignored bench_out/ so it can never clobber the trajectory.
-    let path = smoke_path(ctx.profile, "BENCH_render");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}\n");
+    let doc = json::object(|o| {
+        o.field("experiment", "render_bench").field("profile", format!("{:?}", ctx.profile));
+        o.field("run_info", run_info()).field("host_cores", host_cores);
+        o.field("threads", &THREADS[..]).field("reps", reps).field("scenes", &scene_jsons[..]);
+    });
+    gate.finish(ctx.profile, "BENCH_render", doc, None);
 }
 
 /// Serving sweep: session count × scheduler variant × pool size on the
@@ -1291,10 +1271,10 @@ pub fn serve(ctx: &Ctx) {
                 ]);
                 // Wrap the report with its sweep coordinate instead of
                 // splicing into its serialised form.
-                runs.push(format!(
-                    "{{\"session_count\":{n},\"variant\":\"{variant}\",\"report\":{}}}",
-                    r.to_json()
-                ));
+                runs.push(json::object(|o| {
+                    o.field("session_count", n).field("variant", variant);
+                    o.field("report", Json(r.to_json()));
+                }));
             }
         }
     }
@@ -1309,16 +1289,16 @@ pub fn serve(ctx: &Ctx) {
         )
     );
 
-    let json = format!(
-        "{{\"experiment\":\"serve_sweep\",\"run_info\":{},\"frames_per_session\":{FRAMES},\
-         \"clock_ghz\":{clock_ghz:.6},\"reference\":{{\"sessions\":16,\"devices\":2,\
-         \"target_utilization\":1.0}},\"runs\":[{}]}}\n",
-        run_info(),
-        runs.join(",")
-    );
-    let path = smoke_path(ctx.profile, "BENCH_serve");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path} ({} runs)\n", rows.len());
+    let doc = json::object(|o| {
+        o.field("experiment", "serve_sweep").field("run_info", run_info());
+        o.field("frames_per_session", FRAMES).field("clock_ghz", Fixed(clock_ghz, 6));
+        o.object("reference", |o| {
+            o.field("sessions", 16u32).field("devices", 2u32);
+            o.field("target_utilization", Fixed(1.0, 1));
+        });
+        o.field("runs", &runs[..]);
+    });
+    Gate::new("serve sweep").finish(ctx.profile, "BENCH_serve", doc, Some(rows.len()));
 }
 
 /// Multi-pool scene-sharding sweep: shard counts {1, 2, 4} × every
@@ -1380,7 +1360,7 @@ pub fn shard(ctx: &Ctx) {
     let camera = Camera::orbit(width, height, 0.9, gbu_math::Vec3::ZERO, 3.4, 0.4, 0.2);
     let projected = pipeline::project(&scene, &camera);
     let binned = pipeline::bin(&projected, 16);
-    let mut invalid = false;
+    let gate = Gate::new("shard sweep");
 
     // Host frontend: the sharding host runs Step ❷ once per frame before
     // fanning shards out, so its cost now rides the parallel binning
@@ -1404,17 +1384,14 @@ pub fn shard(ctx: &Ctx) {
     let host_bin_cp4 = critical_path_ms(&job_record(3, || bin(&serial)), 4);
     // Wall ms at 1 and 4 threads.
     let host_bin = [best_ms(3, || bin(&serial)), best_ms(3, || bin(&four))];
-    if bin_out.offsets != binned.bins.offsets || bin_out.entries != binned.bins.entries {
-        eprintln!("INVALID: host-frontend parallel bins diverge from the frame's bins");
-        invalid = true;
-    }
+    gate.check(
+        bin_out.offsets == binned.bins.offsets && bin_out.entries == binned.bins.entries,
+        "host-frontend parallel bins diverge from the frame's bins",
+    );
     for (label, v) in
         [("bin_wall_1t", host_bin[0]), ("bin_wall_4t", host_bin[1]), ("bin_cp_4t", host_bin_cp4)]
     {
-        if !v.is_finite() || v <= 0.0 {
-            eprintln!("INVALID: host_frontend/{label} = {v}");
-            invalid = true;
-        }
+        gate.positive(&format!("host_frontend/{label}"), v);
     }
     println!(
         "   host frontend (Step \u{2777}): {:.2} ms serial-pool, {:.2} ms at 4 threads \
@@ -1477,10 +1454,8 @@ pub fn shard(ctx: &Ctx) {
             let imbalance = c.imbalance().expect("sharded frame");
 
             let bit_identical = c.image.pixels() == base.image.pixels();
-            if !bit_identical {
-                eprintln!("INVALID: {}/{shards}: merged image diverged", strategy.label());
-                invalid = true;
-            }
+            let at = format!("{}/{shards}", strategy.label());
+            gate.check(bit_identical, format_args!("{at}: merged image diverged"));
             let speedup = base_cycles as f64 / c.completed_at.max(1) as f64;
             let dram_overhead = c.dram_bytes as f64 / base.run.dram_bytes.max(1) as f64;
             for (label, v) in [
@@ -1489,10 +1464,7 @@ pub fn shard(ctx: &Ctx) {
                 ("planned_imbalance", planned_imbalance),
                 ("dram_overhead", dram_overhead),
             ] {
-                if !v.is_finite() || v <= 0.0 {
-                    eprintln!("INVALID: {}/{shards}: {label} = {v}", strategy.label());
-                    invalid = true;
-                }
+                gate.positive(&format!("{at}: {label}"), v);
             }
 
             rows.push(vec![
@@ -1504,18 +1476,16 @@ pub fn shard(ctx: &Ctx) {
                 fmt_f(planned_imbalance, 3),
                 fmt_x(dram_overhead),
             ]);
-            let shard_cycles: Vec<String> = c.shard_cycles.iter().map(u64::to_string).collect();
-            runs.push(format!(
-                "{{\"strategy\":\"{}\",\"shards\":{shards},\"completion_cycles\":{},\
-                 \"critical_path_speedup\":{speedup:.4},\"imbalance\":{imbalance:.4},\
-                 \"planned_imbalance\":{planned_imbalance:.4},\"shard_cycles\":[{}],\
-                 \"dram_bytes\":{},\"dram_overhead\":{dram_overhead:.4},\
-                 \"bit_identical\":{bit_identical}}}",
-                strategy.label(),
-                c.completed_at,
-                shard_cycles.join(","),
-                c.dram_bytes,
-            ));
+            runs.push(json::object(|o| {
+                o.field("strategy", strategy.label()).field("shards", shards);
+                o.field("completion_cycles", c.completed_at);
+                o.field("critical_path_speedup", Fixed(speedup, 4));
+                o.field("imbalance", Fixed(imbalance, 4));
+                o.field("planned_imbalance", Fixed(planned_imbalance, 4));
+                o.field("shard_cycles", &c.shard_cycles[..]).field("dram_bytes", c.dram_bytes);
+                o.field("dram_overhead", Fixed(dram_overhead, 4));
+                o.field("bit_identical", bit_identical);
+            }));
         }
     }
 
@@ -1535,33 +1505,25 @@ pub fn shard(ctx: &Ctx) {
         )
     );
 
-    if invalid {
-        eprintln!("shard sweep produced invalid output; failing");
-        std::process::exit(1);
-    }
-
-    let json = format!(
-        "{{\"experiment\":\"shard_sweep\",\"profile\":\"{:?}\",\"run_info\":{},\
-         \"scene\":{{\"gaussians\":{},\"splats\":{},\"width\":{width},\"height\":{height},\
-         \"tile_rows\":{},\"occupied_tiles\":{}}},\
-         \"unsharded\":{{\"occupancy_cycles\":{base_cycles},\"dram_bytes\":{}}},\
-         \"host_frontend\":{{\"bin_wall_ms_1t\":{:.4},\"bin_wall_ms_4t\":{:.4},\
-         \"bin_critical_path_ms_4t\":{host_bin_cp4:.4}}},\
-         \"runs\":[{}]}}\n",
-        ctx.profile,
-        run_info(),
-        scene.len(),
-        projected.splats.len(),
-        binned.bins.tiles_y,
-        binned.stats.occupied_tiles,
-        base.run.dram_bytes,
-        host_bin[0],
-        host_bin[1],
-        runs.join(",")
-    );
-    let path = smoke_path(ctx.profile, "BENCH_shard");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path} ({} runs)\n", rows.len());
+    let doc = json::object(|o| {
+        o.field("experiment", "shard_sweep").field("profile", format!("{:?}", ctx.profile));
+        o.field("run_info", run_info()).object("scene", |o| {
+            o.field("gaussians", scene.len()).field("splats", projected.splats.len());
+            o.field("width", width).field("height", height);
+            o.field("tile_rows", binned.bins.tiles_y);
+            o.field("occupied_tiles", binned.stats.occupied_tiles);
+        });
+        o.object("unsharded", |o| {
+            o.field("occupancy_cycles", base_cycles).field("dram_bytes", base.run.dram_bytes);
+        });
+        o.object("host_frontend", |o| {
+            o.field("bin_wall_ms_1t", Fixed(host_bin[0], 4));
+            o.field("bin_wall_ms_4t", Fixed(host_bin[1], 4));
+            o.field("bin_critical_path_ms_4t", Fixed(host_bin_cp4, 4));
+        });
+        o.field("runs", &runs[..]);
+    });
+    gate.finish(ctx.profile, "BENCH_shard", doc, Some(rows.len()));
 }
 
 /// Cluster-serving sweep: one overloaded sharded session on a 4-lane
@@ -1640,7 +1602,7 @@ pub fn cluster(ctx: &Ctx) {
     let strategies = [ShardStrategy::CostBalanced, ShardStrategy::Measured];
     let mut rows = Vec::new();
     let mut runs = Vec::new();
-    let mut invalid = false;
+    let gate = Gate::new("cluster sweep");
     // miss-rate trajectory of (cost_balanced, admission off) over shards.
     let mut gate_misses: Vec<f64> = Vec::new();
     let mut imbalance_at_4 = [f64::NAN; 2];
@@ -1670,17 +1632,13 @@ pub fn cluster(ctx: &Ctx) {
                 let mean_imbalance = r.sharding.as_ref().map_or(f64::NAN, |s| s.mean_imbalance);
                 let admission = if lane_aware { "lane_aware" } else { "off" };
                 let on_time = r.completed - r.missed;
+                let at = format!("{}/{shards}", strategy.label());
                 if !lane_aware {
                     for (label, v) in
                         [("miss_rate", r.deadline_miss_rate), ("imbalance", mean_imbalance)]
                     {
-                        if !v.is_finite() || v < 0.0 {
-                            eprintln!(
-                                "INVALID: {}/{shards}/{admission}: {label} = {v}",
-                                strategy.label()
-                            );
-                            invalid = true;
-                        }
+                        let what = format_args!("{at}/{admission}: {label} = {v}");
+                        gate.check(v.is_finite() && v >= 0.0, what);
                     }
                     // The miss-rate gate rides the measurement-driven
                     // strategy: pair-count LPT's higher imbalance can
@@ -1693,18 +1651,19 @@ pub fn cluster(ctx: &Ctx) {
                         imbalance_at_4[si] = mean_imbalance;
                     }
                     off_on_time = on_time;
-                } else if on_time < off_on_time {
+                } else {
                     // Lane-aware admission only converts guaranteed
                     // misses into up-front rejections: every rejection
                     // is provably unmeetable, so the on-time completion
                     // count must not fall vs the paired admission-off
                     // run.
-                    eprintln!(
-                        "INVALID: {}/{shards}: lane-aware admission lost on-time frames \
-                         ({on_time} vs {off_on_time})",
-                        strategy.label()
+                    gate.check(
+                        on_time >= off_on_time,
+                        format_args!(
+                            "{at}: lane-aware admission lost on-time frames \
+                             ({on_time} vs {off_on_time})"
+                        ),
                     );
-                    invalid = true;
                 }
                 rows.push(vec![
                     strategy.label().to_string(),
@@ -1717,12 +1676,10 @@ pub fn cluster(ctx: &Ctx) {
                     fmt_f(mean_imbalance, 3),
                     fmt_pct(r.device_utilization),
                 ]);
-                runs.push(format!(
-                    "{{\"strategy\":\"{}\",\"shards\":{shards},\"admission\":\"{admission}\",\
-                     \"report\":{}}}",
-                    strategy.label(),
-                    r.to_json()
-                ));
+                runs.push(json::object(|o| {
+                    o.field("strategy", strategy.label()).field("shards", shards);
+                    o.field("admission", admission).field("report", Json(r.to_json()));
+                }));
             }
         }
     }
@@ -1736,13 +1693,10 @@ pub fn cluster(ctx: &Ctx) {
 
     // Self-validation 1: sharding must strictly cut the miss rate.
     for w in gate_misses.windows(2) {
-        if w[1] >= w[0] {
-            eprintln!(
-                "INVALID: miss rate must fall strictly with shard width, got {:?}",
-                gate_misses
-            );
-            invalid = true;
-        }
+        gate.check(
+            w[1] < w[0],
+            format_args!("miss rate must fall strictly with shard width, got {gate_misses:?}"),
+        );
     }
     // Self-validation 2: measured feedback must not lose to pair-count
     // LPT on measured imbalance (it replans from real service cycles).
@@ -1753,28 +1707,22 @@ pub fn cluster(ctx: &Ctx) {
         measured,
         (measured / bal - 1.0) * 100.0
     );
-    if measured > bal * 1.02 {
-        eprintln!("INVALID: measured replanning regressed imbalance: {measured} vs {bal}");
-        invalid = true;
-    }
-    if invalid {
-        eprintln!("cluster sweep produced invalid output; failing");
-        std::process::exit(1);
-    }
-
-    let json = format!(
-        "{{\"experiment\":\"cluster_sweep\",\"profile\":\"{:?}\",\"run_info\":{},\"lanes\":{LANES},\
-         \"frames\":{FRAMES},\"overload\":{OVERLOAD},\"clock_ghz\":{clock_ghz:.6},\
-         \"scene\":{{\"light_gaussians\":{light_g},\"heavy_gaussians\":{heavy_g},\
-         \"width\":{width},\"height\":{height}}},\
-         \"runs\":[{}]}}\n",
-        ctx.profile,
-        run_info(),
-        runs.join(",")
+    gate.check(
+        measured <= bal * 1.02,
+        format_args!("measured replanning regressed imbalance: {measured} vs {bal}"),
     );
-    let path = smoke_path(ctx.profile, "BENCH_cluster");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path} ({} runs)\n", rows.len());
+
+    let doc = json::object(|o| {
+        o.field("experiment", "cluster_sweep").field("profile", format!("{:?}", ctx.profile));
+        o.field("run_info", run_info()).field("lanes", LANES).field("frames", FRAMES);
+        o.field("overload", OVERLOAD).field("clock_ghz", Fixed(clock_ghz, 6));
+        o.object("scene", |o| {
+            o.field("light_gaussians", light_g).field("heavy_gaussians", heavy_g);
+            o.field("width", width).field("height", height);
+        });
+        o.field("runs", &runs[..]);
+    });
+    gate.finish(ctx.profile, "BENCH_cluster", doc, Some(rows.len()));
 }
 
 /// Per-stage / per-lane trace profile: runs the staged render pipeline
@@ -1802,7 +1750,7 @@ pub fn trace(ctx: &Ctx) {
     use gbu_telemetry::{validate, Recorder, TraceSummary, Verbosity};
 
     println!("== Trace profile: staged render + cluster serving telemetry ==");
-    let mut invalid = false;
+    let gate = Gate::new("trace profile");
 
     // -- Part 1: wall-clock trace of the staged render pipeline. --------
     let (gaussians, width, height) = match ctx.profile {
@@ -1819,8 +1767,7 @@ pub fn trace(ctx: &Ctx) {
     gbu_telemetry::set_global(previous);
 
     if let Err(e) = validate(&render_trace) {
-        eprintln!("INVALID: render trace: {e}");
-        invalid = true;
+        gate.check(false, format_args!("render trace: {e}"));
     }
     let render_summary = TraceSummary::from_trace(&render_trace);
     let stage_cycles =
@@ -1829,10 +1776,10 @@ pub fn trace(ctx: &Ctx) {
         stage_cycles("render"),
         stage_cycles("project") + stage_cycles("bin") + stage_cycles("blend"),
     );
-    if staged > total {
-        eprintln!("INVALID: stage wall times ({staged} ns) exceed the render span ({total} ns)");
-        invalid = true;
-    }
+    gate.check(
+        staged <= total,
+        format_args!("stage wall times ({staged} ns) exceed the render span ({total} ns)"),
+    );
     let mut rows = Vec::new();
     for name in ["render", "project", "bin", "blend"] {
         if let Some(s) = render_summary.stage(name, gbu_telemetry::Domain::Wall) {
@@ -1895,38 +1842,27 @@ pub fn trace(ctx: &Ctx) {
     let serve_trace = recorder.snapshot();
 
     if let Err(e) = validate(&serve_trace) {
-        eprintln!("INVALID: serve trace: {e}");
-        invalid = true;
+        gate.check(false, format_args!("serve trace: {e}"));
     }
     let serve_summary = TraceSummary::from_trace(&serve_trace);
-    if serve_summary.frame_count() != report.lifetime.completed as u64 {
-        eprintln!(
-            "INVALID: trace saw {} frame spans, metrics completed {}",
-            serve_summary.frame_count(),
-            report.lifetime.completed
-        );
-        invalid = true;
-    }
+    let (spans, completed) = (serve_summary.frame_count(), report.lifetime.completed);
+    gate.check(
+        spans == completed as u64,
+        format_args!("trace saw {spans} frame spans, metrics completed {completed}"),
+    );
     for e in &events {
         let ServeEvent::Completed { frame, session, latency_cycles, .. } = e else { continue };
-        let stat = serve_summary
-            .frames
-            .iter()
-            .find(|f| f.frame == frame.index() && f.session == session.index() as u32);
-        match stat {
-            Some(f) if f.latency_cycles == *latency_cycles => {}
-            Some(f) => {
-                eprintln!(
-                    "INVALID: frame {} span duration {} != event latency {latency_cycles}",
-                    frame.index(),
-                    f.latency_cycles
+        let id = frame.index();
+        let session = session.index() as u32;
+        let stat = serve_summary.frames.iter().find(|f| f.frame == id && f.session == session);
+        match stat.map(|f| f.latency_cycles) {
+            Some(span) => {
+                let what = format_args!(
+                    "frame {id} span duration {span} != event latency {latency_cycles}"
                 );
-                invalid = true;
+                gate.check(span == *latency_cycles, what);
             }
-            None => {
-                eprintln!("INVALID: completed frame {} has no frame span", frame.index());
-                invalid = true;
-            }
+            None => gate.check(false, format_args!("completed frame {id} has no frame span")),
         }
     }
     let lane_rows: Vec<Vec<String>> = serve_summary
@@ -1948,27 +1884,19 @@ pub fn trace(ctx: &Ctx) {
         serve_summary.frame_count()
     );
 
-    if invalid {
-        eprintln!("trace profile produced invalid output; failing");
-        std::process::exit(1);
-    }
-
-    let json = format!(
-        "{{\"experiment\":\"trace_profile\",\"profile\":\"{:?}\",\"run_info\":{},\
-         \"clock_ghz\":{clock_ghz:.6},\
-         \"render\":{{\"gaussians\":{gaussians},\"width\":{width},\"height\":{height},\
-         \"summary\":{}}},\
-         \"serve\":{{\"lanes\":{LANES},\"sessions\":{n_sessions},\"frames\":{frames},\
-         \"completed\":{},\"summary\":{}}}}}\n",
-        ctx.profile,
-        run_info(),
-        render_summary.to_json(),
-        report.lifetime.completed,
-        serve_summary.to_json()
-    );
-    let path = smoke_path(ctx.profile, "BENCH_trace");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}\n");
+    let doc = json::object(|o| {
+        o.field("experiment", "trace_profile").field("profile", format!("{:?}", ctx.profile));
+        o.field("run_info", run_info()).field("clock_ghz", Fixed(clock_ghz, 6));
+        o.object("render", |o| {
+            o.field("gaussians", gaussians).field("width", width).field("height", height);
+            o.field("summary", Json(render_summary.to_json()));
+        });
+        o.object("serve", |o| {
+            o.field("lanes", LANES).field("sessions", n_sessions).field("frames", frames);
+            o.field("completed", completed).field("summary", Json(serve_summary.to_json()));
+        });
+    });
+    gate.finish(ctx.profile, "BENCH_trace", doc, None);
 }
 
 /// `report` as JSON with its per-session and per-frame shard records
@@ -2133,7 +2061,7 @@ pub fn fleet(ctx: &Ctx) {
         }
     };
 
-    let mut invalid = false;
+    let gate = Gate::new("fleet sweep");
     let mut rows = Vec::new();
     let mut runs = Vec::new();
     let mut recovery = [0.0f64; 3]; // post-window badness per churn-suite run
@@ -2170,61 +2098,52 @@ pub fn fleet(ctx: &Ctx) {
         // whole-run tally (the windowed report only covers the last
         // `metrics_window` records per category).
         let life = r.lifetime;
-        if life.generated != life.completed + life.rejected + life.dropped {
-            eprintln!(
-                "INVALID: {label}: {} generated != {} + {} + {}",
-                life.generated, life.completed, life.rejected, life.dropped
-            );
-            invalid = true;
-        }
+        conserves(&gate, label, &life);
         let requeue_events =
             events.iter().filter(|e| matches!(e, ServeEvent::Requeued { .. })).count();
-        if requeue_events != life.requeued {
-            eprintln!(
-                "INVALID: {label}: {requeue_events} requeue events, report {}",
-                life.requeued
+        gate.check(
+            requeue_events == life.requeued,
+            format_args!("{label}: {requeue_events} requeue events, report {}", life.requeued),
+        );
+        if label == "baseline" {
+            gate.check(
+                life.requeued == 0 && r.lane_churn == 0,
+                format_args!(
+                    "baseline saw churn: {} requeues, {} transitions",
+                    life.requeued, r.lane_churn
+                ),
             );
-            invalid = true;
-        }
-        if label == "baseline" && (life.requeued != 0 || r.lane_churn != 0) {
-            eprintln!(
-                "INVALID: baseline saw churn: {} requeues, {} transitions",
-                life.requeued, r.lane_churn
+        } else {
+            gate.check(
+                life.requeued > 0,
+                format_args!("{label}: killing {killed} loaded lanes requeued nothing"),
             );
-            invalid = true;
-        }
-        if label != "baseline" {
-            if life.requeued == 0 {
-                eprintln!("INVALID: {label}: killing {killed} loaded lanes requeued nothing");
-                invalid = true;
-            }
-            if r.lane_churn != 2 * killed {
-                eprintln!(
-                    "INVALID: {label}: lane_churn {} != plan's {} transitions",
+            gate.check(
+                r.lane_churn == 2 * killed,
+                format_args!(
+                    "{label}: lane_churn {} != plan's {} transitions",
                     r.lane_churn,
                     2 * killed
-                );
-                invalid = true;
-            }
+                ),
+            );
             // Gate 2: bounded + recovering.
-            if post > churn + 1e-9 {
-                eprintln!(
-                    "INVALID: {label}: post-restore badness {post:.3} above churn {churn:.3}"
-                );
-                invalid = true;
-            }
-            if post > pre + 0.15 {
-                eprintln!(
-                    "INVALID: {label}: post-restore badness {post:.3} not within 0.15 of \
-                     pre-kill {pre:.3}"
-                );
-                invalid = true;
-            }
+            gate.check(
+                post <= churn + 1e-9,
+                format_args!("{label}: post-restore badness {post:.3} above churn {churn:.3}"),
+            );
+            gate.check(
+                post <= pre + 0.15,
+                format_args!(
+                    "{label}: post-restore badness {post:.3} not within 0.15 of pre-kill {pre:.3}"
+                ),
+            );
         }
         // Gate 3: the controller actually controls.
-        if label == "churn_controller" && r.migrated == 0 {
-            eprintln!("INVALID: controller run migrated no sessions off {killed} dead lanes");
-            invalid = true;
+        if label == "churn_controller" {
+            gate.check(
+                r.migrated > 0,
+                format_args!("controller run migrated no sessions off {killed} dead lanes"),
+            );
         }
 
         rows.push(vec![
@@ -2239,19 +2158,21 @@ pub fn fleet(ctx: &Ctx) {
             fmt_pct(post),
             fmt_f(r.p99_latency_ms, 2),
         ]);
-        runs.push(format!(
-            "{{\"scenario\":\"{label}\",\"badness\":{{\"pre\":{pre:.6},\"churn\":{churn:.6},\
-             \"post\":{post:.6}}},\"report\":{}}}",
-            aggregate_json(r)
-        ));
+        runs.push(json::object(|o| {
+            o.field("scenario", label).object("badness", |o| {
+                o.field("pre", Fixed(pre, 6)).field("churn", Fixed(churn, 6));
+                o.field("post", Fixed(post, 6));
+            });
+            o.field("report", Json(aggregate_json(r)));
+        }));
     }
-    if recovery[2] > recovery[1] + 0.05 {
-        eprintln!(
-            "INVALID: controller recovery {:.3} worse than uncontrolled {:.3}",
+    gate.check(
+        recovery[2] <= recovery[1] + 0.05,
+        format_args!(
+            "controller recovery {:.3} worse than uncontrolled {:.3}",
             recovery[2], recovery[1]
-        );
-        invalid = true;
-    }
+        ),
+    );
 
     // Load-wave autoscaling: an eighth of the fleet's sessions trickle
     // in first (the scaler parks idle lanes), then the full wave lands
@@ -2283,18 +2204,12 @@ pub fn fleet(ctx: &Ctx) {
         let parked = events.iter().filter(|e| matches!(e, ServeEvent::LaneDown { .. })).count();
         let grown = events.iter().filter(|e| matches!(e, ServeEvent::LaneUp { .. })).count();
         // Gate 4: a full scale round trip.
-        if parked == 0 || grown == 0 {
-            eprintln!("INVALID: autoscale run parked {parked} and restored {grown} lanes");
-            invalid = true;
-        }
+        gate.check(
+            parked > 0 && grown > 0,
+            format_args!("autoscale run parked {parked} and restored {grown} lanes"),
+        );
         let life = r.lifetime;
-        if life.generated != life.completed + life.rejected + life.dropped {
-            eprintln!(
-                "INVALID: autoscale: {} generated != {} + {} + {}",
-                life.generated, life.completed, life.rejected, life.dropped
-            );
-            invalid = true;
-        }
+        conserves(&gate, "autoscale", &life);
         rows.push(vec![
             "autoscale".to_string(),
             life.completed.to_string(),
@@ -2307,10 +2222,10 @@ pub fn fleet(ctx: &Ctx) {
             "-".to_string(),
             fmt_f(r.p99_latency_ms, 2),
         ]);
-        runs.push(format!(
-            "{{\"scenario\":\"autoscale\",\"parked\":{parked},\"grown\":{grown},\"report\":{}}}",
-            aggregate_json(r)
-        ));
+        runs.push(json::object(|o| {
+            o.field("scenario", "autoscale").field("parked", parked).field("grown", grown);
+            o.field("report", Json(aggregate_json(r)));
+        }));
         println!("autoscale: parked {parked} lanes while light, restored {grown} under the wave\n");
     }
 
@@ -2332,24 +2247,26 @@ pub fn fleet(ctx: &Ctx) {
             &rows
         )
     );
-    if invalid {
-        eprintln!("fleet sweep produced invalid output; failing");
-        std::process::exit(1);
-    }
+    let doc = json::object(|o| {
+        o.field("experiment", "fleet_resilience").field("profile", format!("{:?}", ctx.profile));
+        o.field("run_info", run_info()).field("lanes", lanes);
+        o.field("sessions", n_sessions).field("frames", frames).field("overload", OVERLOAD);
+        o.field("clock_ghz", Fixed(clock_ghz, 6)).field("killed_lanes", killed);
+        o.field("kill_at", kill_at).field("restore_at", restore_at).field("runs", &runs[..]);
+    });
+    gate.finish(ctx.profile, "BENCH_fleet", doc, Some(rows.len()));
+}
 
-    let json = format!(
-        "{{\"experiment\":\"fleet_resilience\",\"profile\":\"{:?}\",\"run_info\":{},\
-         \"lanes\":{lanes},\"sessions\":{n_sessions},\"frames\":{frames},\
-         \"overload\":{OVERLOAD},\"clock_ghz\":{clock_ghz:.6},\"killed_lanes\":{killed},\
-         \"kill_at\":{kill_at},\"restore_at\":{restore_at},\
-         \"runs\":[{}]}}\n",
-        ctx.profile,
-        run_info(),
-        runs.join(",")
+/// Gate: a serving run's lifetime counts conserve frames
+/// (`completed + rejected + dropped == generated`).
+fn conserves(gate: &Gate, label: &str, life: &gbu_serve::LifetimeCounts) {
+    gate.check(
+        life.generated == life.completed + life.rejected + life.dropped,
+        format_args!(
+            "{label}: {} generated != {} + {} + {}",
+            life.generated, life.completed, life.rejected, life.dropped
+        ),
     );
-    let path = smoke_path(ctx.profile, "BENCH_fleet");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path} ({} runs)\n", rows.len());
 }
 
 /// Scene store + cross-session preprocessing reuse + view-coherence bin
@@ -2386,7 +2303,7 @@ pub fn share(ctx: &Ctx) {
         ScaleProfile::Test => (1_500usize, 256u32, 160u32, 12usize, 6usize, 4u32),
         _ => (10_000, 640, 384, 40, 16, 6),
     };
-    let mut invalid = false;
+    let gate = Gate::new("share sweep");
 
     // --- Section A: view-coherence bin cache along a head-pose walk ---
     println!("== Shared scene store, preprocessing reuse and bin cache ==");
@@ -2418,17 +2335,14 @@ pub fn share(ctx: &Ctx) {
         let t1 = Instant::now();
         let cached = pipeline::bin_cached(&mut cache, &projected, 16);
         cached_ns += t1.elapsed().as_nanos();
-        if cached.bins.offsets != cold.bins.offsets || cached.bins.entries != cold.bins.entries {
-            eprintln!("INVALID: walk step {step}: cached binning diverged from cold");
-            invalid = true;
-        }
+        gate.check(
+            cached.bins.offsets == cold.bins.offsets && cached.bins.entries == cold.bins.entries,
+            format_args!("walk step {step}: cached binning diverged from cold"),
+        );
         cold_instances += cold.stats.instances;
     }
     let cs = cache.stats();
-    if cs.hits == 0 {
-        eprintln!("INVALID: a coherent walk never took the incremental path");
-        invalid = true;
-    }
+    gate.check(cs.hits > 0, "a coherent walk never took the incremental path");
     let rebin_speedup = cold_ns as f64 / (cached_ns as f64).max(1.0);
     println!(
         "   cache: {} hits / {} misses; resorted {} tiles, retiled {} of {} instances; \
@@ -2474,10 +2388,10 @@ pub fn share(ctx: &Ctx) {
             + store_stats.scene_misses
             + store_stats.view_misses,
     );
-    if store.scene_count() != SCENES {
-        eprintln!("INVALID: {} scenes interned for {SCENES} contents", store.scene_count());
-        invalid = true;
-    }
+    gate.check(
+        store.scene_count() == SCENES,
+        format_args!("{} scenes interned for {SCENES} contents", store.scene_count()),
+    );
     // GBU side comfortably provisioned: the pressure in this section is
     // the host preprocessing charge, not Step ❸.
     let clock_ghz = calibrated_clock_ghz(&sessions, 2, 0.6);
@@ -2540,21 +2454,18 @@ pub fn share(ctx: &Ctx) {
     );
     let strictly_better =
         on.completed > off.completed || (on.completed == off.completed && on.missed < off.missed);
-    if !strictly_better {
-        eprintln!(
-            "INVALID: sharing not strictly better: completed {} vs {}, missed {} vs {}",
+    gate.check(
+        strictly_better,
+        format_args!(
+            "sharing not strictly better: completed {} vs {}, missed {} vs {}",
             on.completed, off.completed, on.missed, off.missed
-        );
-        invalid = true;
-    }
-    if on.preprocessing.frames_shared == 0 || on.preprocessing.cycles_saved == 0 {
-        eprintln!("INVALID: share-on run never shared a preprocessing charge");
-        invalid = true;
-    }
-    if off.preprocessing.frames_shared != 0 {
-        eprintln!("INVALID: share-off run recorded shared frames");
-        invalid = true;
-    }
+        ),
+    );
+    gate.check(
+        on.preprocessing.frames_shared > 0 && on.preprocessing.cycles_saved > 0,
+        "share-on run never shared a preprocessing charge",
+    );
+    gate.check(off.preprocessing.frames_shared == 0, "share-off run recorded shared frames");
 
     // --- Section C: zero-config byte-identity ---
     let classic = workload::prepare_all(specs, &GbuConfig::paper());
@@ -2564,57 +2475,42 @@ pub fn share(ctx: &Ctx) {
         run_sessions(cfg, sessions)
     };
     let zero_config_identical = plain(&classic).to_json() == plain(&sessions).to_json();
-    if !zero_config_identical {
-        eprintln!("INVALID: store-prepared sessions changed the prep-off report");
-        invalid = true;
-    }
+    gate.check(zero_config_identical, "store-prepared sessions changed the prep-off report");
     println!("   C: zero-config path byte-identical: {zero_config_identical}\n");
 
-    if invalid {
-        eprintln!("share: self-validation FAILED");
-        std::process::exit(1);
-    }
-
-    let bin_cache = format!(
-        "{{\"walk_steps\":{walk_steps},\"gaussians\":{walk_gaussians},\"bit_identical\":true,\
-         \"hits\":{},\"misses\":{},\"invalidations\":{},\"resorted_tiles\":{},\
-         \"retiled_instances\":{},\"cold_instances\":{cold_instances},\"cold_ms\":{},\
-         \"cached_ms\":{},\"rebin_speedup\":{}}}",
-        cs.hits,
-        cs.misses,
-        cs.invalidations,
-        cs.resorted_tiles,
-        cs.retiled_instances,
-        fmt_f(cold_ns as f64 / 1e6, 3),
-        fmt_f(cached_ns as f64 / 1e6, 3),
-        fmt_f(rebin_speedup, 3),
-    );
-    let store_json = format!(
-        "{{\"scenes\":{},\"views\":{},\"scene_hits\":{},\"scene_misses\":{},\"view_hits\":{},\
-         \"view_misses\":{},\"hit_rate_pct\":{}}}",
-        store.scene_count(),
-        store.view_count(),
-        store_stats.scene_hits,
-        store_stats.scene_misses,
-        store_stats.view_hits,
-        store_stats.view_misses,
-        store_stats.hit_rate_pct(),
-    );
-    let json = format!(
-        "{{\"experiment\":\"share_reuse\",\"profile\":\"{:?}\",\"run_info\":{},\
-         \"bin_cache\":{bin_cache},\"serving\":{{\"scenes\":{SCENES},\
-         \"sessions\":{n_sessions},\"frames\":{frames},\"clock_ghz\":{clock_ghz:.6},\
-         \"store\":{store_json},\"share_off\":{},\"share_on\":{}}},\
-         \"gates\":{{\"bin_cache_bit_identical\":true,\"sharing_strictly_better\":true,\
-         \"zero_config_identical\":true}}}}\n",
-        ctx.profile,
-        run_info(),
-        off.to_json(),
-        on.to_json(),
-    );
-    let path = smoke_path(ctx.profile, "BENCH_share");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}\n");
+    // The gates block records what `gate` enforced: the file is only
+    // written when every check passed.
+    let doc = json::object(|o| {
+        o.field("experiment", "share_reuse").field("profile", format!("{:?}", ctx.profile));
+        o.field("run_info", run_info()).object("bin_cache", |o| {
+            o.field("walk_steps", walk_steps).field("gaussians", walk_gaussians);
+            o.field("bit_identical", true).field("hits", cs.hits).field("misses", cs.misses);
+            o.field("invalidations", cs.invalidations);
+            o.field("resorted_tiles", cs.resorted_tiles);
+            o.field("retiled_instances", cs.retiled_instances);
+            o.field("cold_instances", cold_instances);
+            o.field("cold_ms", Fixed(cold_ns as f64 / 1e6, 3));
+            o.field("cached_ms", Fixed(cached_ns as f64 / 1e6, 3));
+            o.field("rebin_speedup", Fixed(rebin_speedup, 3));
+        });
+        o.object("serving", |o| {
+            o.field("scenes", SCENES).field("sessions", n_sessions).field("frames", frames);
+            o.field("clock_ghz", Fixed(clock_ghz, 6)).object("store", |o| {
+                o.field("scenes", store.scene_count()).field("views", store.view_count());
+                o.field("scene_hits", store_stats.scene_hits);
+                o.field("scene_misses", store_stats.scene_misses);
+                o.field("view_hits", store_stats.view_hits);
+                o.field("view_misses", store_stats.view_misses);
+                o.field("hit_rate_pct", store_stats.hit_rate_pct());
+            });
+            o.field("share_off", Json(off.to_json())).field("share_on", Json(on.to_json()));
+        });
+        o.object("gates", |o| {
+            o.field("bin_cache_bit_identical", true).field("sharing_strictly_better", true);
+            o.field("zero_config_identical", true);
+        });
+    });
+    gate.finish(ctx.profile, "BENCH_share", doc, None);
 }
 
 /// Contribution-aware quality sweep, emitting `BENCH_quality.json`.
@@ -2657,7 +2553,7 @@ pub fn quality(ctx: &Ctx) {
         ScaleProfile::Test => (1_500usize, 256u32, 160u32, 6usize, 6u32),
         _ => (10_000, 640, 384, 12, 8),
     };
-    let mut invalid = false;
+    let gate = Gate::new("quality sweep");
 
     // --- Section A: the degradation ladder on one projected frame ---
     println!("== Contribution-aware quality: ladder validation, governed serving ==");
@@ -2692,10 +2588,8 @@ pub fn quality(ctx: &Ctx) {
                 &rcfg,
                 QualityLevel::Exact,
             );
-            if exact.pixels() != plain.pixels() {
-                eprintln!("INVALID: Exact {df:?} diverges from the plain blend");
-                invalid = true;
-            }
+            let what = format_args!("Exact {df:?} diverges from the plain blend");
+            gate.check(exact.pixels() == plain.pixels(), what);
             plain
         })
         .collect();
@@ -2719,13 +2613,13 @@ pub fn quality(ctx: &Ctx) {
         let rung = exact.degraded(level);
         let (splats, cycles) = (&rung.splats, rung.occupancy);
         // Gate 2: every rung strictly cheaper than the one above it.
-        if cycles >= prev_cycles {
-            eprintln!(
-                "INVALID: {} costs {cycles} cycles, not below the previous {prev_cycles}",
+        gate.check(
+            cycles < prev_cycles,
+            format_args!(
+                "{} costs {cycles} cycles, not below the previous {prev_cycles}",
                 level.label()
-            );
-            invalid = true;
-        }
+            ),
+        );
         prev_cycles = cycles;
         // Gate 3: PSNR floor on the worse dataflow.
         let psnrs: Vec<f64> = dataflows
@@ -2745,10 +2639,10 @@ pub fn quality(ctx: &Ctx) {
             .collect();
         let worst = psnrs.iter().cloned().fold(f64::INFINITY, f64::min);
         let floor = PSNR_FLOORS[i];
-        if worst < floor {
-            eprintln!("INVALID: {} PSNR {worst:.2} dB below the {floor} dB floor", level.label());
-            invalid = true;
-        }
+        gate.check(
+            worst >= floor,
+            format_args!("{} PSNR {worst:.2} dB below the {floor} dB floor", level.label()),
+        );
         rows.push(vec![
             level.label(),
             splats.len().to_string(),
@@ -2757,15 +2651,11 @@ pub fn quality(ctx: &Ctx) {
             fmt_f(psnrs[1], 2),
             fmt_f(floor, 1),
         ]);
-        let jf = |v: f64| if v.is_finite() { format!("{v:.4}") } else { "null".to_string() };
-        ladder_json.push(format!(
-            "{{\"level\":\"{}\",\"splats\":{},\"cycles\":{cycles},\"psnr_pfs\":{},\
-             \"psnr_irss\":{},\"psnr_floor\":{floor}}}",
-            level.label(),
-            splats.len(),
-            jf(psnrs[0]),
-            jf(psnrs[1]),
-        ));
+        ladder_json.push(json::object(|o| {
+            o.field("level", level.label()).field("splats", splats.len()).field("cycles", cycles);
+            o.field("psnr_pfs", Fixed(psnrs[0], 4)).field("psnr_irss", Fixed(psnrs[1], 4));
+            o.field("psnr_floor", floor);
+        }));
     }
     println!(
         "{}",
@@ -2804,30 +2694,27 @@ pub fn quality(ctx: &Ctx) {
         let mut cfg = ServeConfig { admission, drop_unmeetable, quality, ..base.clone() };
         cfg.gbu.clock_ghz = clock;
         let r = run_sessions(cfg, &sessions);
-        // Gate 4: frame conservation in every discipline.
-        if r.generated != r.completed + r.rejected + r.dropped {
-            eprintln!(
-                "INVALID: {label}: {} generated != {} + {} + {}",
-                r.generated, r.completed, r.rejected, r.dropped
-            );
-            invalid = true;
-        }
+        // Gate 4: frame conservation in every discipline (full retention:
+        // the lifetime counts are the report's).
+        conserves(&gate, label, &r.lifetime);
         let delivered = r.completed - r.missed;
         on_time.insert(label, delivered);
         let q = r.quality;
         if label == "governed" {
             // Gate 5: the governor actually governs, and degraded
             // dispatches are genuinely cheaper in modeled cycles.
-            if q.frames_degraded == 0 || q.cycles_saved == 0 {
-                eprintln!(
-                    "INVALID: governed run degraded {} frames saving {} cycles",
+            gate.check(
+                q.frames_degraded > 0 && q.cycles_saved > 0,
+                format_args!(
+                    "governed run degraded {} frames saving {} cycles",
                     q.frames_degraded, q.cycles_saved
-                );
-                invalid = true;
-            }
-        } else if q != gbu_serve::QualityCounts::default() {
-            eprintln!("INVALID: {label}: inactive governor reported quality activity");
-            invalid = true;
+                ),
+            );
+        } else {
+            gate.check(
+                q == gbu_serve::QualityCounts::default(),
+                format_args!("{label}: inactive governor reported quality activity"),
+            );
         }
         sweep_rows.push(vec![
             label.to_string(),
@@ -2840,23 +2727,22 @@ pub fn quality(ctx: &Ctx) {
             q.cycles_saved.to_string(),
             fmt_f(r.p95_latency_ms, 2),
         ]);
-        sweep_json.push(format!(
-            "{{\"scenario\":\"{label}\",\"on_time\":{delivered},\"report\":{}}}",
-            r.to_json()
-        ));
+        sweep_json.push(json::object(|o| {
+            o.field("scenario", label).field("on_time", delivered);
+            o.field("report", Json(r.to_json()));
+        }));
     }
     // Gate 6: shedding quality beats shedding frames — strictly more
     // on-time deliveries than both baselines.
     let governed = on_time["governed"];
     for baseline in ["reject", "drop"] {
-        if governed <= on_time[baseline] {
-            eprintln!(
-                "INVALID: governed delivered {governed} on-time frames, not above \
-                 {baseline}'s {}",
+        gate.check(
+            governed > on_time[baseline],
+            format_args!(
+                "governed delivered {governed} on-time frames, not above {baseline}'s {}",
                 on_time[baseline]
-            );
-            invalid = true;
-        }
+            ),
+        );
     }
     println!(
         "{}",
@@ -2876,49 +2762,28 @@ pub fn quality(ctx: &Ctx) {
         )
     );
 
-    if invalid {
-        eprintln!("quality sweep produced invalid output; failing");
-        std::process::exit(1);
-    }
-
-    let json = format!(
-        "{{\"experiment\":\"quality\",\"profile\":\"{:?}\",\"run_info\":{},\
-         \"scene\":{{\"gaussians\":{gaussians},\"width\":{width},\"height\":{height}}},\
-         \"exact\":{{\"splats\":{},\"cycles\":{exact_cycles}}},\"ladder\":[{}],\
-         \"serving\":{{\"sessions\":{n_sessions},\"frames\":{frames},\
-         \"overload\":{OVERLOAD},\"clock_ghz\":{clock:.6},\"governor_interval\":{interval},\
-         \"sweep\":[{}]}},\
-         \"gates\":{{\"exact_bit_identical\":true,\"cycles_strictly_decreasing\":true,\
-         \"psnr_floors_met\":true,\"governed_beats_baselines\":true}}}}\n",
-        ctx.profile,
-        run_info(),
-        frame.splats.len(),
-        ladder_json.join(","),
-        sweep_json.join(","),
-    );
-    let path = smoke_path(ctx.profile, "BENCH_quality");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}\n");
-}
-
-/// Wall-clock run metadata embedded in every bench JSON (ISO-8601 start
-/// time, host thread count, `GBU_THREADS` in effect).
-fn run_info() -> String {
-    gbu_telemetry::run_info_json(gbu_par::global().threads())
-}
-
-/// Output path for a bench trajectory: the committed `<stem>.json` at
-/// the repo root for tracked profiles, or the gitignored
-/// `bench_out/<stem>.smoke.json` for the CI `test` profile (smoke runs
-/// must never clobber the committed trajectory).
-fn smoke_path(profile: gbu_scene::ScaleProfile, stem: &str) -> String {
-    match profile {
-        gbu_scene::ScaleProfile::Test => {
-            std::fs::create_dir_all("bench_out").expect("create bench_out/");
-            format!("bench_out/{stem}.smoke.json")
-        }
-        _ => format!("{stem}.json"),
-    }
+    // The gates block records what `gate` enforced: the file is only
+    // written when every check passed.
+    let doc = json::object(|o| {
+        o.field("experiment", "quality").field("profile", format!("{:?}", ctx.profile));
+        o.field("run_info", run_info()).object("scene", |o| {
+            o.field("gaussians", gaussians).field("width", width).field("height", height);
+        });
+        o.object("exact", |o| {
+            o.field("splats", frame.splats.len()).field("cycles", exact_cycles);
+        });
+        o.field("ladder", &ladder_json[..]);
+        o.object("serving", |o| {
+            o.field("sessions", n_sessions).field("frames", frames).field("overload", OVERLOAD);
+            o.field("clock_ghz", Fixed(clock, 6)).field("governor_interval", interval);
+            o.field("sweep", &sweep_json[..]);
+        });
+        o.object("gates", |o| {
+            o.field("exact_bit_identical", true).field("cycles_strictly_decreasing", true);
+            o.field("psnr_floors_met", true).field("governed_beats_baselines", true);
+        });
+    });
+    gate.finish(ctx.profile, "BENCH_quality", doc, None);
 }
 
 #[cfg(test)]

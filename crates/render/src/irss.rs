@@ -269,7 +269,7 @@ fn blend_tile_row(
     tile_scratch: &mut TileScratch,
     ty: u32,
     pixels: &mut [Vec3],
-    workload: &mut [[u32; 16]],
+    workload: &mut [Vec<u32>],
     stats: &mut BlendStats,
 ) {
     let width = camera.width as usize;
@@ -336,7 +336,7 @@ fn blend_tile_row(
                         stats.q_flops += u64::from(cost.evaluated.saturating_sub(1)) * FLOPS_Q_T2;
                         instance_row_max = instance_row_max.max(cost.evaluated);
                         if config.record_row_workload {
-                            workload[tx as usize][row_idx.min(15)] += cost.inside;
+                            workload[tx as usize][row_idx] += cost.inside;
                         }
                     }
                 }

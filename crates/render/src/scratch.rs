@@ -142,7 +142,7 @@ pub(crate) fn blend_tile_rows<F>(
     stats: &mut BlendStats,
     row: F,
 ) where
-    F: Fn(&mut TileScratch, u32, &mut [Vec3], &mut [[u32; 16]], &mut BlendStats) + Sync,
+    F: Fn(&mut TileScratch, u32, &mut [Vec3], &mut [Vec<u32>], &mut BlendStats) + Sync,
 {
     assert_eq!(
         (image.width(), image.height()),
@@ -156,12 +156,12 @@ pub(crate) fn blend_tile_rows<F>(
     // image rows; take it out of `stats` so the jobs can borrow chunks.
     let mut row_workload = std::mem::take(&mut stats.row_workload);
     if record_row_workload {
-        row_workload.resize(bins.tile_count(), [0u32; 16]);
+        row_workload.resize(bins.tile_count(), vec![0u32; bins.tile_size as usize]);
     }
 
     struct RowJob<'a> {
         pixels: &'a mut [Vec3],
-        workload: &'a mut [[u32; 16]],
+        workload: &'a mut [Vec<u32>],
         stats: BlendStats,
     }
 

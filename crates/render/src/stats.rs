@@ -102,8 +102,8 @@ pub struct BlendStats {
     pub tile_instances: Vec<u32>,
     /// Per-tile, per-row shaded-fragment counts (only recorded when
     /// `RenderConfig::record_row_workload` is set). Index = tile id; the
-    /// inner array is one counter per pixel row of the tile.
-    pub row_workload: Vec<[u32; 16]>,
+    /// inner `Vec` has one counter per pixel row of the tile (`tile_size`).
+    pub row_workload: Vec<Vec<u32>>,
 }
 
 impl BlendStats {
@@ -151,14 +151,14 @@ impl BlendStats {
         self.fragments_evaluated as f64 / splats as f64
     }
 
-    /// Mean SIMT lane utilization if each of a tile's 16 rows were mapped
+    /// Mean SIMT lane utilization if each of a tile's rows were mapped
     /// to one lane and every lane waited for the slowest (Sec. V-A's
     /// Limitation 1). Requires recorded row workloads.
     pub fn row_lane_utilization(&self) -> f64 {
         let mut total_work = 0u64;
         let mut total_slots = 0u64;
         for rows in &self.row_workload {
-            let max = *rows.iter().max().expect("fixed-size array") as u64;
+            let max = rows.iter().copied().max().unwrap_or(0) as u64;
             if max == 0 {
                 continue;
             }
@@ -225,13 +225,13 @@ mod tests {
 
     #[test]
     fn lane_utilization_balanced_is_one() {
-        let s = BlendStats { row_workload: vec![[4u32; 16]], ..BlendStats::default() };
+        let s = BlendStats { row_workload: vec![vec![4u32; 16]], ..BlendStats::default() };
         assert!((s.row_lane_utilization() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn lane_utilization_imbalanced() {
-        let mut rows = [0u32; 16];
+        let mut rows = vec![0u32; 16];
         rows[0] = 16;
         let s = BlendStats { row_workload: vec![rows], ..BlendStats::default() };
         // One active lane out of 16.
@@ -240,7 +240,10 @@ mod tests {
 
     #[test]
     fn lane_utilization_empty_tiles_ignored() {
-        let s = BlendStats { row_workload: vec![[0u32; 16], [2u32; 16]], ..BlendStats::default() };
+        let s = BlendStats {
+            row_workload: vec![vec![0u32; 16], vec![2u32; 16]],
+            ..BlendStats::default()
+        };
         assert!((s.row_lane_utilization() - 1.0).abs() < 1e-12);
     }
 

@@ -4,8 +4,9 @@
 //! `IrssSplat::row_outcome`/`march`, `TileBins::entries_of`/
 //! `tile_pixel_rect`). `pipeline::blend_pooled` must match them in every
 //! pixel's bits and every `BlendStats` field — `tile_instances` included,
-//! and IRSS's `row_workload` with `record_row_workload` set — on 1- and
-//! 3-thread pools. Inputs cover tile sizes 8, 16 and 32, frame sizes
+//! and IRSS's `row_workload` with `record_row_workload` set, one counter
+//! per pixel row of the tile at every tile size — on 1- and 3-thread
+//! pools. Inputs cover tile sizes 8, 16 and 32, frame sizes
 //! that clip the edge tiles, a non-black background, and opaque stacks
 //! that saturate single pixels mid-instance and whole tiles.
 //! Those references blend over the bins under test, so PFS is also pinned
@@ -111,7 +112,7 @@ fn pfs_reference(
     bins: &TileBins,
     camera: &Camera,
     config: &RenderConfig,
-) -> (Vec<Vec3>, BlendStats) {
+) -> Blended {
     let (mut image, mut stats) = empty_frame(bins, camera, config);
     for tile_id in 0..bins.tile_count() {
         let entries = bins.entries_of(tile_id);
@@ -144,7 +145,7 @@ fn pfs_reference(
         }
         tile.composite(&mut image, camera.width, config.background);
     }
-    (image, stats)
+    (image, stats, Vec::new())
 }
 
 /// IRSS, one fragment at a time: every row of every instance runs the
@@ -154,11 +155,12 @@ fn irss_reference(
     bins: &TileBins,
     camera: &Camera,
     config: &RenderConfig,
-) -> (Vec<Vec3>, BlendStats) {
+) -> Blended {
     let isplats: Vec<IrssSplat> = splats.iter().map(IrssSplat::new).collect();
     let (mut image, mut stats) = empty_frame(bins, camera, config);
+    let mut rows = Vec::new();
     if config.record_row_workload {
-        stats.row_workload = vec![[0; 16]; bins.tile_count()];
+        rows = vec![vec![0; bins.tile_size as usize]; bins.tile_count()];
     }
     for tile_id in 0..bins.tile_count() {
         let entries = bins.entries_of(tile_id);
@@ -203,23 +205,27 @@ fn irss_reference(
                 stats.fragments_evaluated += u64::from(cost.evaluated);
                 stats.q_flops += u64::from(cost.evaluated.saturating_sub(1)) * FLOPS_Q_T2;
                 row_max = row_max.max(cost.evaluated);
-                if config.record_row_workload {
-                    stats.row_workload[tile_id][((y - tile.y0) as usize).min(15)] += cost.inside;
+                if let Some(tile_rows) = rows.get_mut(tile_id) {
+                    tile_rows[(y - tile.y0) as usize] += cost.inside;
                 }
             }
             stats.instance_row_max_sum += u64::from(row_max);
         }
         tile.composite(&mut image, camera.width, config.background);
     }
-    (image, stats)
+    (image, stats, rows)
 }
 
 fn bits(pixels: &[Vec3]) -> Vec<[u32; 3]> {
     pixels.iter().map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect()
 }
 
-/// A reference kernel: the frame's image and blend statistics.
-type Reference = fn(&[Splat2D], &TileBins, &Camera, &RenderConfig) -> (Vec<Vec3>, BlendStats);
+/// A reference kernel's frame: the image, the blend statistics without
+/// `row_workload`, and the row workload itself as one `Vec` per tile.
+type Blended = (Vec<Vec3>, BlendStats, Vec<Vec<u32>>);
+
+/// A reference kernel.
+type Reference = fn(&[Splat2D], &TileBins, &Camera, &RenderConfig) -> Blended;
 
 /// Blends `scene` through `pipeline::blend_pooled` on 1 and 3 threads
 /// and checks both dataflows against their reference; returns the
@@ -236,16 +242,21 @@ fn check_against_reference(
     let dataflows: [(Dataflow, Reference); 2] =
         [(Dataflow::Pfs, pfs_reference), (Dataflow::Irss, irss_reference)];
     dataflows.map(|(dataflow, reference)| {
-        let (want_image, want_stats) = reference(&frame.splats, &binned.bins, camera, &config);
+        let (want_image, want_stats, want_rows) =
+            reference(&frame.splats, &binned.bins, camera, &config);
         for threads in [1, 3] {
             let pool = ThreadPool::new(threads);
-            let (image, stats) = pipeline::blend_pooled(&pool, &frame, &binned, dataflow, &config);
+            let (image, mut stats) =
+                pipeline::blend_pooled(&pool, &frame, &binned, dataflow, &config);
             let at =
                 format!("{threads} threads, tile {tile_size}, {}x{}", camera.width, camera.height);
             assert!(
                 bits(image.pixels()) == bits(&want_image),
                 "{dataflow:?} image bits differ from the reference ({at})"
             );
+            let rows: Vec<Vec<u32>> =
+                std::mem::take(&mut stats.row_workload).iter().map(|r| r.to_vec()).collect();
+            assert_eq!(rows, want_rows, "{dataflow:?} row workloads differ ({at})");
             assert_eq!(stats, want_stats, "{dataflow:?} stats differ from the reference ({at})");
         }
         want_stats

@@ -610,19 +610,17 @@ impl ServeEngine {
         let Some(Some(slot)) = self.slots.get(session.index()) else {
             let id = self.alloc_frame();
             let ticket = FrameTicket { id, session, frame: view, arrival: at, deadline: at };
+            let reason = RejectReason::UnknownSession;
             // A detached session still has a roster row, so its late
-            // submissions are recorded against it; an id this engine
-            // never issued is a caller error, reported to the caller
-            // (status + event) but kept out of the serving metrics.
+            // submissions are rejected against it like any other frame;
+            // an id this engine never issued is a caller error, reported
+            // to the caller (status + event) but kept out of the serving
+            // metrics and the trace.
             if session.index() < self.roster.len() {
-                self.metrics.reject(ticket, RejectReason::UnknownSession);
+                self.reject_ticket(ticket, reason, at);
+            } else {
+                self.emit(ServeEvent::Rejected { frame: id, session, reason, at });
             }
-            self.emit(ServeEvent::Rejected {
-                frame: id,
-                session,
-                reason: RejectReason::UnknownSession,
-                at,
-            });
             return id;
         };
         let deadline = at.saturating_add(slot.period);

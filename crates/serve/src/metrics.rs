@@ -11,7 +11,7 @@
 
 use crate::event::{DropReason, RejectReason, RequeueReason};
 use crate::scheduler::FrameTicket;
-use gbu_telemetry::json_escape;
+use gbu_telemetry::json::{self, Fixed};
 
 /// Lifecycle record of one completed frame.
 #[derive(Debug, Clone, Copy)]
@@ -677,139 +677,81 @@ fn percentile_ms(sorted: &[u64], q: f64, cycles_per_ms: f64) -> f64 {
     sorted[idx] as f64 / cycles_per_ms
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl ServeReport {
-    /// Serialises the report as a JSON object (hand-rolled; the workspace
-    /// has no serde).
+    /// Serialises the report as one JSON object. Every reason, lifetime,
+    /// preprocessing and quality key is always present; the `sharding`
+    /// block appears only when sharded frames completed, so unsharded
+    /// runs serialise exactly as they did before sharding existed.
     pub fn to_json(&self) -> String {
-        let sessions: Vec<String> = self
-            .sessions
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\":\"{}\",\"qos_hz\":{},\"generated\":{},\"completed\":{},\
-                     \"rejected\":{},\"dropped\":{},\"missed\":{},\"achieved_fps\":{},\
-                     \"p95_latency_ms\":{}}}",
-                    json_escape(&s.name),
-                    json_f(s.qos_hz),
-                    s.generated,
-                    s.completed,
-                    s.rejected,
-                    s.dropped,
-                    s.missed,
-                    json_f(s.achieved_fps),
-                    json_f(s.p95_latency_ms),
-                )
-            })
-            .collect();
-        let reject_reasons = format!(
-            "{{\"queue_full\":{},\"unmeetable\":{},\"unknown_session\":{},\"quota_exceeded\":{}}}",
-            self.reject_reasons.queue_full,
-            self.reject_reasons.unmeetable,
-            self.reject_reasons.unknown_session,
-            self.reject_reasons.quota_exceeded,
-        );
-        // The sharding block appears only when sharded frames completed,
-        // so unsharded runs serialise exactly as before.
-        let sharding = match &self.sharding {
-            None => String::new(),
-            Some(s) => {
-                let frames: Vec<String> = s
-                    .frames
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "{{\"frame\":{},\"shards\":{},\"critical_path_cycles\":{},\
-                             \"imbalance\":{}}}",
-                            f.ticket.id.index(),
-                            f.shards,
-                            f.critical_path_cycles,
-                            json_f(f.imbalance),
-                        )
-                    })
-                    .collect();
-                format!(
-                    ",\"sharding\":{{\"mean_imbalance\":{},\"max_imbalance\":{},\"frames\":[{}]}}",
-                    json_f(s.mean_imbalance),
-                    json_f(s.max_imbalance),
-                    frames.join(","),
-                )
+        let fixed6 = |v: f64| Fixed(v, 6);
+        json::object(|o| {
+            o.field("policy", &self.policy).field("devices", self.devices);
+            let life = &self.lifetime;
+            o.object("lifetime", |o| {
+                o.field("generated", life.generated).field("completed", life.completed);
+                o.field("rejected", life.rejected).field("dropped", life.dropped);
+                o.field("missed", life.missed).field("requeued", life.requeued);
+            });
+            o.field("generated", self.generated).field("completed", self.completed);
+            o.field("rejected", self.rejected).field("dropped", self.dropped);
+            o.field("missed", self.missed);
+            let rejects = &self.reject_reasons;
+            o.object("reject_reasons", |o| {
+                o.field("queue_full", rejects.queue_full).field("unmeetable", rejects.unmeetable);
+                o.field("unknown_session", rejects.unknown_session);
+                o.field("quota_exceeded", rejects.quota_exceeded);
+            });
+            let drops = &self.drop_reasons;
+            o.object("drop_reasons", |o| {
+                o.field("deadline", drops.deadline);
+                o.field("session_detached", drops.session_detached).field("gated", drops.gated);
+            });
+            let requeues = &self.requeue_reasons;
+            o.field("requeued", self.requeued).object("requeue_reasons", |o| {
+                o.field("lane_failed", requeues.lane_failed);
+                o.field("lane_retired", requeues.lane_retired);
+            });
+            o.field("migrated", self.migrated).field("lane_churn", self.lane_churn);
+            o.field("throughput_fps", fixed6(self.throughput_fps));
+            o.field("p50_latency_ms", fixed6(self.p50_latency_ms));
+            o.field("p95_latency_ms", fixed6(self.p95_latency_ms));
+            o.field("p99_latency_ms", fixed6(self.p99_latency_ms));
+            o.field("deadline_miss_rate", fixed6(self.deadline_miss_rate));
+            o.field("device_utilization", fixed6(self.device_utilization));
+            o.field("wall_seconds", fixed6(self.wall_seconds));
+            let prep = &self.preprocessing;
+            o.object("preprocessing", |o| {
+                o.field("frames_charged", prep.frames_charged);
+                o.field("frames_shared", prep.frames_shared);
+                o.field("cycles_charged", prep.cycles_charged);
+                o.field("cycles_saved", prep.cycles_saved);
+            });
+            let q = &self.quality;
+            o.object("quality", |o| {
+                o.field("frames_exact", q.frames_exact).field("frames_degraded", q.frames_degraded);
+                o.field("counter_offers", q.counter_offers).field("sheds", q.sheds);
+                o.field("recoveries", q.recoveries).field("cycles_saved", q.cycles_saved);
+            });
+            if let Some(s) = &self.sharding {
+                o.object("sharding", |o| {
+                    o.field("mean_imbalance", fixed6(s.mean_imbalance));
+                    o.field("max_imbalance", fixed6(s.max_imbalance));
+                    o.objects("frames", &s.frames, |o, f| {
+                        o.field("frame", f.ticket.id.index()).field("shards", f.shards);
+                        o.field("critical_path_cycles", f.critical_path_cycles);
+                        o.field("imbalance", fixed6(f.imbalance));
+                    });
+                });
             }
-        };
-        let drop_reasons = format!(
-            "{{\"deadline\":{},\"session_detached\":{},\"gated\":{}}}",
-            self.drop_reasons.deadline, self.drop_reasons.session_detached, self.drop_reasons.gated,
-        );
-        let requeue_reasons = format!(
-            "{{\"lane_failed\":{},\"lane_retired\":{}}}",
-            self.requeue_reasons.lane_failed, self.requeue_reasons.lane_retired,
-        );
-        let preprocessing = format!(
-            "{{\"frames_charged\":{},\"frames_shared\":{},\"cycles_charged\":{},\
-             \"cycles_saved\":{}}}",
-            self.preprocessing.frames_charged,
-            self.preprocessing.frames_shared,
-            self.preprocessing.cycles_charged,
-            self.preprocessing.cycles_saved,
-        );
-        let quality = format!(
-            "{{\"frames_exact\":{},\"frames_degraded\":{},\"counter_offers\":{},\"sheds\":{},\
-             \"recoveries\":{},\"cycles_saved\":{}}}",
-            self.quality.frames_exact,
-            self.quality.frames_degraded,
-            self.quality.counter_offers,
-            self.quality.sheds,
-            self.quality.recoveries,
-            self.quality.cycles_saved,
-        );
-        let lifetime = format!(
-            "{{\"generated\":{},\"completed\":{},\"rejected\":{},\"dropped\":{},\"missed\":{},\
-             \"requeued\":{}}}",
-            self.lifetime.generated,
-            self.lifetime.completed,
-            self.lifetime.rejected,
-            self.lifetime.dropped,
-            self.lifetime.missed,
-            self.lifetime.requeued,
-        );
-        format!(
-            "{{\"policy\":\"{}\",\"devices\":{},\"lifetime\":{lifetime},\"generated\":{},\"completed\":{},\
-             \"rejected\":{},\"dropped\":{},\"missed\":{},\"reject_reasons\":{},\
-             \"drop_reasons\":{},\"requeued\":{},\"requeue_reasons\":{},\"migrated\":{},\
-             \"lane_churn\":{},\"throughput_fps\":{},\"p50_latency_ms\":{},\
-             \"p95_latency_ms\":{},\"p99_latency_ms\":{},\"deadline_miss_rate\":{},\
-             \"device_utilization\":{},\"wall_seconds\":{},\
-             \"preprocessing\":{preprocessing},\"quality\":{quality}{sharding},\
-             \"sessions\":[{}]}}",
-            json_escape(&self.policy),
-            self.devices,
-            self.generated,
-            self.completed,
-            self.rejected,
-            self.dropped,
-            self.missed,
-            reject_reasons,
-            drop_reasons,
-            self.requeued,
-            requeue_reasons,
-            self.migrated,
-            self.lane_churn,
-            json_f(self.throughput_fps),
-            json_f(self.p50_latency_ms),
-            json_f(self.p95_latency_ms),
-            json_f(self.p99_latency_ms),
-            json_f(self.deadline_miss_rate),
-            json_f(self.device_utilization),
-            json_f(self.wall_seconds),
-            sessions.join(","),
-        )
+            o.objects("sessions", &self.sessions, |o, s| {
+                o.field("name", &s.name).field("qos_hz", fixed6(s.qos_hz));
+                o.field("generated", s.generated).field("completed", s.completed);
+                o.field("rejected", s.rejected).field("dropped", s.dropped);
+                o.field("missed", s.missed).field("achieved_fps", fixed6(s.achieved_fps));
+                o.field("p95_latency_ms", fixed6(s.p95_latency_ms));
+            });
+        })
+        .0
     }
 }
 
@@ -997,6 +939,51 @@ mod tests {
         }
     }
 
+    /// Byte pins: the exact JSON of an empty report, the sample report,
+    /// a sharded report, and a report whose non-finite figures print
+    /// `null` and whose names need escaping.
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let empty = ServeMetrics::default().report(
+            &RunInfo {
+                policy: "edf",
+                devices: 1,
+                wall_cycles: 0,
+                utilization: 0.0,
+                clock_ghz: 1.0,
+            },
+            &[],
+            &[],
+        );
+        assert_eq!(
+            empty.to_json(),
+            r#"{"policy":"edf","devices":1,"lifetime":{"generated":0,"completed":0,"rejected":0,"dropped":0,"missed":0,"requeued":0},"generated":0,"completed":0,"rejected":0,"dropped":0,"missed":0,"reject_reasons":{"queue_full":0,"unmeetable":0,"unknown_session":0,"quota_exceeded":0},"drop_reasons":{"deadline":0,"session_detached":0,"gated":0},"requeued":0,"requeue_reasons":{"lane_failed":0,"lane_retired":0},"migrated":0,"lane_churn":0,"throughput_fps":0.000000,"p50_latency_ms":0.000000,"p95_latency_ms":0.000000,"p99_latency_ms":0.000000,"deadline_miss_rate":0.000000,"device_utilization":0.000000,"wall_seconds":0.000000,"preprocessing":{"frames_charged":0,"frames_shared":0,"cycles_charged":0,"cycles_saved":0},"quality":{"frames_exact":0,"frames_degraded":0,"counter_offers":0,"sheds":0,"recoveries":0,"cycles_saved":0},"sessions":[]}"#
+        );
+        assert_eq!(
+            sample_report().to_json(),
+            r#"{"policy":"fcfs","devices":2,"lifetime":{"generated":5,"completed":3,"rejected":1,"dropped":1,"missed":1,"requeued":0},"generated":5,"completed":3,"rejected":1,"dropped":1,"missed":1,"reject_reasons":{"queue_full":1,"unmeetable":0,"unknown_session":0,"quota_exceeded":0},"drop_reasons":{"deadline":1,"session_detached":0,"gated":0},"requeued":0,"requeue_reasons":{"lane_failed":0,"lane_retired":0},"migrated":0,"lane_churn":0,"throughput_fps":3000000.000000,"p50_latency_ms":0.000100,"p95_latency_ms":0.000200,"p99_latency_ms":0.000200,"deadline_miss_rate":0.600000,"device_utilization":0.500000,"wall_seconds":0.000001,"preprocessing":{"frames_charged":0,"frames_shared":0,"cycles_charged":0,"cycles_saved":0},"quality":{"frames_exact":0,"frames_degraded":0,"counter_offers":0,"sheds":0,"recoveries":0,"cycles_saved":0},"sessions":[{"name":"a","qos_hz":60.000000,"generated":2,"completed":2,"rejected":0,"dropped":0,"missed":1,"achieved_fps":2000000.000000,"p95_latency_ms":0.000100},{"name":"b","qos_hz":90.000000,"generated":3,"completed":1,"rejected":1,"dropped":1,"missed":0,"achieved_fps":1000000.000000,"p95_latency_ms":0.000200}]}"#
+        );
+        assert_eq!(
+            sharded_report().to_json(),
+            r#"{"policy":"edf","devices":4,"lifetime":{"generated":3,"completed":3,"rejected":0,"dropped":0,"missed":0,"requeued":0},"generated":3,"completed":3,"rejected":0,"dropped":0,"missed":0,"reject_reasons":{"queue_full":0,"unmeetable":0,"unknown_session":0,"quota_exceeded":0},"drop_reasons":{"deadline":0,"session_detached":0,"gated":0},"requeued":0,"requeue_reasons":{"lane_failed":0,"lane_retired":0},"migrated":0,"lane_churn":0,"throughput_fps":5000000.000000,"p50_latency_ms":0.000500,"p95_latency_ms":0.000600,"p99_latency_ms":0.000600,"deadline_miss_rate":0.000000,"device_utilization":0.500000,"wall_seconds":0.000001,"preprocessing":{"frames_charged":0,"frames_shared":0,"cycles_charged":0,"cycles_saved":0},"quality":{"frames_exact":0,"frames_degraded":0,"counter_offers":0,"sheds":0,"recoveries":0,"cycles_saved":0},"sharding":{"mean_imbalance":1.250000,"max_imbalance":1.500000,"frames":[{"frame":0,"shards":2,"critical_path_cycles":300,"imbalance":1.500000},{"frame":1,"shards":4,"critical_path_cycles":200,"imbalance":1.000000}]},"sessions":[{"name":"a","qos_hz":72.000000,"generated":2,"completed":2,"rejected":0,"dropped":0,"missed":0,"achieved_fps":3333333.333333,"p95_latency_ms":0.000500},{"name":"b","qos_hz":72.000000,"generated":1,"completed":1,"rejected":0,"dropped":0,"missed":0,"achieved_fps":1666666.666667,"p95_latency_ms":0.000600}]}"#
+        );
+        let mut odd = sample_report();
+        odd.policy = "edf\"quoted\"".to_string();
+        odd.throughput_fps = f64::NAN;
+        odd.p99_latency_ms = f64::INFINITY;
+        odd.sessions[0].name = "tab\tback\\slash\u{1}".to_string();
+        odd.sessions[1].achieved_fps = f64::NEG_INFINITY;
+        odd.sharding = Some(ShardingReport {
+            frames: Vec::new(),
+            mean_imbalance: f64::NAN,
+            max_imbalance: 2.0,
+        });
+        assert_eq!(
+            odd.to_json(),
+            r#"{"policy":"edf\"quoted\"","devices":2,"lifetime":{"generated":5,"completed":3,"rejected":1,"dropped":1,"missed":1,"requeued":0},"generated":5,"completed":3,"rejected":1,"dropped":1,"missed":1,"reject_reasons":{"queue_full":1,"unmeetable":0,"unknown_session":0,"quota_exceeded":0},"drop_reasons":{"deadline":1,"session_detached":0,"gated":0},"requeued":0,"requeue_reasons":{"lane_failed":0,"lane_retired":0},"migrated":0,"lane_churn":0,"throughput_fps":null,"p50_latency_ms":0.000100,"p95_latency_ms":0.000200,"p99_latency_ms":null,"deadline_miss_rate":0.600000,"device_utilization":0.500000,"wall_seconds":0.000001,"preprocessing":{"frames_charged":0,"frames_shared":0,"cycles_charged":0,"cycles_saved":0},"quality":{"frames_exact":0,"frames_degraded":0,"counter_offers":0,"sheds":0,"recoveries":0,"cycles_saved":0},"sharding":{"mean_imbalance":null,"max_imbalance":2.000000,"frames":[]},"sessions":[{"name":"tab\tback\\slash\u0001","qos_hz":60.000000,"generated":2,"completed":2,"rejected":0,"dropped":0,"missed":1,"achieved_fps":2000000.000000,"p95_latency_ms":0.000100},{"name":"b","qos_hz":90.000000,"generated":3,"completed":1,"rejected":1,"dropped":1,"missed":0,"achieved_fps":null,"p95_latency_ms":0.000200}]}"#
+        );
+    }
+
     #[test]
     fn started_at_reads_in_flight_dispatches() {
         let mut m = ServeMetrics::default();
@@ -1021,8 +1008,8 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 
-    #[test]
-    fn sharded_completions_build_the_sharding_report() {
+    /// Two sharded completions and one unsharded one.
+    fn sharded_report() -> ServeReport {
         let mut m = ServeMetrics::default();
         m.start(ticket(0, 0, 0, 1000), 0);
         m.complete_with_shards(ticket(0, 0, 0, 1000), 300, &[300, 100]);
@@ -1031,7 +1018,7 @@ mod tests {
         m.start(ticket(1, 0, 0, 1000), 500);
         m.complete(ticket(1, 0, 0, 1000), 600); // unsharded: no shard record
         assert_eq!(m.sharded().len(), 2);
-        let r = m.report(
+        m.report(
             &RunInfo {
                 policy: "edf",
                 devices: 4,
@@ -1041,7 +1028,12 @@ mod tests {
             },
             &["a".to_string(), "b".to_string()],
             &[72.0, 72.0],
-        );
+        )
+    }
+
+    #[test]
+    fn sharded_completions_build_the_sharding_report() {
+        let r = sharded_report();
         let s = r.sharding.as_ref().expect("sharded frames completed");
         assert_eq!(s.frames.len(), 2);
         assert_eq!(s.frames[0].shards, 2);

@@ -15,7 +15,7 @@
 use gbu_hw::GbuConfig;
 use gbu_serve::{
     calibrated_clock_ghz, AdmissionControl, BackendKind, ExecMode, Policy, QosTarget, ServeConfig,
-    ServeEngine, ServeEvent, ServeReport, Session, SessionContent, SessionSpec,
+    ServeEngine, ServeEvent, ServeReport, Session, SessionContent, SessionId, SessionSpec,
 };
 use gbu_telemetry::{validate, Recorder, TraceSummary, Verbosity};
 use proptest::prelude::*;
@@ -132,6 +132,35 @@ fn recording_does_not_perturb_serving() {
     let summary = TraceSummary::from_trace(&trace);
     assert_eq!(summary.frame_count(), report_on.lifetime.completed as u64);
     assert!(!summary.lanes.is_empty(), "cluster lanes must fold device_busy spans");
+}
+
+/// A submit to a detached session is traced like every other rejection:
+/// one `reject.unknown_session` mark and a `serve.rejected.unknown_session`
+/// counter equal to the report's count. An id the engine never issued is
+/// kept out of both, as it is kept out of the report.
+#[test]
+fn detached_session_rejections_are_traced() {
+    let sessions = workload(1, 1, 7);
+    let recorder = Recorder::enabled(Verbosity::Normal);
+    let mut cfg = ServeConfig { telemetry: recorder.clone(), ..ServeConfig::default() };
+    cfg.gbu.clock_ghz = calibrated_clock_ghz(&sessions, 1, 0.5);
+    let mut engine = ServeEngine::new(cfg);
+    let id = engine.attach_session(sessions[0].clone());
+    engine.drain();
+    engine.detach_session(id);
+    engine.submit_frame(id, 0);
+    engine.submit_frame(SessionId::from_index(42), 0);
+    engine.finish();
+
+    let report = engine.report();
+    let trace = recorder.snapshot();
+    assert_eq!(report.reject_reasons.unknown_session, 1);
+    assert_eq!(
+        trace.counter("serve.rejected.unknown_session").unwrap_or(0),
+        report.reject_reasons.unknown_session as u64
+    );
+    let marks = trace.marks.iter().filter(|m| m.name == "reject.unknown_session").count();
+    assert_eq!(marks, report.reject_reasons.unknown_session);
 }
 
 proptest! {

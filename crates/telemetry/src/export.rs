@@ -1,33 +1,17 @@
-//! Timeline exporters: Chrome `trace_event` JSON and a JSONL span log.
+//! Timeline exporters: Chrome `trace_event` JSON and a JSONL span log,
+//! both written with [`crate::json`].
 //!
-//! Both are hand-rolled (the crate is dependency-free); escaping follows
-//! RFC 8259. The Chrome format is the common denominator of
-//! `chrome://tracing` and Perfetto: one `"ph":"X"` complete event per
-//! span, one `"ph":"i"` instant per mark, timestamps in microseconds.
-//! The two clock domains land on separate pids (1 = simulated cycles,
-//! 2 = host wall clock) so their tracks never interleave; within a pid
-//! the tid is the lane (cycles) or worker (wall) so each lane/worker
-//! reads as its own swimlane.
+//! The Chrome format is the common denominator of `chrome://tracing`
+//! and Perfetto: one `"ph":"X"` complete event per span, one `"ph":"i"`
+//! instant per mark, timestamps in microseconds. The two clock domains
+//! land on separate pids (1 = simulated cycles, 2 = host wall clock) so
+//! their tracks never interleave; within a pid the tid is the lane
+//! (cycles) or worker (wall) so each lane/worker reads as its own
+//! swimlane.
 
+use crate::json::{self, Fixed, Object};
 use crate::recorder::Trace;
 use crate::span::{Domain, Labels};
-
-/// Escapes `s` as the *contents* of a JSON string (RFC 8259).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Microseconds a timestamp maps to in the Chrome timeline: cycles are
 /// scaled by the simulated clock (`clock_ghz` GHz ⇒ `clock_ghz·1000`
@@ -53,75 +37,61 @@ fn tid(domain: Domain, labels: &Labels) -> u32 {
     }
 }
 
-fn args_json(labels: &Labels, extra: &[(&str, u64)]) -> String {
-    let mut fields = Vec::new();
-    let mut push = |k: &str, v: u64| fields.push(format!("\"{k}\":{v}"));
-    if let Some(v) = labels.lane {
-        push("lane", v as u64);
+/// Adds the labels that are set, in declaration order.
+fn label_fields(o: &mut Object<'_>, labels: &Labels) {
+    let wide = |v: Option<u32>| v.map(u64::from);
+    for (key, value) in [
+        ("lane", wide(labels.lane)),
+        ("lane_generation", wide(labels.lane_generation)),
+        ("device", wide(labels.device)),
+        ("session", wide(labels.session)),
+        ("frame", labels.frame),
+        ("shard", wide(labels.shard)),
+        ("worker", wide(labels.worker)),
+        ("row", wide(labels.row)),
+    ] {
+        if let Some(value) = value {
+            o.field(key, value);
+        }
     }
-    if let Some(v) = labels.lane_generation {
-        push("lane_generation", v as u64);
-    }
-    if let Some(v) = labels.device {
-        push("device", v as u64);
-    }
-    if let Some(v) = labels.session {
-        push("session", v as u64);
-    }
-    if let Some(v) = labels.frame {
-        push("frame", v);
-    }
-    if let Some(v) = labels.shard {
-        push("shard", v as u64);
-    }
-    if let Some(v) = labels.worker {
-        push("worker", v as u64);
-    }
-    if let Some(v) = labels.row {
-        push("row", v as u64);
-    }
-    for &(k, v) in extra {
-        push(k, v);
-    }
-    format!("{{{}}}", fields.join(","))
 }
 
 /// Renders `trace` as a Chrome `trace_event` JSON document. Load the
 /// file in `chrome://tracing` or <https://ui.perfetto.dev>.
 pub fn chrome_trace(trace: &Trace, clock_ghz: f64) -> String {
     let mut events = Vec::with_capacity(trace.spans.len() + trace.marks.len() + 2);
-    for (p, name) in [(1u32, "simulated cycles"), (2, "host wall clock")] {
-        events.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":0,\
-             \"args\":{{\"name\":\"{name}\"}}}}"
-        ));
+    for (pid, name) in [(1u32, "simulated cycles"), (2, "host wall clock")] {
+        events.push(json::object(|o| {
+            o.field("name", "process_name").field("ph", "M").field("pid", pid).field("tid", 0u32);
+            o.object("args", |o| {
+                o.field("name", name);
+            });
+        }));
     }
     for s in &trace.spans {
         let ts = to_us(s.domain, s.start, clock_ghz);
         let dur = to_us(s.domain, s.end, clock_ghz) - ts;
-        events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-             \"args\":{}}}",
-            json_escape(s.name),
-            pid(s.domain),
-            tid(s.domain, &s.labels),
-            ts,
-            dur,
-            args_json(&s.labels, &[("span_id", s.id.0)]),
-        ));
+        events.push(json::object(|o| {
+            o.field("name", s.name).field("ph", "X").field("pid", pid(s.domain));
+            o.field("tid", tid(s.domain, &s.labels));
+            o.field("ts", Fixed(ts, 3)).field("dur", Fixed(dur, 3)).object("args", |o| {
+                label_fields(o, &s.labels);
+                o.field("span_id", s.id.0);
+            });
+        }));
     }
     for m in &trace.marks {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{},\"tid\":{},\"ts\":{:.3},\
-             \"args\":{}}}",
-            json_escape(m.name),
-            pid(m.domain),
-            tid(m.domain, &m.labels),
-            to_us(m.domain, m.at, clock_ghz),
-            args_json(&m.labels, &[]),
-        ));
+        events.push(json::object(|o| {
+            o.field("name", m.name).field("ph", "i").field("s", "t");
+            o.field("pid", pid(m.domain)).field("tid", tid(m.domain, &m.labels));
+            o.field("ts", Fixed(to_us(m.domain, m.at, clock_ghz), 3));
+            o.object("args", |o| label_fields(o, &m.labels));
+        }));
     }
-    format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}\n", events.join(","))
+    let doc = json::object(|o| {
+        o.field("displayTimeUnit", "ms").field("traceEvents", &events[..]);
+    });
+    doc.0 + "\n"
 }
 
 /// Renders `trace` as a JSONL span log: one JSON object per line, spans
@@ -129,35 +99,31 @@ pub fn chrome_trace(trace: &Trace, clock_ghz: f64) -> String {
 /// tail line — greppable and stream-parseable without a JSON reader.
 pub fn jsonl(trace: &Trace) -> String {
     let mut out = String::new();
+    let mut line = |doc: json::Json| {
+        out.push_str(&doc.0);
+        out.push('\n');
+    };
     for s in &trace.spans {
-        out.push_str(&format!(
-            "{{\"kind\":\"span\",\"id\":{},\"parent\":{},\"name\":\"{}\",\"domain\":\"{}\",\
-             \"start\":{},\"end\":{},\"labels\":{}}}\n",
-            s.id.0,
-            s.parent.map_or("null".to_string(), |p| p.0.to_string()),
-            json_escape(s.name),
-            s.domain.label(),
-            s.start,
-            s.end,
-            args_json(&s.labels, &[]),
-        ));
+        line(json::object(|o| {
+            o.field("kind", "span").field("id", s.id.0).field("parent", s.parent.map(|p| p.0));
+            o.field("name", s.name).field("domain", s.domain.label());
+            o.field("start", s.start).field("end", s.end);
+            o.object("labels", |o| label_fields(o, &s.labels));
+        }));
     }
     for m in &trace.marks {
-        out.push_str(&format!(
-            "{{\"kind\":\"mark\",\"name\":\"{}\",\"domain\":\"{}\",\"at\":{},\"labels\":{}}}\n",
-            json_escape(m.name),
-            m.domain.label(),
-            m.at,
-            args_json(&m.labels, &[]),
-        ));
+        line(json::object(|o| {
+            o.field("kind", "mark").field("name", m.name).field("domain", m.domain.label());
+            o.field("at", m.at).object("labels", |o| label_fields(o, &m.labels));
+        }));
     }
-    let counters = trace
-        .counters
-        .iter()
-        .map(|(n, v)| format!("\"{}\":{v}", json_escape(n)))
-        .collect::<Vec<_>>()
-        .join(",");
-    out.push_str(&format!("{{\"kind\":\"counters\",\"values\":{{{counters}}}}}\n"));
+    line(json::object(|o| {
+        o.field("kind", "counters").object("values", |o| {
+            for (name, v) in &trace.counters {
+                o.field(name, *v);
+            }
+        });
+    }));
     out
 }
 
@@ -200,9 +166,74 @@ mod tests {
         assert!(lines[3].contains("\"frames\":1"));
     }
 
+    /// One wall-clock span carrying every label, a mark without labels,
+    /// and names that need escaping.
+    fn labelled() -> Trace {
+        let r = Recorder::enabled(Verbosity::Normal);
+        let all = Labels {
+            lane: Some(1),
+            lane_generation: Some(2),
+            device: Some(3),
+            session: Some(4),
+            frame: Some(5),
+            shard: Some(6),
+            worker: Some(7),
+            row: Some(8),
+        };
+        r.span("blend \"row\"", Domain::Wall, 1500, 4250, None, all);
+        r.mark("tick", Domain::Wall, 2000, Labels::default());
+        r.counter("odd \"name\"").add(3);
+        r.snapshot()
+    }
+
     #[test]
-    fn escaping_follows_rfc8259() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    fn exports_are_byte_pinned() {
+        let head = r#"{"displayTimeUnit":"ms","traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"simulated cycles"}},{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"host wall clock"}},"#;
+        assert_eq!(
+            chrome_trace(&sample(), 1.0),
+            format!(
+                "{head}{}\n",
+                r#"{"name":"frame","ph":"X","pid":1,"tid":0,"ts":0.000,"dur":1.000,"args":{"session":1,"frame":2,"span_id":1}},{"name":"service","ph":"X","pid":1,"tid":4,"ts":0.200,"dur":0.800,"args":{"lane":3,"span_id":2}},{"name":"admit","ph":"i","s":"t","pid":1,"tid":0,"ts":0.000,"args":{"session":1,"frame":2}}]}"#
+            )
+        );
+        assert_eq!(
+            chrome_trace(&sample(), 0.7),
+            format!(
+                "{head}{}\n",
+                r#"{"name":"frame","ph":"X","pid":1,"tid":0,"ts":0.000,"dur":1.429,"args":{"session":1,"frame":2,"span_id":1}},{"name":"service","ph":"X","pid":1,"tid":4,"ts":0.286,"dur":1.143,"args":{"lane":3,"span_id":2}},{"name":"admit","ph":"i","s":"t","pid":1,"tid":0,"ts":0.000,"args":{"session":1,"frame":2}}]}"#
+            )
+        );
+        assert_eq!(
+            chrome_trace(&labelled(), 1.0),
+            format!(
+                "{head}{}\n",
+                r#"{"name":"blend \"row\"","ph":"X","pid":2,"tid":8,"ts":1.500,"dur":2.750,"args":{"lane":1,"lane_generation":2,"device":3,"session":4,"frame":5,"shard":6,"worker":7,"row":8,"span_id":1}},{"name":"tick","ph":"i","s":"t","pid":2,"tid":0,"ts":2.000,"args":{}}]}"#
+            )
+        );
+        assert_eq!(
+            jsonl(&sample()),
+            [
+                r#"{"kind":"span","id":1,"parent":null,"name":"frame","domain":"cycles","start":0,"end":1000,"labels":{"session":1,"frame":2}}"#,
+                r#"{"kind":"span","id":2,"parent":1,"name":"service","domain":"cycles","start":200,"end":1000,"labels":{"lane":3}}"#,
+                r#"{"kind":"mark","name":"admit","domain":"cycles","at":0,"labels":{"session":1,"frame":2}}"#,
+                r#"{"kind":"counters","values":{"frames":1}}"#,
+                "",
+            ]
+            .join("\n")
+        );
+        assert_eq!(
+            jsonl(&labelled()),
+            [
+                r#"{"kind":"span","id":1,"parent":null,"name":"blend \"row\"","domain":"wall","start":1500,"end":4250,"labels":{"lane":1,"lane_generation":2,"device":3,"session":4,"frame":5,"shard":6,"worker":7,"row":8}}"#,
+                r#"{"kind":"mark","name":"tick","domain":"wall","at":2000,"labels":{}}"#,
+                r#"{"kind":"counters","values":{"odd \"name\"":3}}"#,
+                "",
+            ]
+            .join("\n")
+        );
+        assert_eq!(
+            crate::summary::TraceSummary::from_trace(&labelled()).to_json(),
+            r#"{"frames":{"count":0,"latency_cycles_total":0,"queue_wait_cycles_total":0,"service_cycles_total":0},"stages":[{"name":"blend \"row\"","domain":"wall","count":1,"total":2750,"max":2750,"mean":2750.000}],"lanes":[],"counters":{"odd \"name\"":3}}"#
+        );
     }
 }

@@ -15,7 +15,7 @@
 //! timeline ([`chrome_trace`], openable in `chrome://tracing` or
 //! Perfetto) or a JSONL span log ([`jsonl`]), and folds into a
 //! [`TraceSummary`] of per-stage/per-lane breakdowns whose structural
-//! invariants [`validate`] checks.
+//! invariants [`validate`] checks. All of them are written with [`json`].
 //!
 //! Enable tracing for any binary in the workspace with `GBU_TRACE=1`
 //! (stage/frame/lane spans) or `GBU_TRACE=2` (adds per-tile-row and
@@ -44,13 +44,14 @@
 #![warn(missing_debug_implementations)]
 
 pub mod export;
+pub mod json;
 pub mod meta;
 pub mod metrics;
 pub mod recorder;
 pub mod span;
 pub mod summary;
 
-pub use export::{chrome_trace, json_escape, jsonl};
+pub use export::{chrome_trace, jsonl};
 pub use meta::{host_threads, iso8601_utc, run_info_json, THREADS_ENV};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use recorder::{

@@ -45,16 +45,13 @@ pub fn host_threads() -> usize {
 /// [`THREADS_ENV`] value (or `null`), and the worker count actually in
 /// effect (as resolved by the caller's thread pool).
 pub fn run_info_json(effective_threads: usize) -> String {
-    let env = match std::env::var(THREADS_ENV) {
-        Ok(v) => format!("\"{}\"", crate::export::json_escape(&v)),
-        Err(_) => "null".to_string(),
-    };
-    format!(
-        "{{\"started_utc\":\"{}\",\"host_threads\":{},\"gbu_threads_env\":{env},\
-         \"effective_threads\":{effective_threads}}}",
-        iso8601_utc(SystemTime::now()),
-        host_threads(),
-    )
+    crate::json::object(|o| {
+        o.field("started_utc", iso8601_utc(SystemTime::now()))
+            .field("host_threads", host_threads())
+            .field("gbu_threads_env", std::env::var(THREADS_ENV).ok())
+            .field("effective_threads", effective_threads);
+    })
+    .0
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 //! stack's instrumentation promises (well-nested span trees, per-frame
 //! children that account for the frame exactly).
 
+use crate::json::{self, Fixed};
 use crate::recorder::Trace;
 use crate::span::{Domain, Span, SpanId};
 use std::collections::HashMap;
@@ -158,53 +159,34 @@ impl TraceSummary {
         self.stages.iter().find(|s| s.name == name && s.domain == domain)
     }
 
-    /// Renders the summary as a JSON object (hand-rolled, stable key
-    /// order) for embedding in `BENCH_trace.json`.
+    /// Renders the summary as a JSON object (stable key order) for
+    /// embedding in `BENCH_trace.json`.
     pub fn to_json(&self) -> String {
-        let latency: u64 = self.frames.iter().map(|f| f.latency_cycles).sum();
-        let wait: u64 = self.frames.iter().map(|f| f.queue_wait_cycles).sum();
-        let service: u64 = self.frames.iter().map(|f| f.service_cycles).sum();
-        let stages = self
-            .stages
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\":\"{}\",\"domain\":\"{}\",\"count\":{},\"total\":{},\"max\":{},\
-                     \"mean\":{:.3}}}",
-                    crate::export::json_escape(&s.name),
-                    s.domain.label(),
-                    s.count,
-                    s.total,
-                    s.max,
-                    s.mean(),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let lanes = self
-            .lanes
-            .iter()
-            .map(|l| {
-                format!(
-                    "{{\"lane\":{},\"busy_cycles\":{},\"busy_spans\":{},\"shard_cycles\":{},\
-                     \"shards\":{}}}",
-                    l.lane, l.busy_cycles, l.busy_spans, l.shard_cycles, l.shards
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let counters = self
-            .counters
-            .iter()
-            .map(|(n, v)| format!("\"{}\":{v}", crate::export::json_escape(n)))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"frames\":{{\"count\":{},\"latency_cycles_total\":{latency},\
-             \"queue_wait_cycles_total\":{wait},\"service_cycles_total\":{service}}},\
-             \"stages\":[{stages}],\"lanes\":[{lanes}],\"counters\":{{{counters}}}}}",
-            self.frames.len(),
-        )
+        let total = |f: fn(&FrameStat) -> u64| self.frames.iter().map(f).sum::<u64>();
+        json::object(|o| {
+            o.object("frames", |o| {
+                o.field("count", self.frames.len())
+                    .field("latency_cycles_total", total(|f| f.latency_cycles))
+                    .field("queue_wait_cycles_total", total(|f| f.queue_wait_cycles))
+                    .field("service_cycles_total", total(|f| f.service_cycles));
+            });
+            o.objects("stages", &self.stages, |o, s| {
+                o.field("name", &s.name).field("domain", s.domain.label());
+                o.field("count", s.count).field("total", s.total).field("max", s.max);
+                o.field("mean", Fixed(s.mean(), 3));
+            });
+            o.objects("lanes", &self.lanes, |o, l| {
+                o.field("lane", l.lane).field("busy_cycles", l.busy_cycles);
+                o.field("busy_spans", l.busy_spans).field("shard_cycles", l.shard_cycles);
+                o.field("shards", l.shards);
+            });
+            o.object("counters", |o| {
+                for (name, v) in &self.counters {
+                    o.field(name, *v);
+                }
+            });
+        })
+        .0
     }
 }
 
@@ -282,8 +264,8 @@ mod tests {
         r.span("shard", Domain::Cycles, started, done, s, shard);
     }
 
-    #[test]
-    fn summary_folds_frames_stages_and_lanes() {
+    /// Two frames on lane 0 and one `device_busy` span.
+    fn sample() -> Trace {
         let r = Recorder::enabled(Verbosity::Normal);
         frame(&r, 0, 0, 0, 100, 600);
         frame(&r, 1, 1, 50, 600, 1000);
@@ -295,7 +277,12 @@ mod tests {
             None,
             Labels { lane: Some(0), device: Some(0), ..Labels::default() },
         );
-        let trace = r.snapshot();
+        r.snapshot()
+    }
+
+    #[test]
+    fn summary_folds_frames_stages_and_lanes() {
+        let trace = sample();
         validate(&trace).unwrap();
         let sum = TraceSummary::from_trace(&trace);
         assert_eq!(sum.frame_count(), 2);
@@ -310,6 +297,14 @@ mod tests {
         let json = sum.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"count\":2"));
+    }
+
+    #[test]
+    fn summary_json_is_byte_pinned() {
+        assert_eq!(
+            TraceSummary::from_trace(&sample()).to_json(),
+            r#"{"frames":{"count":2,"latency_cycles_total":1550,"queue_wait_cycles_total":650,"service_cycles_total":900},"stages":[{"name":"device_busy","domain":"cycles","count":1,"total":900,"max":900,"mean":900.000},{"name":"frame","domain":"cycles","count":2,"total":1550,"max":950,"mean":775.000},{"name":"queue_wait","domain":"cycles","count":2,"total":650,"max":550,"mean":325.000},{"name":"service","domain":"cycles","count":2,"total":900,"max":500,"mean":450.000},{"name":"shard","domain":"cycles","count":2,"total":900,"max":500,"mean":450.000}],"lanes":[{"lane":0,"busy_cycles":900,"busy_spans":1,"shard_cycles":900,"shards":2}],"counters":{}}"#
+        );
     }
 
     #[test]

@@ -6,12 +6,11 @@ use gbu_core::apps::{self, FrameScenario};
 use gbu_core::reports::{bar, fmt_f, fmt_pct, fmt_x, table};
 use gbu_core::system::{self, Design, FrameMeasurement};
 use gbu_gpu::timing::{self, Step3Mapping};
+use gbu_hw::area;
 use gbu_hw::cache::{simulate_trace, Policy};
 use gbu_hw::standalone::{self, GbuStandalone};
-use gbu_hw::{area, dnb};
 use gbu_math::{Sym2, Vec2, Vec3};
 use gbu_render::irss::{IrssSplat, RowOutcome};
-use gbu_render::stats::irss_gpu_lane_utilization;
 use gbu_render::{binning, preprocess, Splat2D};
 use gbu_scene::{DatasetScene, SceneKind};
 use gbu_telemetry::json::{self, Fixed, Json};
@@ -228,7 +227,7 @@ pub fn fig9(ctx: &Ctx) {
         println!("row {y:>2}: {:>6} fragments |{}", count, bar(count as f64, max, 40));
     }
     let tile_util = m.measured.irss.blend.row_lane_utilization();
-    let warp_util = irss_gpu_lane_utilization(&m.measured.irss.blend);
+    let warp_util = m.measured.raw_workload.irss_lane_utilization;
     println!("\nTile-aggregate row balance (whole-frame): {}", fmt_pct(tile_util));
     println!(
         "Per-instance SIMT lane utilization (each warp waits for its slowest row): {}",
@@ -267,7 +266,7 @@ pub fn limits_gpu(ctx: &Ctx) {
     println!("== Sec. V-A: GPU limitations under IRSS ==");
     let mut rows = Vec::new();
     for m in ctx.measure_static() {
-        let util = irss_gpu_lane_utilization(&m.measured.irss.blend);
+        let util = m.measured.raw_workload.irss_lane_utilization;
         let t = timing::frame_time(
             &m.measured.measurement.workload,
             &ctx.sys.gpu,
@@ -527,10 +526,10 @@ pub fn fig17(ctx: &Ctx) {
             let m = ctx.measure(d.name);
             let (splats, _) = preprocess::project_scene(&m.scenario.scene, &m.scenario.camera);
             let (bins, _) = binning::bin_splats(&splats, &m.scenario.camera, 16);
-            let trace = dnb::run(&splats, &bins, ctx.gbu()).access_trace;
             for (i, &kib) in sizes_kib.iter().enumerate() {
                 let lines = (kib as usize * 1024) / gbu_render::GBU_FEATURE_BYTES as usize;
-                per_size[i] += simulate_trace(&trace, lines, Policy::ReuseDistance).hit_rate();
+                per_size[i] +=
+                    simulate_trace(&bins.entries, lines, Policy::ReuseDistance).hit_rate();
             }
         }
         let mut row = vec![kind.label().to_string()];
@@ -555,9 +554,8 @@ pub fn fig17(ctx: &Ctx) {
             let m = ctx.measure(d.name);
             let (splats, _) = preprocess::project_scene(&m.scenario.scene, &m.scenario.camera);
             let (bins, _) = binning::bin_splats(&splats, &m.scenario.camera, 16);
-            let trace = dnb::run(&splats, &bins, ctx.gbu()).access_trace;
             let lines = 32 * 1024 / gbu_render::GBU_FEATURE_BYTES as usize;
-            acc += simulate_trace(&trace, lines, policy).hit_rate();
+            acc += simulate_trace(&bins.entries, lines, policy).hit_rate();
         }
         prow.push(vec![format!("{policy:?}"), fmt_pct(acc / 6.0)]);
     }
@@ -783,7 +781,7 @@ inst/splat {:.2} util {:.3} hit {:.2}",
             ir.fragments_evaluated as f64 / b.fragments_evaluated as f64,
             ir.rows_considered as f64 / ir.instances.max(1) as f64,
             m.measured.pfs.binning.instances as f64 / pre.output_splats.max(1) as f64,
-            irss_gpu_lane_utilization(ir),
+            m.measured.raw_workload.irss_lane_utilization,
             m.measured.measurement.cache_hit_rate,
         );
     }

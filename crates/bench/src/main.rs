@@ -26,7 +26,7 @@
 //! which writes `BENCH_quality.json`.
 //! Run with `--release`; the default `bench` profile renders
 //! half-resolution scenes with ~25k Gaussians and extrapolates workloads
-//! to paper scale (see EXPERIMENTS.md).
+//! to paper scale (see `gbu_gpu::workload::WorkloadScale`).
 
 mod common;
 mod experiments;

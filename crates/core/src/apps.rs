@@ -118,7 +118,14 @@ pub fn measure_frame(
     );
 
     let pixels = u64::from(scenario.camera.width) * u64::from(scenario.camera.height);
-    let raw = FrameWorkload::from_stats(&pre, &bin_stats, &pfs_stats, &irss_stats, pixels);
+    let raw = FrameWorkload::from_stats(
+        &pre,
+        &bin_stats,
+        &pfs_stats,
+        &irss_stats,
+        cfg_pfs.tile_size,
+        pixels,
+    );
     let scaled = raw.scaled(scale);
     // Tile-engine cycles are instance/fragment-proportional, so they
     // extrapolate with the Gaussian ratio (see FrameWorkload::scaled).

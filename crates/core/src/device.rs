@@ -109,7 +109,6 @@ struct InFlight {
 #[derive(Debug)]
 pub struct Gbu {
     engine: TileEngine,
-    policy: Policy,
     clock: u64,
     in_flight: Option<InFlight>,
 }
@@ -117,18 +116,7 @@ pub struct Gbu {
 impl Gbu {
     /// Creates a device with the given hardware configuration.
     pub fn new(config: GbuConfig) -> Self {
-        Self {
-            engine: TileEngine::new(config),
-            policy: Policy::ReuseDistance,
-            clock: 0,
-            in_flight: None,
-        }
-    }
-
-    /// Overrides the reuse-cache replacement policy (for ablations).
-    pub fn with_policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
-        self
+        Self { engine: TileEngine::new(config), clock: 0, in_flight: None }
     }
 
     /// The hardware configuration.
@@ -203,7 +191,7 @@ impl Gbu {
         } else {
             dnb::run(splats, bins, &self.engine.config)
         };
-        let run = self.engine.render(splats, &d, bins, camera, background, self.policy);
+        let run = self.engine.render(splats, &d, bins, camera, background, Policy::ReuseDistance);
         // Chunk-level pipeline (Fig. 13 bottom): D&B overlaps the Tile PE,
         // so the frame occupies max(D&B, Tile PE) cycles.
         let duration = d.cycles.max(run.compute_cycles);

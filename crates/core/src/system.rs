@@ -255,7 +255,8 @@ mod tests {
 
     /// A paper-scale static-scene measurement mirroring what
     /// `apps::measure_frame` produces for the "counter" scene after
-    /// extrapolation (the calibration anchor; see EXPERIMENTS.md).
+    /// extrapolation (the calibration anchor; see
+    /// `gbu_gpu::workload::WorkloadScale`).
     pub(crate) fn paper_measurement() -> FrameMeasurement {
         let visible = 1.13e6;
         let instances = 3.13e6;

@@ -22,7 +22,8 @@
 //! The absolute calibration targets the paper's Fig. 4 (7-17 FPS on static
 //! scenes) when fed paper-scale workloads; at reduced benchmark scale the
 //! [`workload::WorkloadScale`] extrapolation reconstructs paper-scale event
-//! counts (documented in `EXPERIMENTS.md`).
+//! counts (derivation and calibration anchors in
+//! [`workload::WorkloadScale`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -134,7 +134,7 @@ mod tests {
     use crate::workload::WorkloadScale;
 
     /// A synthetic workload shaped like a paper-scale static scene (the
-    /// "counter" calibration anchor; see EXPERIMENTS.md): ~1.25M in-view
+    /// "counter" calibration anchor of `WorkloadScale`): ~1.25M in-view
     /// Gaussians, ~2.8 tiles each, ~554 PFS fragments per visible splat.
     fn paper_static_workload() -> FrameWorkload {
         let visible = 1.13e6;

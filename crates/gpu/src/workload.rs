@@ -2,7 +2,6 @@
 //! and the timing models.
 
 use gbu_render::stats::{irss_gpu_lane_utilization, BinningStats, BlendStats, PreprocessStats};
-use gbu_render::RenderOutput;
 
 /// Event counts of one rendered frame, in the units the timing models
 /// consume. Produced from functional-render statistics and optionally
@@ -35,7 +34,8 @@ pub struct FrameWorkload {
 }
 
 impl FrameWorkload {
-    /// Assembles a workload from PFS and IRSS runs of the same frame.
+    /// Assembles a workload from PFS and IRSS runs of the same frame,
+    /// blended at `tile_size`-px tiles.
     ///
     /// Both runs are needed because the PFS fragment count sizes the
     /// baseline (Fig. 4) while the IRSS counts size the proposed dataflow
@@ -45,6 +45,7 @@ impl FrameWorkload {
         bins: &BinningStats,
         pfs: &BlendStats,
         irss: &BlendStats,
+        tile_size: u32,
         pixels: u64,
     ) -> Self {
         Self {
@@ -57,15 +58,9 @@ impl FrameWorkload {
             fragments_irss: irss.fragments_evaluated as f64,
             rows_irss: irss.rows_considered as f64,
             instance_row_max_sum: irss.instance_row_max_sum as f64,
-            irss_lane_utilization: irss_gpu_lane_utilization(irss),
+            irss_lane_utilization: irss_gpu_lane_utilization(irss, tile_size),
             pixels: pixels as f64,
         }
-    }
-
-    /// Assembles a workload from two full pipeline outputs.
-    pub fn from_outputs(pfs: &RenderOutput, irss: &RenderOutput) -> Self {
-        let px = u64::from(pfs.image.width()) * u64::from(pfs.image.height());
-        Self::from_stats(&pfs.preprocess, &pfs.binning, &pfs.blend, &irss.blend, px)
     }
 
     /// Applies a scale, multiplying Gaussian-proportional counts by
@@ -124,11 +119,51 @@ impl FrameWorkload {
 }
 
 /// Extrapolation factors from a reduced benchmark workload to the paper's
-/// full-scale workload. See `EXPERIMENTS.md` for the derivation: Gaussian
-/// counts scale linearly to the trained checkpoint's size, pixel counts
-/// quadratically with the resolution ratio, and fragment counts with the
-/// product (each Gaussian's pixel footprint is resolution-proportional at
-/// fixed angular size — the effect Fig. 16 measures directly).
+/// full-scale workload.
+///
+/// # Derivation
+///
+/// Software rendering is orders of magnitude slower than the paper's GPU,
+/// so experiments render reduced scenes and count events
+/// (`gbu_scene::ScaleProfile`: the test and bench profiles render a
+/// quarter and a half of Tab. I's resolution, with 1.5k and 24k Gaussians
+/// times the scene's complexity). The timing models consume counts, not
+/// images, so a reduced frame's counts extrapolate:
+///
+/// - `gaussians` is the checkpoint's effective in-view Gaussian count
+///   (`gbu_scene::DatasetScene::paper_gaussians_k`) over the rendered
+///   count, and `pixels` is Tab. I's pixel count over the rendered one.
+/// - [`FrameWorkload::scaled`] multiplies the Gaussian-proportional counts
+///   (Gaussians, splats, instances, fragments, rows and the IRSS row-max
+///   sum) by `gaussians`, and the pixel count by `pixels`. Fragments
+///   follow the Gaussian ratio alone: the synthetic scenes are generated
+///   with per-Gaussian footprint statistics (fragment-to-Gaussian ratio,
+///   rows per instance) already at the paper's full-resolution values
+///   (Sec. III-B), so applying the pixel ratio as well would count the
+///   footprint growth twice. Sort passes and lane utilization are kept as
+///   measured.
+/// - Tile-engine cycles are instance- and fragment-proportional, so
+///   `gbu_core::apps::measure_frame` scales them by `gaussians` too.
+/// - Resolution sweeps (Fig. 16) use [`FrameWorkload::scaled_resolution`]
+///   instead: at a fixed scene and pose every footprint grows with the
+///   pixel count.
+///
+/// How close each scene kind lands to the Sec. III-B statistics is what
+/// `repro calib` prints.
+///
+/// # Calibration anchors
+///
+/// - `paper_gaussians_k` is set per scene so that the GPU baseline
+///   reproduces Fig. 4's per-scene times (7–17 FPS on the static scenes).
+/// - The static "counter" scene is the reference workload: 1.25M in-view
+///   Gaussians, 1.13M visible splats, 3.13M tile instances (about 2.8
+///   tiles per splat) and about 554 PFS fragments per visible splat.
+///   `gbu_gpu`'s timing tests and `gbu_core::system`'s tests build it by
+///   hand.
+/// - [`crate::GpuConfig::orin_nx`] holds the GPU-side anchors: 1.1 TFLOPS
+///   is 58% of its peak, the IRSS-on-GPU per-fragment cost reproduces the
+///   paper's 1.71–1.72x IRSS speedup, and Step ❸'s per-instance traffic
+///   reproduces its 62.1% of DRAM bandwidth at 60 FPS.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadScale {
     /// Ratio of paper Gaussian count to rendered Gaussian count.

@@ -10,6 +10,11 @@
 //! 3. precomputes each feature access's *next use* so the Gaussian Reuse
 //!    Cache can run its reuse-distance replacement policy.
 //!
+//! The feature access stream is the bins' `entries` as stored: every
+//! `TileBins` producer writes exact CSR (offsets that partition the
+//! entries in tile order), so the entries already are the tile-major
+//! stream the tile engine consumes, and no copy of it is made.
+//!
 //! Its cycle cost is what the chunk-level pipeline (Fig. 13, bottom)
 //! overlaps with the Tile PE.
 
@@ -24,11 +29,9 @@ use gbu_render::Splat2D;
 pub struct DnbResult {
     /// Per-splat IRSS transforms (EVD + rotation parameters).
     pub transforms: Vec<IrssSplat>,
-    /// The feature access trace: splat index per (tile, instance) in tile
-    /// traversal order — exactly the stream the tile engine consumes.
-    pub access_trace: Vec<u32>,
-    /// Precomputed next-use position for each trace entry (Fig. 12(a)'s
-    /// reuse distances, absolute-position form).
+    /// Precomputed next-use position of each entry of the bins' access
+    /// stream (`TileBins::entries`; Fig. 12(a)'s reuse distances,
+    /// absolute-position form).
     pub next_use: Vec<u64>,
     /// Engine cycles spent (EVD + intersection tests).
     pub cycles: u64,
@@ -57,16 +60,19 @@ pub fn run_scoped(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig) -> DnbRe
 }
 
 fn run_inner(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig, scoped: bool) -> DnbResult {
+    let offsets = &bins.offsets;
+    debug_assert!(
+        offsets.first() == Some(&0)
+            && offsets.last() == Some(&bins.entries.len())
+            && offsets.windows(2).all(|w| w[0] <= w[1]),
+        "bins must be exact CSR for their entries to be the access stream"
+    );
     let transforms = gbu_render::irss::precompute_pooled(gbu_par::global(), splats);
-    let mut access_trace = Vec::with_capacity(bins.entries.len());
-    for tile in 0..bins.tile_count() {
-        access_trace.extend_from_slice(bins.entries_of(tile));
-    }
-    let next_use = cache::next_use_positions(&access_trace);
+    let next_use = cache::next_use_positions(&bins.entries);
     let decomposed = if scoped {
         let mut touched = vec![false; splats.len()];
         let mut distinct = 0u64;
-        for &e in &access_trace {
+        for &e in &bins.entries {
             if !touched[e as usize] {
                 touched[e as usize] = true;
                 distinct += 1;
@@ -77,9 +83,9 @@ fn run_inner(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig, scoped: bool)
         splats.len() as u64
     };
     let cycles =
-        decomposed * cfg.dnb_evd_cycles + access_trace.len() as u64 * cfg.dnb_intersect_cycles;
+        decomposed * cfg.dnb_evd_cycles + bins.entries.len() as u64 * cfg.dnb_intersect_cycles;
     gbu_telemetry::global().histogram("hw.dnb.cycles").record(cycles);
-    DnbResult { transforms, access_trace, next_use, cycles }
+    DnbResult { transforms, next_use, cycles }
 }
 
 #[cfg(test)]
@@ -112,24 +118,22 @@ mod tests {
     fn trace_covers_all_instances() {
         let (splats, bins) = setup();
         let r = run(&splats, &bins, &GbuConfig::paper());
-        assert_eq!(r.access_trace.len(), bins.entries.len());
-        assert_eq!(r.next_use.len(), r.access_trace.len());
+        assert_eq!(r.next_use.len(), bins.entries.len());
         assert_eq!(r.transforms.len(), splats.len());
     }
 
     #[test]
     fn trace_is_tile_major() {
-        let (splats, bins) = setup();
-        let r = run(&splats, &bins, &GbuConfig::paper());
-        // Reconstruct tile boundaries and verify the trace matches the
-        // bins' per-tile entries in order.
+        let (_, bins) = setup();
+        // The access stream D&B and the reuse cache walk is the bins'
+        // entries as stored: the per-tile entries, tile after tile.
         let mut cursor = 0;
         for tile in 0..bins.tile_count() {
             let e = bins.entries_of(tile);
-            assert_eq!(&r.access_trace[cursor..cursor + e.len()], e);
+            assert_eq!(&bins.entries[cursor..cursor + e.len()], e);
             cursor += e.len();
         }
-        assert_eq!(cursor, r.access_trace.len());
+        assert_eq!(cursor, bins.entries.len());
     }
 
     #[test]
@@ -139,7 +143,7 @@ mod tests {
         for (i, &n) in r.next_use.iter().enumerate() {
             if n != u64::MAX {
                 assert!(n > i as u64);
-                assert_eq!(r.access_trace[n as usize], r.access_trace[i]);
+                assert_eq!(bins.entries[n as usize], bins.entries[i]);
             }
         }
     }
@@ -150,7 +154,7 @@ mod tests {
         let cfg = GbuConfig::paper();
         let r = run(&splats, &bins, &cfg);
         let expect = splats.len() as u64 * cfg.dnb_evd_cycles
-            + r.access_trace.len() as u64 * cfg.dnb_intersect_cycles;
+            + bins.entries.len() as u64 * cfg.dnb_intersect_cycles;
         assert_eq!(r.cycles, expect);
         assert!(r.cycles > 0);
     }
@@ -174,17 +178,17 @@ mod tests {
         for s in 0..2 {
             let sb = plan.shard_bins(&bins, s);
             let r = run_scoped(&splats, &sb, &cfg);
-            assert_eq!(r.access_trace.len(), sb.entries.len());
+            assert_eq!(r.next_use.len(), sb.entries.len());
             assert!(r.cycles <= full.cycles, "a shard cannot cost more than the frame");
             assert_eq!(r.transforms.len(), splats.len(), "transforms stay index-stable");
-            scoped_instances += r.access_trace.len();
+            scoped_instances += sb.entries.len();
             scoped_cycles += r.cycles;
         }
-        assert_eq!(scoped_instances, full.access_trace.len(), "instances partition");
+        assert_eq!(scoped_instances, bins.entries.len(), "instances partition");
         // Shards re-decompose Gaussians that straddle the boundary, so the
         // summed EVD charge can exceed the frame's — but never by more
         // than one extra decomposition per splat per extra shard.
-        assert!(scoped_cycles >= full.access_trace.len() as u64 * cfg.dnb_intersect_cycles);
+        assert!(scoped_cycles >= bins.entries.len() as u64 * cfg.dnb_intersect_cycles);
         assert!(
             scoped_cycles <= full.cycles + splats.len() as u64 * cfg.dnb_evd_cycles,
             "duplicate decompositions are bounded by one per splat per shard"

@@ -211,6 +211,7 @@ impl TileEngine {
         policy: Policy,
     ) -> GbuRunResult {
         assert_eq!(dnb.transforms.len(), splats.len(), "D&B transforms mismatch splat list");
+        assert_eq!(dnb.next_use.len(), bins.entries.len(), "D&B ran on other bins");
         let cfg = &self.config;
         let mut image = FrameBuffer::new(camera.width, camera.height, background);
         let mut result = GbuRunResult {
@@ -226,11 +227,11 @@ impl TileEngine {
             tiles: 0,
         };
 
-        // Phase 1 — the Gaussian Reuse Cache over the full access trace
-        // (instance stream in tile order), exactly as the D&B engine
-        // feeds it.
+        // Phase 1 — the Gaussian Reuse Cache over the full access stream
+        // (the bins' entries: the instance stream in tile order), exactly
+        // as the D&B engine feeds it.
         let mut cache = GaussianReuseCache::new(cfg.cache_lines(), policy);
-        for (pos, &entry) in dnb.access_trace.iter().enumerate() {
+        for (pos, &entry) in bins.entries.iter().enumerate() {
             if !cache.access(entry, dnb.next_use[pos]) {
                 result.dram_bytes += cfg.bytes_per_miss;
             }
@@ -290,11 +291,6 @@ impl TileEngine {
                 if entries.is_empty() {
                     continue;
                 }
-                debug_assert_eq!(
-                    &dnb.access_trace[bins.offsets[tile]..bins.offsets[tile + 1]],
-                    entries,
-                    "trace desync"
-                );
                 job.tiles += 1;
                 let (x0, y0, x1, y1) = bins.tile_pixel_rect(tile, camera.width, camera.height);
                 let w = (x1 - x0) as usize;

@@ -5,7 +5,8 @@
 //! substitute a gradient-structure proxy ([`lpips_proxy`]) that, like
 //! LPIPS, is 0 for identical images and grows with perceptual differences
 //! (edges appearing/disappearing), plus SSIM as a second standard metric.
-//! See `DESIGN.md` for the substitution rationale.
+//! README.md's *Substitutions and paper-scale extrapolation* lists this
+//! substitution with the others.
 
 use crate::FrameBuffer;
 use gbu_math::Vec3;

@@ -94,8 +94,8 @@ pub struct BlendStats {
     pub instances_skipped_saturated: u64,
     /// Sum over instances of the *maximum* per-row shaded-fragment count.
     /// When rows map to SIMT lanes, a warp's latency is set by its slowest
-    /// lane, so `16 × instance_row_max_sum` is the total lane-slot count of
-    /// the IRSS-on-GPU mapping (Sec. V-A, Limitation 1).
+    /// lane, so `tile_size × instance_row_max_sum` is the total lane-slot
+    /// count of the IRSS-on-GPU mapping (Sec. V-A, Limitation 1).
     pub instance_row_max_sum: u64,
     /// Per-tile instance counts (index = tile id), for the GPU PFS timing
     /// model.
@@ -189,12 +189,13 @@ pub fn accumulate(into: &mut BlendStats, from: &BlendStats) {
 }
 
 /// Lane utilization of the IRSS-on-GPU row-to-lane mapping derived from
-/// aggregate counters: useful work divided by issued lane slots.
-pub fn irss_gpu_lane_utilization(stats: &BlendStats) -> f64 {
+/// aggregate counters: useful work divided by issued lane slots, one lane
+/// per pixel row of the `tile_size`-px tiles the blend ran at.
+pub fn irss_gpu_lane_utilization(stats: &BlendStats, tile_size: u32) -> f64 {
     if stats.instance_row_max_sum == 0 {
         return 1.0;
     }
-    stats.fragments_evaluated as f64 / (16.0 * stats.instance_row_max_sum as f64)
+    stats.fragments_evaluated as f64 / (f64::from(tile_size) * stats.instance_row_max_sum as f64)
 }
 
 #[cfg(test)]
@@ -245,6 +246,26 @@ mod tests {
             ..BlendStats::default()
         };
         assert!((s.row_lane_utilization() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn irss_lane_utilization_counts_one_lane_per_tile_row() {
+        // One splat wider than the 64×64 frame: every row of every tile
+        // evaluates the whole tile width, so every lane of every instance
+        // is busy and the utilization is 1 at any tile size.
+        use crate::{render_irss, RenderConfig};
+        use gbu_math::Vec3;
+        use gbu_scene::{Camera, Gaussian3D, GaussianScene};
+        let scene: GaussianScene =
+            std::iter::once(Gaussian3D::isotropic(Vec3::ZERO, 2.0, Vec3::ONE, 0.9)).collect();
+        let camera = Camera::orbit(64, 64, 1.0, Vec3::ZERO, 3.0, 0.0, 0.0);
+        for tile_size in [8, 16, 32] {
+            let config = RenderConfig { tile_size, ..RenderConfig::default() };
+            let s = render_irss(&scene, &camera, &config).blend;
+            assert_eq!(s.instances, u64::from((64 / tile_size) * (64 / tile_size)));
+            assert_eq!(s.fragments_evaluated, 64 * 64);
+            assert_eq!(irss_gpu_lane_utilization(&s, tile_size), 1.0, "{tile_size}-px tiles");
+        }
     }
 
     #[test]

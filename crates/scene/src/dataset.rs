@@ -46,8 +46,9 @@ impl SceneKind {
 /// Rendering functionally in software is orders of magnitude slower than a
 /// GPU, so the default benchmarking profile scales the workload down; the
 /// *timing models* consume counted events, so relative results (speedups,
-/// breakdowns, hit rates) are preserved. `EXPERIMENTS.md` documents the
-/// scale used for every reported number.
+/// breakdowns, hit rates) are preserved. `gbu_gpu::workload::WorkloadScale`
+/// documents how counts measured at these scales extrapolate to the
+/// paper's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScaleProfile {
     /// Tiny scenes for unit/integration tests.
@@ -97,7 +98,7 @@ pub struct DatasetScene {
     /// full checkpoint (MipNeRF-360 checkpoints reach millions of
     /// Gaussians, most outside any single view's frustum); calibrated so
     /// the baseline reproduces Fig. 4's per-scene times. See
-    /// `EXPERIMENTS.md`.
+    /// `gbu_gpu::workload::WorkloadScale`.
     pub paper_gaussians_k: u32,
     /// Deterministic generation seed.
     pub seed: u64,

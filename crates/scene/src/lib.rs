@@ -19,8 +19,8 @@
 //! the generators here synthesise scenes whose *workload statistics*
 //! (fragment-to-Gaussian ratio, significant-fragment rate, footprint
 //! distribution) match the paper's profiling, which is what every
-//! architectural result depends on. See `DESIGN.md` for the substitution
-//! argument.
+//! architectural result depends on. README.md's *Substitutions and
+//! paper-scale extrapolation* lists this substitution with the others.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

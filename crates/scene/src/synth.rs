@@ -1,11 +1,11 @@
 //! Procedural Gaussian scene generators.
 //!
 //! These generators stand in for the trained checkpoints the paper renders
-//! (see `DESIGN.md`). They synthesise Gaussian clouds with controlled
-//! footprint statistics: world-space scales are log-normal around a median,
-//! orientations are random, opacities span the range observed in trained
-//! models, and SH coefficients carry a configurable amount of view
-//! dependence. Composed shapes (clouds, planes, shells, capsules) build up
+//! (README.md, *Substitutions and paper-scale extrapolation*). They
+//! synthesise Gaussian clouds with controlled footprint statistics:
+//! world-space scales are log-normal around a median, orientations are
+//! random, opacities span the range observed in trained models, and SH
+//! coefficients carry a configurable amount of view dependence. Composed shapes (clouds, planes, shells, capsules) build up
 //! the static scenes, dynamic scenes and avatars of the dataset registry.
 
 use crate::avatar::{AvatarModel, Skeleton, SkinnedGaussian};

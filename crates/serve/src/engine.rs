@@ -9,10 +9,9 @@
 //! offset), and the host can push extra requests at any time through
 //! [`ServeHandle::submit_frame`]. Arrivals pass [`AdmissionControl`] into
 //! the shared ready queue; whenever the [`ClusterBackend`] has capacity
-//! for a queued frame's [`ExecMode`] the configured [`crate::Scheduler`]
-//! picks the next frame; the backend advances event-to-event (next
-//! arrival or next completion, whichever is sooner) on one simulated
-//! clock.
+//! for a queued frame's [`ExecMode`] the configured [`Policy`] picks the
+//! next frame; the backend advances event-to-event (next arrival or next
+//! completion, whichever is sooner) on one simulated clock.
 //!
 //! Execution is a plug-in behind one [`ClusterBackend`], exactly as the
 //! paper's GBU is a plug-in behind the host GPU's interface: every
@@ -30,13 +29,14 @@
 
 use crate::backend::{BackendKind, ExecCompletion, ExecMode};
 use crate::cluster::ClusterBackend;
+use crate::control::{Controller, Verdict};
 use crate::event::{
     DropReason, FrameId, FrameStatus, RejectReason, RequeueReason, ServeEvent, SessionId,
 };
 use crate::fleet::{AutoscaleConfig, FleetAction, FleetConfig};
 use crate::metrics::{RunInfo, ServeMetrics, ServeReport};
 use crate::quality::QualityGovernor;
-use crate::scheduler::{AdmissionControl, FrameTicket, Policy, Scheduler};
+use crate::scheduler::{AdmissionControl, FrameTicket, Policy, ReadyQueue};
 use crate::session::{PreparedView, Session, SessionSpec};
 use crate::store::SceneStore;
 use gbu_gpu::GpuConfig;
@@ -245,10 +245,8 @@ struct Slot {
 struct FleetRuntime {
     /// Cursor into the plan's time-ordered events.
     next_plan: usize,
-    /// Next autoscale decision cycle (`None` without an autoscaler).
-    next_tick: Option<u64>,
-    /// Decision ticks left to sit out after a scale action.
-    cooldown: u32,
+    /// The autoscaler's controller (`None` without an autoscaler).
+    autoscaler: Option<Controller>,
     /// Lanes currently killed by the fault plan.
     failed: Vec<bool>,
     /// Lanes currently parked by the autoscaler.
@@ -268,13 +266,8 @@ struct QualityRuntime {
     /// Current global ladder rung: 0 = exact, `1..=ladder.len()` indexes
     /// [`QualityGovernor::ladder`] (1-based; deeper = cheaper).
     level: usize,
-    /// Next pressure-tick cycle (`None` when shedding is off).
-    next_tick: Option<u64>,
-    /// Decision ticks to sit out after a shed/recover step.
-    cooldown: u32,
-    /// Frames admitted as degraded counter-offers: frame id → pinned
-    /// rung. Entries retire at dispatch or drop.
-    pinned: std::collections::HashMap<u64, usize>,
+    /// The pressure-shedding controller (`None` when shedding is off).
+    shedder: Option<Controller>,
     /// Telemetry gauge tracking the global level through shed/recover.
     level_gauge: gbu_telemetry::Gauge,
 }
@@ -299,17 +292,13 @@ struct QualityRuntime {
 pub struct ServeEngine {
     cfg: ServeConfig,
     backend: ClusterBackend,
-    scheduler: Box<dyn Scheduler>,
     /// Attached sessions; `None` marks a detached (retired) id.
     slots: Vec<Option<Slot>>,
     /// `(name, qos_hz)` of every session ever attached, by id.
     roster: Vec<(String, f64)>,
-    /// Ready queue of admitted frames.
-    queue: Vec<FrameTicket>,
-    /// Queued frames per session index — what the per-session quota
-    /// reads at admission instead of filtering the queue. Kept in step
-    /// with `queue` by `enqueue` / `dequeue`.
-    queued: Vec<usize>,
+    /// Admitted frames awaiting dispatch, with their counter-offer rungs,
+    /// per-session depths and the dispatch policy.
+    ready: ReadyQueue,
     /// Session QoS timers as a min-heap of `(next arrival cycle, session
     /// index)`, with lazy deletion: a detached session's entry stays
     /// until it reaches the top and is found stale (`timer_is_live`).
@@ -372,7 +361,6 @@ impl ServeEngine {
         if cfg.telemetry.is_enabled() {
             backend.set_telemetry(&cfg.telemetry);
         }
-        let scheduler = cfg.policy.build();
         let metrics = match cfg.metrics_window {
             Some(window) => ServeMetrics::windowed(window),
             None => ServeMetrics::default(),
@@ -392,10 +380,12 @@ impl ServeEngine {
             }
             let lanes_active = recorder.gauge("fleet.lanes_active");
             lanes_active.set(lanes as u64);
+            let autoscaler = cfg.fleet.autoscale.map(|a| {
+                Controller::new(a.interval, a.shrink_pressure, a.grow_pressure, a.cooldown_ticks)
+            });
             FleetRuntime {
                 next_plan: 0,
-                next_tick: cfg.fleet.autoscale.as_ref().map(|a| a.interval),
-                cooldown: 0,
+                autoscaler,
                 failed: vec![false; lanes],
                 parked: vec![false; lanes],
                 homes: Vec::new(),
@@ -419,22 +409,18 @@ impl ServeEngine {
             }
             let level_gauge = recorder.gauge("quality.level");
             level_gauge.set(0);
-            QualityRuntime {
-                level: 0,
-                next_tick: cfg.quality.shed_on_pressure.then_some(cfg.quality.interval),
-                cooldown: 0,
-                pinned: std::collections::HashMap::new(),
-                level_gauge,
-            }
+            let g = &cfg.quality;
+            let shedder = g.shed_on_pressure.then(|| {
+                Controller::new(g.interval, g.recover_pressure, g.shed_pressure, g.cooldown_ticks)
+            });
+            QualityRuntime { level: 0, shedder, level_gauge }
         });
         Self {
+            ready: ReadyQueue::new(cfg.policy),
             cfg,
             backend,
-            scheduler,
             slots: Vec::new(),
             roster: Vec::new(),
-            queue: Vec::new(),
-            queued: Vec::new(),
             timers: BinaryHeap::new(),
             armed_timers: 0,
             statuses: Vec::new(),
@@ -510,7 +496,6 @@ impl ServeEngine {
             self.armed_timers += 1;
         }
         self.slots.push(Some(Slot { session, period, mode, min_service, next_arrival }));
-        self.queued.push(0);
         // Migration policy: every unsharded session gets a home lane at
         // attach (the coldest live lane), mirrored into the backend as a
         // placement affinity. No SessionMigrated event — assignment is
@@ -572,14 +557,8 @@ impl ServeEngine {
         // advance crosses none (any stragglers are completed properly).
         self.advance_backend_to(now);
         // Cancel queued-not-started frames ...
-        let mut i = 0;
-        while i < self.queue.len() {
-            if self.queue[i].session == id {
-                let ticket = self.dequeue(i);
-                self.drop_ticket(ticket, DropReason::SessionDetached, now);
-            } else {
-                i += 1;
-            }
+        for ticket in self.ready.remove_session(id) {
+            self.drop_ticket(ticket, DropReason::SessionDetached, now);
         }
         // ... and preempt in-flight ones.
         for ticket in self.backend.cancel_session(id) {
@@ -662,7 +641,7 @@ impl ServeEngine {
     /// left to generate.
     pub fn is_drained(&self) -> bool {
         self.pending.is_empty()
-            && self.queue.is_empty()
+            && self.ready.is_empty()
             && self.backend.in_flight_frames() == 0
             && self.armed_timers == 0
     }
@@ -698,7 +677,7 @@ impl ServeEngine {
         loop {
             let now = self.backend.clock();
             self.fleet_due(now);
-            self.quality_due(now);
+            self.governor_due(now);
             self.admit_due(now);
             if self.cfg.drop_unmeetable {
                 self.drop_pass(now);
@@ -708,17 +687,14 @@ impl ServeEngine {
 
             // Advance to the next event: completion, timer arrival, a
             // pushed frame whose stamped arrival is still in the future,
-            // or a fleet intervention (plan event / autoscale tick).
+            // a fleet plan event or a controller tick.
             let next_timer = self.next_timer();
-            let next_push = self.queue.iter().map(|t| t.arrival).filter(|&a| a > now).min();
+            let next_push = self.ready.tickets().map(|t| t.arrival).filter(|&a| a > now).min();
             let next_completion =
                 self.backend.next_completion_dt().map(|dt| now.saturating_add(dt));
-            let next_fleet = self.fleet_next_time();
-            let next_quality = self.quality_next_time();
-            let t = [next_timer, next_push, next_completion, next_fleet, next_quality]
-                .into_iter()
-                .flatten()
-                .min();
+            let next_control = self.control_next_time();
+            let t =
+                [next_timer, next_push, next_completion, next_control].into_iter().flatten().min();
             match t {
                 None => break,
                 Some(t) if t > cycle => break,
@@ -787,14 +763,14 @@ impl ServeEngine {
     }
 
     /// Seals the run: cancels every frame still sitting in the ready
-    /// queue as [`DropReason::Gated`] (only a gating scheduler leaves
-    /// any) so conservation holds for the final [`ServeEngine::report`].
-    /// Returns the drop events. Call after draining; the batch wrappers
-    /// do.
+    /// queue as [`DropReason::Gated`] so conservation holds for the final
+    /// [`ServeEngine::report`]. After a drain only frames that can never
+    /// dispatch remain: every lane they need is down for good, or the
+    /// clock saturated. Returns the drop events. Call after draining; the
+    /// batch wrappers do.
     pub fn finish(&mut self) -> Vec<ServeEvent> {
         let now = self.now();
-        self.queued.fill(0);
-        for ticket in std::mem::take(&mut self.queue) {
+        for (ticket, _) in self.ready.drain() {
             self.drop_ticket(ticket, DropReason::Gated, now);
         }
         std::mem::take(&mut self.pending)
@@ -829,21 +805,6 @@ impl ServeEngine {
         let id = FrameId(self.statuses.len() as u64);
         self.statuses.push(FrameStatus::Queued);
         id
-    }
-
-    /// Appends `ticket` to the ready queue, counting it against its
-    /// session.
-    fn enqueue(&mut self, ticket: FrameTicket) {
-        self.queued[ticket.session.index()] += 1;
-        self.queue.push(ticket);
-    }
-
-    /// Removes and returns the queued ticket at `index`, keeping the
-    /// queue order of the rest.
-    fn dequeue(&mut self, index: usize) -> FrameTicket {
-        let ticket = self.queue.remove(index);
-        self.queued[ticket.session.index()] -= 1;
-        ticket
     }
 
     /// Whether the timer-heap entry `(at, session)` is still the
@@ -917,9 +878,6 @@ impl ServeEngine {
     }
 
     fn drop_ticket(&mut self, ticket: FrameTicket, reason: DropReason, at: u64) {
-        if let Some(q) = self.quality.as_mut() {
-            q.pinned.remove(&ticket.id.index());
-        }
         if self.recorder.is_enabled() {
             let name = match reason {
                 DropReason::Deadline => "drop.deadline",
@@ -941,7 +899,8 @@ impl ServeEngine {
     /// its original arrival and deadline and counts toward conservation
     /// only at its eventual terminal event), purges any buffered shard
     /// landings (they lived in the dead lane's memory), emits
-    /// [`ServeEvent::Requeued`] and requeues the ticket.
+    /// [`ServeEvent::Requeued`] and requeues the ticket at the back of
+    /// the queue with no counter-offer rung.
     fn requeue_ticket(&mut self, ticket: FrameTicket, reason: RequeueReason, at: u64) {
         self.metrics.requeue(ticket, reason);
         if self.recorder.is_enabled() {
@@ -954,7 +913,7 @@ impl ServeEngine {
             self.shard_trace.retain(|&(id, ..)| id != ticket.id);
         }
         self.emit(ServeEvent::Requeued { frame: ticket.id, session: ticket.session, reason, at });
-        self.enqueue(ticket);
+        self.ready.push(ticket, 0);
     }
 
     // ------------------------------------------------------------------
@@ -963,9 +922,8 @@ impl ServeEngine {
 
     /// Applies every fleet intervention due at or before `now`: plan
     /// events in schedule order, then at most one autoscale decision
-    /// (a tick that fell behind — e.g. while the engine sat idle —
-    /// catches up with a single decision rather than replaying the
-    /// missed grid). No-op without an active fleet.
+    /// ([`Controller::tick`]), arming the cooldown when it moved a lane.
+    /// No-op without an active fleet.
     fn fleet_due(&mut self, now: u64) {
         let Some(mut fleet) = self.fleet.take() else { return };
         while let Some(&e) = self.cfg.fleet.plan.events().get(fleet.next_plan) {
@@ -980,85 +938,69 @@ impl ServeEngine {
             }
             self.apply_lane_state(&mut fleet, lane, now, RequeueReason::LaneFailed);
         }
-        if let Some(a) = self.cfg.fleet.autoscale {
-            if let Some(tick) = fleet.next_tick {
-                if tick <= now {
-                    self.autoscale_decision(&mut fleet, &a, now);
-                    fleet.next_tick = Some(now.saturating_add(a.interval));
+        if let (Some(a), Some(mut autoscaler)) = (self.cfg.fleet.autoscale, fleet.autoscaler.take())
+        {
+            if let Some(verdict) = autoscaler.tick(now, || self.metrics.window_pressure()) {
+                if self.autoscale(&mut fleet, &a, verdict, now) {
+                    autoscaler.acted();
                 }
             }
+            fleet.autoscaler = Some(autoscaler);
         }
         self.fleet = Some(fleet);
     }
 
-    /// The next cycle at which the fleet wants the event loop to stop:
-    /// the next unapplied plan event, and — only while work is pending —
-    /// the next autoscale tick. An idle engine must not chase the tick
-    /// grid forever, or [`ServeEngine::drain`] would never return; plan
-    /// events are finite, so they are always offered.
-    fn fleet_next_time(&self) -> Option<u64> {
-        let fleet = self.fleet.as_ref()?;
-        let mut t = self.cfg.fleet.plan.events().get(fleet.next_plan).map(|e| e.at);
-        if let Some(tick) = fleet.next_tick {
-            if self.work_pending() {
-                t = Some(t.map_or(tick, |x| x.min(tick)));
-            }
-        }
-        t
+    /// The next cycle at which the control plane wants the event loop to
+    /// stop: the next unapplied plan event (plans are finite, so it is
+    /// always offered) or the autoscaler's or governor's next tick
+    /// ([`Controller::next_time`], offered only while work is pending).
+    fn control_next_time(&self) -> Option<u64> {
+        let fleet = self.fleet.as_ref();
+        let plan = fleet.and_then(|f| self.cfg.fleet.plan.events().get(f.next_plan));
+        let shedder = self.quality.as_ref().and_then(|q| q.shedder.as_ref());
+        let controllers = [fleet.and_then(|f| f.autoscaler.as_ref()), shedder];
+        let ticks =
+            controllers.into_iter().flatten().filter_map(|c| c.next_time(|| self.work_pending()));
+        plan.map(|e| e.at).into_iter().chain(ticks).min()
     }
 
     /// `true` while anything is queued, executing or still to be
     /// generated by a session timer — the condition under which the
-    /// periodic controllers keep offering their ticks to the event loop.
+    /// controllers keep offering their ticks to the event loop.
     fn work_pending(&self) -> bool {
-        !self.queue.is_empty() || self.backend.in_flight_frames() > 0 || self.armed_timers > 0
+        !self.ready.is_empty() || self.backend.in_flight_frames() > 0 || self.armed_timers > 0
     }
 
     // ------------------------------------------------------------------
     // Quality governor
     // ------------------------------------------------------------------
 
-    /// Applies at most one quality shed/recover decision due at or
-    /// before `now` (a tick that fell behind catches up with a single
-    /// decision, like the fleet autoscaler). No-op without an active
+    /// Applies at most one pressure decision due at or before `now`
+    /// ([`Controller::tick`]): [`Verdict::Up`] sheds one rung, down to
+    /// the ladder's deepest, and [`Verdict::Down`] recovers one toward
+    /// exact. Either step arms the cooldown. No-op without an active
     /// governor or with pressure shedding off.
-    fn quality_due(&mut self, now: u64) {
-        let Some(mut q) = self.quality.take() else { return };
-        if let Some(tick) = q.next_tick {
-            if tick <= now {
-                let g = &self.cfg.quality;
-                let pressure = self.metrics.window_pressure();
-                if q.cooldown > 0 {
-                    q.cooldown -= 1;
-                } else if pressure >= g.shed_pressure && q.level < g.ladder.len() {
-                    q.level += 1;
-                    q.cooldown = g.cooldown_ticks;
-                    q.level_gauge.set(q.level as u64);
-                    self.metrics.quality_shed();
-                    if self.recorder.is_enabled() {
-                        self.recorder.counter("serve.quality.sheds").add(1);
-                    }
-                } else if pressure <= g.recover_pressure && q.level > 0 {
-                    q.level -= 1;
-                    q.cooldown = g.cooldown_ticks;
-                    q.level_gauge.set(q.level as u64);
-                    self.metrics.quality_recovery();
-                    if self.recorder.is_enabled() {
-                        self.recorder.counter("serve.quality.recoveries").add(1);
-                    }
-                }
-                q.next_tick = Some(now.saturating_add(g.interval));
+    fn governor_due(&mut self, now: u64) {
+        let Some(q) = self.quality.as_mut() else { return };
+        let Some(shedder) = q.shedder.as_mut() else { return };
+        let step = match shedder.tick(now, || self.metrics.window_pressure()) {
+            Some(Verdict::Up) if q.level < self.cfg.quality.ladder.len() => {
+                q.level += 1;
+                self.metrics.quality_shed();
+                "serve.quality.sheds"
             }
+            Some(Verdict::Down) if q.level > 0 => {
+                q.level -= 1;
+                self.metrics.quality_recovery();
+                "serve.quality.recoveries"
+            }
+            _ => return,
+        };
+        shedder.acted();
+        q.level_gauge.set(q.level as u64);
+        if self.recorder.is_enabled() {
+            self.recorder.counter(step).add(1);
         }
-        self.quality = Some(q);
-    }
-
-    /// The next cycle at which the governor wants the event loop to
-    /// stop: its next pressure tick, offered only while work is pending
-    /// — same drain-livelock guard as [`ServeEngine::fleet_next_time`].
-    fn quality_next_time(&self) -> Option<u64> {
-        let tick = self.quality.as_ref()?.next_tick?;
-        self.work_pending().then_some(tick)
     }
 
     /// `view`'s degraded sibling at ladder rung `rung` (1-based).
@@ -1066,19 +1008,15 @@ impl ServeEngine {
         view.degraded(self.cfg.quality.ladder[rung - 1])
     }
 
-    /// The counter-offer admission probe: the deepest ladder rung and
-    /// the frame's min-service cycles at that rung (its own view,
-    /// degraded). `None` without an active governor.
-    fn degraded_min_service(&self, ticket: FrameTicket) -> Option<(usize, u64)> {
-        self.quality.as_ref()?;
-        let rung = self.cfg.quality.ladder.len();
-        let slot = self.slots.get(ticket.session.index())?.as_ref()?;
-        let cycles = self.rung_view(slot.session.view(ticket.frame), rung).occupancy;
-        Some((rung, slot.mode.min_service(cycles)))
+    /// The optimistic service of `frame` of `slot`'s session at ladder
+    /// rung `rung` (1-based): its own view, degraded, in the session's
+    /// execution mode.
+    fn rung_min_service(&self, slot: &Slot, frame: u32, rung: usize) -> u64 {
+        slot.mode.min_service(self.rung_view(slot.session.view(frame), rung).occupancy)
     }
 
     /// Substitutes the degraded prepared view for a dispatch when the
-    /// effective rung (the frame's counter-offer pin, or the global
+    /// effective rung (the frame's counter-offer `pin`, or the global
     /// pressure-shed level, whichever is deeper) is non-zero; counts the
     /// dispatch on whichever quality side it served. Identity when the
     /// governor is inactive.
@@ -1086,12 +1024,12 @@ impl ServeEngine {
         &mut self,
         view: std::sync::Arc<PreparedView>,
         ticket: FrameTicket,
+        pin: usize,
         now: u64,
     ) -> std::sync::Arc<PreparedView> {
-        let Some(mut q) = self.quality.take() else { return view };
-        let pinned = q.pinned.remove(&ticket.id.index());
-        let rung = pinned.map_or(q.level, |r| r.max(q.level));
-        let out = if rung == 0 {
+        let Some(level) = self.quality.as_ref().map(|q| q.level) else { return view };
+        let rung = pin.max(level);
+        if rung == 0 {
             self.metrics.quality_exact();
             if self.recorder.is_enabled() {
                 self.recorder.counter("serve.quality.exact").add(1);
@@ -1113,7 +1051,7 @@ impl ServeEngine {
             }
             // Counter-offered frames already reported their Degraded
             // event at admission; pressure-shed frames report here.
-            if pinned.is_none() {
+            if pin == 0 {
                 self.emit(ServeEvent::Degraded {
                     frame: ticket.id,
                     session: ticket.session,
@@ -1122,9 +1060,7 @@ impl ServeEngine {
                 });
             }
             degraded
-        };
-        self.quality = Some(q);
-        out
+        }
     }
 
     /// Reconciles one lane's desired state (up iff neither failed nor
@@ -1245,44 +1181,45 @@ impl ServeEngine {
         self.emit(ServeEvent::SessionMigrated { session, from, to, at: now });
     }
 
-    /// One autoscale decision at a tick: grow (restore the lowest-index
-    /// parked lane) when window pressure reaches `grow_pressure`, shrink
-    /// (park the highest-index live non-failed lane, requeueing its
-    /// in-flight frames as [`RequeueReason::LaneRetired`]) when pressure
-    /// *and* per-lane occupancy are both low and more than `min_lanes`
-    /// lanes live. Every action arms the cooldown. When the migration
-    /// policy asks for it, one rebalance move runs on the same tick.
-    fn autoscale_decision(&mut self, fleet: &mut FleetRuntime, a: &AutoscaleConfig, now: u64) {
-        if fleet.cooldown > 0 {
-            fleet.cooldown -= 1;
-        } else {
-            let pressure = self.metrics.window_pressure();
-            let live = self.backend.live_lane_count();
-            let occupancy =
-                (self.queue.len() + self.backend.in_flight_frames()) as f64 / live.max(1) as f64;
-            if pressure >= a.grow_pressure {
-                if let Some(lane) = fleet.parked.iter().position(|&p| p) {
-                    fleet.parked[lane] = false;
-                    self.apply_lane_state(fleet, lane, now, RequeueReason::LaneRetired);
-                    fleet.cooldown = a.cooldown_ticks;
-                }
-            } else if pressure <= a.shrink_pressure
-                && occupancy < a.shrink_occupancy
-                && live > a.min_lanes
-            {
-                let candidate = (0..self.backend.lane_count())
-                    .rev()
-                    .find(|&l| self.backend.lane_alive(l) && !fleet.failed[l] && !fleet.parked[l]);
-                if let Some(lane) = candidate {
-                    fleet.parked[lane] = true;
-                    self.apply_lane_state(fleet, lane, now, RequeueReason::LaneRetired);
-                    fleet.cooldown = a.cooldown_ticks;
+    /// The autoscaler's action on a due tick: [`Verdict::Up`] grows
+    /// (restores the lowest-index parked lane); [`Verdict::Down`] shrinks
+    /// (parks the highest-index live non-failed lane, requeueing its
+    /// in-flight frames as [`RequeueReason::LaneRetired`]) when per-lane
+    /// occupancy is also low and more than `min_lanes` lanes live. When
+    /// the migration policy asks for it, one rebalance move runs on every
+    /// tick. Returns whether a lane moved, so the caller arms the
+    /// cooldown.
+    fn autoscale(
+        &mut self,
+        fleet: &mut FleetRuntime,
+        a: &AutoscaleConfig,
+        verdict: Verdict,
+        now: u64,
+    ) -> bool {
+        let lane = match verdict {
+            Verdict::Up => fleet.parked.iter().position(|&p| p),
+            Verdict::Down => {
+                let live = self.backend.live_lane_count();
+                let occupancy = (self.ready.len() + self.backend.in_flight_frames()) as f64
+                    / live.max(1) as f64;
+                if occupancy < a.shrink_occupancy && live > a.min_lanes {
+                    (0..self.backend.lane_count()).rev().find(|&l| {
+                        self.backend.lane_alive(l) && !fleet.failed[l] && !fleet.parked[l]
+                    })
+                } else {
+                    None
                 }
             }
+            Verdict::Hold => None,
+        };
+        if let Some(lane) = lane {
+            fleet.parked[lane] = verdict == Verdict::Down;
+            self.apply_lane_state(fleet, lane, now, RequeueReason::LaneRetired);
         }
         if self.cfg.fleet.migration.is_some_and(|m| m.rebalance) {
             self.rebalance_once(fleet, now);
         }
+        lane.is_some()
     }
 
     /// One rebalance step: re-homes orphaned unsharded sessions (their
@@ -1447,16 +1384,19 @@ impl ServeEngine {
         // schedule answers zero and stays optimistic (the fleet may
         // restore a lane before the deadline) — a rejection must remain
         // a proof of unmeetability.
-        let queued = if ac.queue_aware { &self.queue[..] } else { &[] };
+        let queued = ac.queue_aware.then(|| self.ready.tickets()).into_iter().flatten();
         let (k, _) = self.mode_requirements(session);
-        let wait =
-            greedy_wait(&mut lanes, queued.iter().map(|t| self.mode_requirements(t.session)), k);
+        let wait = greedy_wait(&mut lanes, queued.map(|t| self.mode_requirements(t.session)), k);
         self.backlog_scratch = lanes;
         wait
     }
 
     /// Runs the admission decision for `ticket` at time `at`, queueing it
     /// or rejecting it.
+    ///
+    /// Counter-offer: an unmeetable frame gets one more admission test at
+    /// the deepest ladder rung's (cheaper) min service of its own view;
+    /// passing admits it pinned to that rung instead of rejecting.
     fn admit(&mut self, ticket: FrameTicket, at: u64) {
         let (_, min_service) = self.mode_requirements(ticket.session);
         let ac = &self.cfg.admission;
@@ -1465,79 +1405,51 @@ impl ServeEngine {
         } else {
             0
         };
-        let session_depth = self.queued[ticket.session.index()];
-        match self.cfg.admission.decide(
-            self.queue.len(),
-            session_depth,
-            self.cfg.session_queue_quota,
-            queued_wait,
-            ticket.arrival,
-            ticket.deadline,
-            min_service,
-        ) {
-            Ok(()) => {
-                if self.recorder.is_enabled() {
-                    self.recorder.mark(
-                        "admit",
-                        gbu_telemetry::Domain::Cycles,
-                        at,
-                        self.ticket_labels(ticket),
-                    );
-                    self.recorder.counter("serve.admitted").add(1);
-                }
-                self.enqueue(ticket);
-                self.emit(ServeEvent::Admitted { frame: ticket.id, session: ticket.session, at });
+        let decide = |min_service| {
+            self.cfg.admission.decide(
+                self.ready.len(),
+                self.ready.depth(ticket.session),
+                self.cfg.session_queue_quota,
+                queued_wait,
+                ticket.arrival,
+                ticket.deadline,
+                min_service,
+            )
+        };
+        let mut verdict = decide(min_service);
+        let mut rung = 0;
+        let offer = self.cfg.quality.counter_offer && self.quality.is_some();
+        if verdict == Err(RejectReason::Unmeetable) && offer {
+            let deepest = self.cfg.quality.ladder.len();
+            let slot =
+                self.slots[ticket.session.index()].as_ref().expect("admitting an attached session");
+            if decide(self.rung_min_service(slot, ticket.frame, deepest)).is_ok() {
+                (verdict, rung) = (Ok(()), deepest);
             }
-            Err(reason) => {
-                // Counter-offer: an unmeetable frame gets one more
-                // admission test at the deepest ladder rung's (cheaper)
-                // min service; passing admits it pinned to that rung
-                // instead of rejecting.
-                if reason == RejectReason::Unmeetable && self.cfg.quality.counter_offer {
-                    if let Some((rung, degraded_min)) = self.degraded_min_service(ticket) {
-                        let offer = self.cfg.admission.decide(
-                            self.queue.len(),
-                            session_depth,
-                            self.cfg.session_queue_quota,
-                            queued_wait,
-                            ticket.arrival,
-                            ticket.deadline,
-                            degraded_min,
-                        );
-                        if offer.is_ok() {
-                            self.quality
-                                .as_mut()
-                                .expect("degraded_min_service implies an active governor")
-                                .pinned
-                                .insert(ticket.id.index(), rung);
-                            self.metrics.quality_counter_offer();
-                            if self.recorder.is_enabled() {
-                                self.recorder.mark(
-                                    "admit.degraded",
-                                    gbu_telemetry::Domain::Cycles,
-                                    at,
-                                    self.ticket_labels(ticket),
-                                );
-                                self.recorder.counter("serve.quality.counter_offers").add(1);
-                            }
-                            self.enqueue(ticket);
-                            self.emit(ServeEvent::Admitted {
-                                frame: ticket.id,
-                                session: ticket.session,
-                                at,
-                            });
-                            self.emit(ServeEvent::Degraded {
-                                frame: ticket.id,
-                                session: ticket.session,
-                                level: rung,
-                                at,
-                            });
-                            return;
-                        }
-                    }
-                }
-                self.reject_ticket(ticket, reason, at)
-            }
+        }
+        if let Err(reason) = verdict {
+            return self.reject_ticket(ticket, reason, at);
+        }
+        if rung > 0 {
+            self.metrics.quality_counter_offer();
+        }
+        if self.recorder.is_enabled() {
+            let (mark, counter) = match rung {
+                0 => ("admit", "serve.admitted"),
+                _ => ("admit.degraded", "serve.quality.counter_offers"),
+            };
+            self.recorder.mark(mark, gbu_telemetry::Domain::Cycles, at, self.ticket_labels(ticket));
+            self.recorder.counter(counter).add(1);
+        }
+        self.ready.push(ticket, rung);
+        self.emit(ServeEvent::Admitted { frame: ticket.id, session: ticket.session, at });
+        if rung > 0 {
+            self.emit(ServeEvent::Degraded {
+                frame: ticket.id,
+                session: ticket.session,
+                level: rung,
+                at,
+            });
         }
     }
 
@@ -1597,36 +1509,23 @@ impl ServeEngine {
     /// (cheaper) min service, so it survives as long as the degraded
     /// render could still land in time.
     fn drop_pass(&mut self, now: u64) {
-        let mut q = self.quality.take();
+        let level = self.quality.as_ref().map_or(0, |q| q.level);
         let mut i = 0;
-        while i < self.queue.len() {
-            let t = self.queue[i];
-            let slot_min =
-                self.slots[t.session.index()].as_ref().map_or(0, |slot| slot.min_service);
-            let min_service = match q.as_ref() {
-                Some(q) => {
-                    let rung = q.pinned.get(&t.id.index()).map_or(q.level, |&r| r.max(q.level));
-                    match (rung, self.slots[t.session.index()].as_ref()) {
-                        (0, _) | (_, None) => slot_min,
-                        (rung, Some(slot)) => {
-                            let cycles = self.rung_view(slot.session.view(t.frame), rung).occupancy;
-                            slot.mode.min_service(cycles).min(slot_min)
-                        }
-                    }
+        while let Some((t, pin)) = self.ready.get(i) {
+            let min_service = match (pin.max(level), self.slots[t.session.index()].as_ref()) {
+                (_, None) => 0,
+                (0, Some(slot)) => slot.min_service,
+                (rung, Some(slot)) => {
+                    self.rung_min_service(slot, t.frame, rung).min(slot.min_service)
                 }
-                None => slot_min,
             };
             if now.saturating_add(min_service) > t.deadline {
-                self.dequeue(i);
-                if let Some(q) = q.as_mut() {
-                    q.pinned.remove(&t.id.index());
-                }
+                self.ready.remove(i);
                 self.drop_ticket(t, DropReason::Deadline, now);
             } else {
                 i += 1;
             }
         }
-        self.quality = q;
     }
 
     /// Host-GPU preprocessing (Step ❶ project + Step ❷ bin) cycles to
@@ -1681,8 +1580,8 @@ impl ServeEngine {
     /// backend has capacity for its session's [`ExecMode`] — on a
     /// cluster, an unsharded frame needs one open lane while a k-shard
     /// frame needs k, so cheap frames backfill around a wide frame that
-    /// is still waiting for lanes (the scheduler keeps its priority
-    /// order *within* the eligible set).
+    /// is still waiting for lanes (the policy keeps its priority order
+    /// *within* the eligible set).
     ///
     /// Backfill is a deliberate work-conserving trade-off: lanes never
     /// idle while any placeable frame waits, but under sustained narrow
@@ -1699,15 +1598,15 @@ impl ServeEngine {
     /// (this matters most during scale-down, when the lane supply is
     /// shrinking under the wide frame).
     ///
-    /// Each round reads the backend's open-lane count once and tests
-    /// every queued frame's mode against it ([`ExecMode::fits`], the
-    /// test [`ClusterBackend::can_accept`] makes), so a round costs
-    /// O(L + Q) for L lanes and Q queued frames; a round with no open
-    /// lane stops before looking at the queue. The scheduler picks among
-    /// the eligible frames, which it sees in queue order, so its
-    /// tie-breaks do not depend on which frames are ineligible.
+    /// Each round reads the backend's open-lane count once and the
+    /// policy picks through an eligibility predicate that tests a queued
+    /// frame's mode against it ([`ExecMode::fits`], the test
+    /// [`ClusterBackend::can_accept`] makes), so a round costs O(L + Q)
+    /// for L lanes and Q queued frames and copies nothing; a round with
+    /// no open lane stops before looking at the queue. Ineligible frames
+    /// do not change how the eligible ones rank ([`Policy::pick`]).
     fn dispatch(&mut self, now: u64) {
-        while !self.queue.is_empty() {
+        while !self.ready.is_empty() {
             let open = self.backend.open_lane_count();
             if open == 0 {
                 // Every frame needs at least one lane.
@@ -1717,8 +1616,8 @@ impl ServeEngine {
             // capped at what the fleet can ever supply. Recomputed per
             // round — the reserve holder itself dispatching releases it.
             let reserve = if self.cfg.fleet.lane_reservation {
-                self.queue
-                    .iter()
+                self.ready
+                    .tickets()
                     .filter(|t| t.arrival <= now)
                     .map(|t| self.mode_requirements(t.session).0)
                     .max()
@@ -1727,52 +1626,27 @@ impl ServeEngine {
             } else {
                 0
             };
-            let eligible_mask: Vec<bool> = self
-                .queue
-                .iter()
-                .map(|t| {
-                    let mode = self.slots[t.session.index()]
-                        .as_ref()
-                        .expect("queued frames of detached sessions are dropped at detach")
-                        .mode;
-                    let k = mode.lanes_needed();
-                    t.arrival <= now
-                        && mode.fits(open)
-                        && (reserve == 0 || k >= reserve || open >= reserve + k)
-                })
-                .collect();
-            let qi = if eligible_mask.iter().all(|&e| e) {
-                // Common case: everything queued is dispatchable — pick
-                // in place, no copy.
-                let Some(i) = self.scheduler.pick(&self.queue, now) else { break };
-                i
-            } else {
-                // Pushed frames stamped beyond the backend clock wait for
-                // their arrival event, and frames whose mode lacks open
-                // lanes wait for capacity; pick among the rest.
-                let eligible: Vec<FrameTicket> = self
-                    .queue
-                    .iter()
-                    .zip(&eligible_mask)
-                    .filter_map(|(t, &e)| e.then_some(*t))
-                    .collect();
-                if eligible.is_empty() {
-                    break;
-                }
-                let Some(e) = self.scheduler.pick(&eligible, now) else { break };
-                let picked = eligible[e].id;
-                self.queue
-                    .iter()
-                    .position(|t| t.id == picked)
-                    .expect("picked ticket comes from the queue")
+            // Pushed frames stamped beyond the backend clock wait for
+            // their arrival event, and frames whose mode lacks open lanes
+            // wait for capacity; the policy picks among the rest.
+            let slots = &self.slots;
+            let eligible = |t: &FrameTicket| {
+                let mode = slots[t.session.index()]
+                    .as_ref()
+                    .expect("queued frames of detached sessions are dropped at detach")
+                    .mode;
+                let k = mode.lanes_needed();
+                t.arrival <= now
+                    && mode.fits(open)
+                    && (reserve == 0 || k >= reserve || open >= reserve + k)
             };
-            let ticket = self.dequeue(qi);
+            let Some((ticket, pin)) = self.ready.pop_next(eligible) else { break };
             let slot = self.slots[ticket.session.index()]
                 .as_ref()
                 .expect("queued frames of detached sessions are dropped at detach");
             let (mode, period) = (slot.mode, slot.period);
             let view = slot.session.view(ticket.frame).clone();
-            let view = self.quality_substitute(view, ticket, now);
+            let view = self.quality_substitute(view, ticket, pin, now);
             let prep_cycles = self.prep_charge_cycles(&view, period, now);
             let device = self.backend.submit(&view, ticket, mode, prep_cycles);
             self.metrics.start(ticket, now);

@@ -111,8 +111,8 @@ pub enum DropReason {
     /// flight ([`crate::ServeEngine::detach_session`]).
     SessionDetached,
     /// The frame was still queued when the run was sealed by
-    /// [`crate::ServeEngine::finish`] — only a gating scheduler (one that
-    /// returns `None` with idle devices) leaves such frames behind.
+    /// [`crate::ServeEngine::finish`]: after a drain, only a frame that
+    /// can never dispatch (every lane it needs is down for good) is left.
     Gated,
 }
 

@@ -45,13 +45,15 @@
 //!   including the measurement-fed `ShardStrategy::Measured` replanner)
 //!   fan over the least-busy `shards` lanes, each landing reported
 //!   shard by shard before the merged, bit-identical frame completes;
-//! - [`scheduler`]: a pluggable [`Scheduler`] trait with FCFS,
-//!   round-robin and earliest-deadline-first policies plus
-//!   [`AdmissionControl`] — bounded-queue backpressure and optional
-//!   deadline-aware rejection
-//!   ([`AdmissionControl::reject_unmeetable`]); the engine-side
-//!   deadline-drop pass ([`ServeConfig::drop_unmeetable`]) sheds queued
-//!   frames whose deadline became unmeetable;
+//! - [`scheduler`]: the engine's one ready queue and its dispatch
+//!   [`Policy`], a closed set (FCFS, round-robin, earliest-deadline-first)
+//!   that picks among the eligible queued frames ([`Policy::pick`]). The
+//!   queue keeps each frame's counter-offer rung beside its
+//!   [`FrameTicket`], with the per-session depths the quota reads.
+//!   [`AdmissionControl`] adds bounded-queue backpressure and optional
+//!   deadline-aware rejection ([`AdmissionControl::reject_unmeetable`]);
+//!   the engine-side deadline-drop pass ([`ServeConfig::drop_unmeetable`])
+//!   sheds queued frames whose deadline became unmeetable;
 //! - [`event`]: the shared vocabulary — [`SessionId`], [`FrameId`],
 //!   [`ServeEvent`], [`FrameStatus`], [`RejectReason`], [`DropReason`],
 //!   [`RequeueReason`];
@@ -62,7 +64,10 @@
 //!   ([`ServeEvent::SessionMigrated`]), [`AutoscaleConfig`] grows and
 //!   shrinks the live-lane set from windowed miss-rate pressure with
 //!   hysteresis, and [`FleetConfig::lane_reservation`] keeps wide
-//!   sharded frames from starving during scale-down;
+//!   sharded frames from starving during scale-down. The autoscaler and
+//!   the quality governor's pressure shedding run on one private
+//!   controller: a tick grid, a cooldown and a hysteresis band, offered
+//!   to the event loop only while work is pending;
 //! - [`quality`]: the quality governor — a [`QualityGovernor`]
 //!   degradation ladder over `gbu_render::contrib`'s contribution-aware
 //!   render modes lets the engine ship *cheaper* frames instead of
@@ -218,6 +223,7 @@
 
 pub mod backend;
 pub mod cluster;
+mod control;
 pub mod engine;
 pub mod event;
 pub mod fleet;
@@ -248,6 +254,6 @@ pub use metrics::{
 };
 pub use pool::{DevicePool, PoolCompletion};
 pub use quality::QualityGovernor;
-pub use scheduler::{AdmissionControl, Edf, Fcfs, FrameTicket, Policy, RoundRobin, Scheduler};
+pub use scheduler::{AdmissionControl, FrameTicket, Policy};
 pub use session::{PreparedView, QosTarget, Session, SessionContent, SessionSpec, ViewPrepStats};
 pub use store::{SceneStore, SceneStoreCounters};

@@ -564,7 +564,7 @@ pub struct DropBreakdown {
     pub deadline: usize,
     /// Cancelled because the owning session detached.
     pub session_detached: usize,
-    /// Still queued when the run was sealed (gating scheduler).
+    /// Still queued when the run was sealed ([`DropReason::Gated`]).
     pub gated: usize,
 }
 

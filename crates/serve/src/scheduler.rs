@@ -1,15 +1,16 @@
-//! Frame schedulers and admission control.
+//! The ready queue, its dispatch policies and admission control.
 //!
-//! The serving engine keeps one shared ready queue of admitted frames;
-//! whenever a device in the pool goes idle, the [`Scheduler`] picks which
-//! queued frame it renders next. Three policies are provided:
+//! The serving engine keeps one shared ready queue of admitted frames.
+//! Whenever the backend has capacity, the configured [`Policy`] picks
+//! which eligible queued frame it dispatches next. The policies are a
+//! closed set:
 //!
-//! - [`Fcfs`] — first-come-first-served, the baseline a naive host driver
-//!   implements;
-//! - [`RoundRobin`] — cycles over sessions for throughput fairness,
-//!   ignoring urgency;
-//! - [`Edf`] — earliest-deadline-first, the classic real-time policy that
-//!   FLICKER-style deadline-aware splat serving motivates.
+//! - [`Policy::Fcfs`] — first-come-first-served, the baseline a naive
+//!   host driver implements;
+//! - [`Policy::RoundRobin`] — cycles over sessions for throughput
+//!   fairness, ignoring urgency;
+//! - [`Policy::Edf`] — earliest-deadline-first, the classic real-time
+//!   policy that FLICKER-style deadline-aware splat serving motivates.
 //!
 //! [`AdmissionControl`] decides at arrival time whether a frame may enter
 //! the ready queue at all: a bounded queue depth gives backpressure to
@@ -37,94 +38,17 @@ pub struct FrameTicket {
     pub deadline: u64,
 }
 
-/// Picks the next queued frame for an idle device.
-///
-/// `queue` is ordered by admission (index 0 is the oldest) and contains
-/// only frames that have already arrived. Returns the index of the frame
-/// to dispatch, or `None` to leave the device idle (no policy here does,
-/// but a gating policy may).
-pub trait Scheduler: std::fmt::Debug {
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Chooses a queue index to dispatch at simulated time `now`.
-    fn pick(&mut self, queue: &[FrameTicket], now: u64) -> Option<usize>;
-}
-
-/// First-come-first-served: always the oldest admitted frame.
-#[derive(Debug, Default, Clone)]
-pub struct Fcfs;
-
-impl Scheduler for Fcfs {
-    fn name(&self) -> &'static str {
-        "fcfs"
-    }
-
-    fn pick(&mut self, queue: &[FrameTicket], _now: u64) -> Option<usize> {
-        if queue.is_empty() {
-            None
-        } else {
-            Some(0)
-        }
-    }
-}
-
-/// Round-robin over sessions: serves the next session (in cyclic session
-/// order after the last one served) that has a frame queued, oldest frame
-/// first within the session.
-#[derive(Debug, Default, Clone)]
-pub struct RoundRobin {
-    last_session: Option<SessionId>,
-}
-
-impl Scheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round_robin"
-    }
-
-    fn pick(&mut self, queue: &[FrameTicket], _now: u64) -> Option<usize> {
-        if queue.is_empty() {
-            return None;
-        }
-        // Sessions present in the queue, with each session's oldest frame.
-        let start = self.last_session.map_or(0, |s| s.0 + 1);
-        let key = |t: &FrameTicket| {
-            // Cyclic distance from the session after the last served one.
-            t.session.0.wrapping_sub(start) as u64
-        };
-        let (idx, ticket) = queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, t)| (key(t), t.arrival, *i))
-            .expect("queue is non-empty");
-        self.last_session = Some(ticket.session);
-        Some(idx)
-    }
-}
-
-/// Earliest-deadline-first: the queued frame whose deadline expires
-/// soonest, breaking ties by arrival order.
-#[derive(Debug, Default, Clone)]
-pub struct Edf;
-
-impl Scheduler for Edf {
-    fn name(&self) -> &'static str {
-        "edf"
-    }
-
-    fn pick(&mut self, queue: &[FrameTicket], _now: u64) -> Option<usize> {
-        queue.iter().enumerate().min_by_key(|(i, t)| (t.deadline, t.arrival, *i)).map(|(i, _)| i)
-    }
-}
-
 /// The scheduling policies the engine can be configured with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
-    /// [`Fcfs`].
+    /// First-come-first-served: always the oldest eligible frame.
     Fcfs,
-    /// [`RoundRobin`].
+    /// Round-robin over sessions: the next session, in cyclic session
+    /// order after the one served last, that has an eligible frame,
+    /// oldest frame first within the session.
     RoundRobin,
-    /// [`Edf`].
+    /// Earliest-deadline-first: the eligible frame whose deadline expires
+    /// soonest.
     Edf,
 }
 
@@ -134,15 +58,6 @@ impl Policy {
         [Policy::Fcfs, Policy::RoundRobin, Policy::Edf]
     }
 
-    /// Instantiates the scheduler.
-    pub fn build(self) -> Box<dyn Scheduler> {
-        match self {
-            Policy::Fcfs => Box::new(Fcfs),
-            Policy::RoundRobin => Box::new(RoundRobin::default()),
-            Policy::Edf => Box::new(Edf),
-        }
-    }
-
     /// Stable name used in reports and JSON.
     pub fn label(self) -> &'static str {
         match self {
@@ -150,6 +65,130 @@ impl Policy {
             Policy::RoundRobin => "round_robin",
             Policy::Edf => "edf",
         }
+    }
+
+    /// The position in `queue` (admission order, oldest first) of the
+    /// frame this policy dispatches next among those `eligible` accepts;
+    /// `None` when it accepts none. `last` is the session round-robin
+    /// served last; the other policies ignore it.
+    ///
+    /// EDF ranks by (deadline, arrival, position) and round-robin by
+    /// (cyclic session distance after `last`, arrival, position). An
+    /// ineligible frame therefore never changes how the others rank.
+    pub fn pick<'a>(
+        self,
+        queue: impl IntoIterator<Item = &'a FrameTicket>,
+        last: Option<SessionId>,
+        mut eligible: impl FnMut(&FrameTicket) -> bool,
+    ) -> Option<usize> {
+        let mut candidates = queue.into_iter().enumerate().filter(|(_, t)| eligible(t));
+        let picked = match self {
+            Policy::Fcfs => candidates.next(),
+            Policy::RoundRobin => {
+                let start = last.map_or(0, |s| s.0 + 1);
+                candidates.min_by_key(|(i, t)| (t.session.0.wrapping_sub(start), t.arrival, *i))
+            }
+            Policy::Edf => candidates.min_by_key(|(i, t)| (t.deadline, t.arrival, *i)),
+        };
+        picked.map(|(i, _)| i)
+    }
+}
+
+/// The engine's ready queue: admitted frames in admission order, each
+/// beside the counter-offer rung it was admitted at, the per-session
+/// depths the admission quota reads, and the [`Policy`] with its
+/// round-robin cursor.
+#[derive(Debug)]
+pub(crate) struct ReadyQueue {
+    /// Queued frames, oldest first, each with its counter-offer rung
+    /// (0: admitted exact; a requeued frame re-enters with 0).
+    entries: Vec<(FrameTicket, usize)>,
+    /// Queued frames per session index.
+    depth: Vec<usize>,
+    policy: Policy,
+    /// The session the last pick served (round-robin's cursor).
+    last: Option<SessionId>,
+}
+
+impl ReadyQueue {
+    pub(crate) fn new(policy: Policy) -> Self {
+        Self { entries: Vec::new(), depth: Vec::new(), policy, last: None }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Frames `session` holds queued.
+    pub(crate) fn depth(&self, session: SessionId) -> usize {
+        self.depth.get(session.index()).copied().unwrap_or(0)
+    }
+
+    /// The queued tickets, oldest first.
+    pub(crate) fn tickets(&self) -> impl Iterator<Item = &FrameTicket> {
+        self.entries.iter().map(|(t, _)| t)
+    }
+
+    /// The ticket and rung at queue position `index`.
+    pub(crate) fn get(&self, index: usize) -> Option<(FrameTicket, usize)> {
+        self.entries.get(index).copied()
+    }
+
+    /// Appends `ticket` at the back, pinned to counter-offer `rung`.
+    pub(crate) fn push(&mut self, ticket: FrameTicket, rung: usize) {
+        let s = ticket.session.index();
+        if self.depth.len() <= s {
+            self.depth.resize(s + 1, 0);
+        }
+        self.depth[s] += 1;
+        self.entries.push((ticket, rung));
+    }
+
+    /// Removes the frame at queue position `index`, keeping the order of
+    /// the rest.
+    pub(crate) fn remove(&mut self, index: usize) -> (FrameTicket, usize) {
+        let entry = self.entries.remove(index);
+        self.depth[entry.0.session.index()] -= 1;
+        entry
+    }
+
+    /// Removes every queued frame of `session`, oldest first.
+    pub(crate) fn remove_session(&mut self, session: SessionId) -> Vec<FrameTicket> {
+        let mut removed = Vec::new();
+        self.entries.retain(|&(t, _)| {
+            let keep = t.session != session;
+            if !keep {
+                removed.push(t);
+            }
+            keep
+        });
+        if let Some(d) = self.depth.get_mut(session.index()) {
+            *d = 0;
+        }
+        removed
+    }
+
+    /// Removes and returns the frame the policy dispatches next among
+    /// those `eligible` accepts ([`Policy::pick`]), moving the
+    /// round-robin cursor to its session.
+    pub(crate) fn pop_next(
+        &mut self,
+        eligible: impl FnMut(&FrameTicket) -> bool,
+    ) -> Option<(FrameTicket, usize)> {
+        let index = self.policy.pick(self.tickets(), self.last, eligible)?;
+        let entry = self.remove(index);
+        self.last = Some(entry.0.session);
+        Some(entry)
+    }
+
+    /// Empties the queue, oldest first.
+    pub(crate) fn drain(&mut self) -> Vec<(FrameTicket, usize)> {
+        self.depth.fill(0);
+        std::mem::take(&mut self.entries)
     }
 }
 
@@ -256,44 +295,102 @@ mod tests {
         }
     }
 
+    /// Every ticket eligible.
+    fn all(_: &FrameTicket) -> bool {
+        true
+    }
+
+    fn queue_of(policy: Policy, tickets: &[FrameTicket]) -> ReadyQueue {
+        let mut q = ReadyQueue::new(policy);
+        for &t in tickets {
+            q.push(t, 0);
+        }
+        q
+    }
+
     #[test]
     fn fcfs_picks_head() {
         let q = vec![ticket(2, 0, 5, 100), ticket(0, 0, 7, 50)];
-        assert_eq!(Fcfs.pick(&q, 10), Some(0));
-        assert_eq!(Fcfs.pick(&[], 10), None);
+        assert_eq!(Policy::Fcfs.pick(&q, None, all), Some(0));
+        assert_eq!(Policy::Fcfs.pick(&[], None, all), None);
+        // The oldest *eligible* frame.
+        assert_eq!(Policy::Fcfs.pick(&q, None, |t| t.session.index() == 0), Some(1));
     }
 
     #[test]
     fn edf_picks_earliest_deadline() {
         let q = vec![ticket(0, 0, 1, 300), ticket(1, 0, 2, 120), ticket(2, 0, 3, 200)];
-        assert_eq!(Edf.pick(&q, 10), Some(1));
+        assert_eq!(Policy::Edf.pick(&q, None, all), Some(1));
+        assert_eq!(Policy::Edf.pick(&q, None, |t| t.deadline != 120), Some(2));
+        assert_eq!(Policy::Edf.pick(&q, None, |_| false), None);
     }
 
     #[test]
     fn edf_breaks_deadline_ties_by_arrival() {
         let q = vec![ticket(0, 0, 9, 100), ticket(1, 0, 2, 100)];
-        assert_eq!(Edf.pick(&q, 10), Some(1));
+        assert_eq!(Policy::Edf.pick(&q, None, all), Some(1));
+        // Full ties fall to queue position.
+        let q = vec![ticket(1, 0, 2, 100), ticket(0, 0, 2, 100)];
+        assert_eq!(Policy::Edf.pick(&q, None, all), Some(0));
     }
 
     #[test]
     fn round_robin_cycles_sessions() {
-        let mut rr = RoundRobin::default();
         let q = vec![ticket(0, 0, 1, 100), ticket(1, 0, 2, 100), ticket(2, 0, 3, 100)];
-        let first = rr.pick(&q, 10).unwrap();
-        assert_eq!(first, 0);
+        assert_eq!(Policy::RoundRobin.pick(&q, None, all), Some(0));
         // Session 0 was served; next pick prefers session 1.
+        let after_0 = Some(SessionId::from_index(0));
         let q2 = vec![ticket(0, 1, 4, 200), ticket(1, 0, 2, 100), ticket(2, 0, 3, 100)];
-        assert_eq!(rr.pick(&q2, 10), Some(1));
-        // ... then session 2 even though session 0 has an older frame.
+        assert_eq!(Policy::RoundRobin.pick(&q2, after_0, all), Some(1));
+        // ... then session 2 even though session 0's frame is queued ahead.
+        let after_1 = Some(SessionId::from_index(1));
         let q3 = vec![ticket(0, 1, 4, 200), ticket(2, 0, 3, 100)];
-        assert_eq!(rr.pick(&q3, 10), Some(1));
+        assert_eq!(Policy::RoundRobin.pick(&q3, after_1, all), Some(1));
+        // The ready queue moves the cursor itself: session 0's second
+        // frame, queued ahead of sessions 1 and 2 and due first, waits for
+        // them (FCFS and EDF would dispatch it second).
+        let mut rr = queue_of(
+            Policy::RoundRobin,
+            &[
+                ticket(0, 0, 1, 100),
+                ticket(0, 1, 4, 90),
+                ticket(1, 0, 2, 100),
+                ticket(2, 0, 3, 100),
+            ],
+        );
+        let order: Vec<usize> =
+            std::iter::from_fn(|| rr.pop_next(all)).map(|(t, _)| t.session.index()).collect();
+        assert_eq!(order, [0, 1, 2, 0]);
     }
 
     #[test]
     fn round_robin_wraps_around() {
-        let mut rr = RoundRobin { last_session: Some(SessionId::from_index(2)) };
         let q = vec![ticket(2, 1, 4, 200), ticket(0, 0, 9, 100)];
-        assert_eq!(rr.pick(&q, 10), Some(1), "wraps to session 0 after 2");
+        let after_2 = Some(SessionId::from_index(2));
+        assert_eq!(
+            Policy::RoundRobin.pick(&q, after_2, all),
+            Some(1),
+            "wraps to session 0 after 2"
+        );
+    }
+
+    #[test]
+    fn ready_queue_keeps_rungs_and_depths_beside_tickets() {
+        let mut q = ReadyQueue::new(Policy::Edf);
+        q.push(ticket(1, 0, 1, 300), 0);
+        q.push(ticket(3, 0, 2, 100), 2);
+        q.push(ticket(1, 1, 3, 200), 0);
+        assert_eq!((q.len(), q.depth(SessionId::from_index(1))), (3, 2));
+        assert_eq!(q.depth(SessionId::from_index(7)), 0, "never seen");
+        // The pin travels with its ticket.
+        assert_eq!(q.pop_next(all), Some((ticket(3, 0, 2, 100), 2)));
+        assert_eq!(q.depth(SessionId::from_index(3)), 0);
+        assert_eq!(q.remove_session(SessionId::from_index(1)).len(), 2);
+        assert!(q.is_empty());
+        assert_eq!(q.depth(SessionId::from_index(1)), 0);
+        q.push(ticket(0, 0, 4, 50), 1);
+        assert_eq!(q.drain(), vec![(ticket(0, 0, 4, 50), 1)]);
+        assert_eq!(q.depth(SessionId::from_index(0)), 0);
     }
 
     #[test]

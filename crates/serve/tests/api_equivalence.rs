@@ -13,15 +13,21 @@
 //!    aggregate;
 //! 3. **Event-stream / report consistency** — the typed `ServeEvent`
 //!    stream, the `poll` futures and the final `ServeReport` agree on
-//!    every count.
+//!    every count;
+//! 4. **Governed slicing equivalence** — with the quality governor's
+//!    counter-offers and pressure shedding on, step slicing still replays
+//!    the identical simulation, and every dispatch is counted on exactly
+//!    one quality side.
 
 use gbu_hw::GbuConfig;
 use gbu_serve::{
     calibrated_clock_ghz, run_sessions, AdmissionControl, AutoscaleConfig, BackendKind, ExecMode,
     FleetAction, FleetConfig, FleetEvent, FleetPlan, FrameStatus, MigrationConfig, Policy,
-    QosTarget, ServeConfig, ServeEngine, ServeEvent, Session, SessionContent, SessionSpec,
+    QosTarget, QualityGovernor, ServeConfig, ServeEngine, ServeEvent, Session, SessionContent,
+    SessionSpec,
 };
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn workload(n_sessions: usize, frames: u32, seed: u64) -> Vec<Session> {
     (0..n_sessions)
@@ -325,7 +331,9 @@ fn run_churny(
 /// `Rejected` alone, or `Admitted` followed by any number of
 /// `Started → ShardCompleted* → Requeued` cycles and a queue-side
 /// `Dropped`/dispatch, ending in exactly one terminal
-/// (`Completed`/`Dropped`).
+/// (`Completed`/`Dropped`). `Degraded` is legal while the frame is
+/// queued: a counter-offer reports it right after `Admitted`, a
+/// pressure-shed dispatch right before `Started`.
 fn assert_frame_grammar(events: &[&ServeEvent]) {
     #[derive(PartialEq, Debug)]
     enum S {
@@ -339,6 +347,7 @@ fn assert_frame_grammar(events: &[&ServeEvent]) {
         state = match (state, e) {
             (S::Fresh, ServeEvent::Rejected { .. }) => S::Terminal,
             (S::Fresh, ServeEvent::Admitted { .. }) => S::Queued,
+            (S::Queued, ServeEvent::Degraded { .. }) => S::Queued,
             (S::Queued, ServeEvent::Started { .. }) => S::Running,
             (S::Queued, ServeEvent::Dropped { .. }) => S::Terminal,
             (S::Running, ServeEvent::ShardCompleted { .. }) => S::Running,
@@ -349,6 +358,37 @@ fn assert_frame_grammar(events: &[&ServeEvent]) {
         };
     }
     assert_eq!(state, S::Terminal, "every frame ends terminal: {events:?}");
+}
+
+/// Walks every frame of `events` through [`assert_frame_grammar`].
+fn assert_stream_grammar(events: &[ServeEvent]) {
+    let max_frame = events.iter().filter_map(|e| e.frame()).map(|f| f.index()).max();
+    for f in 0..max_frame.map_or(0, |m| m + 1) {
+        let of_frame: Vec<&ServeEvent> =
+            events.iter().filter(|e| e.frame().is_some_and(|id| id.index() == f)).collect();
+        assert_frame_grammar(&of_frame);
+    }
+}
+
+/// Frames dropped after they were dispatched (their session detached
+/// mid-render): each was counted on a quality side at dispatch but never
+/// completes.
+fn cancelled_in_flight(events: &[ServeEvent]) -> usize {
+    let mut running = HashSet::new();
+    let mut cancelled = 0;
+    for e in events {
+        match e {
+            ServeEvent::Started { frame, .. } => {
+                running.insert(*frame);
+            }
+            ServeEvent::Completed { frame, .. } | ServeEvent::Requeued { frame, .. } => {
+                running.remove(frame);
+            }
+            ServeEvent::Dropped { frame, .. } => cancelled += usize::from(running.remove(frame)),
+            _ => {}
+        }
+    }
+    cancelled
 }
 
 proptest! {
@@ -435,15 +475,83 @@ proptest! {
         prop_assert_eq!(churn, coarse.lane_churn);
 
         // Per-frame lifecycle grammar, requeue cycles included.
-        let max_frame = coarse_events.iter().filter_map(|e| e.frame()).map(|f| f.index()).max();
-        if let Some(max_frame) = max_frame {
-            for f in 0..=max_frame {
-                let of_frame: Vec<&ServeEvent> = coarse_events
-                    .iter()
-                    .filter(|e| e.frame().is_some_and(|id| id.index() == f))
-                    .collect();
-                assert_frame_grammar(&of_frame);
-            }
+        assert_stream_grammar(&coarse_events);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5))]
+
+    /// The quality governor is slicing-invariant too. Counter-offers,
+    /// pressure shedding on a tick grid a few frame periods wide,
+    /// deadline-aware rejection and the drop pass, under overload and
+    /// attach/detach churn, replay the identical event stream and report
+    /// at any step granularity under every policy. Every dispatch lands
+    /// on exactly one quality side, so exact plus degraded dispatches
+    /// equal completed frames plus frames cancelled after dispatch.
+    #[test]
+    fn governed_churn_is_slicing_invariant_and_counts_every_dispatch(
+        n_sessions in 3usize..6,
+        frames in 4u32..9,
+        lanes in 1usize..3,
+        util_pct in 150u32..320,
+        seed in 0u64..1000,
+        interval_periods in 1u64..4,
+        interventions_raw in prop::collection::vec((0u64..64, 0usize..8), 0..5),
+        lane_reservation in any::<bool>(),
+        slices_raw in prop::collection::vec(1u64..64, 1..24),
+    ) {
+        let sessions = mixed_workload(n_sessions, frames, seed, lanes);
+        let clock_ghz = calibrated_clock_ghz(&sessions, lanes, f64::from(util_pct) / 100.0);
+        // Interventions and slice lengths in 1/16ths of a 90 Hz period, so
+        // they land inside the run whatever the calibrated clock.
+        let tick = (QosTarget::VR_90.period_cycles(clock_ghz) / 16).max(1);
+        let interventions: Vec<(u64, Intervention)> = interventions_raw
+            .iter()
+            .map(|&(at, k)| {
+                let kind = if k < n_sessions { Intervention::Detach(k) } else { Intervention::Attach };
+                (at * tick, kind)
+            })
+            .collect();
+        let slices: Vec<u64> = slices_raw
+            .iter()
+            .scan(0u64, |now, &s| {
+                *now += s * tick;
+                Some(*now)
+            })
+            .collect();
+        for policy in Policy::all() {
+            let mut cfg = config(1, policy, 64, true);
+            cfg.backend = BackendKind::Cluster { lanes, devices_per_lane: 1 };
+            cfg.gbu.clock_ghz = clock_ghz;
+            cfg.fleet.lane_reservation = lane_reservation;
+            cfg.quality = QualityGovernor {
+                ladder: QualityGovernor::default_ladder(),
+                counter_offer: true,
+                shed_on_pressure: true,
+                interval: interval_periods * 16 * tick,
+                ..QualityGovernor::default()
+            };
+
+            let (coarse_events, coarse) =
+                run_churny(cfg.clone(), &sessions, &interventions, &[]);
+            let (fine_events, fine) = run_churny(cfg, &sessions, &interventions, &slices);
+            prop_assert_eq!(&fine_events, &coarse_events, "{:?}: event streams diverged", policy);
+            prop_assert_eq!(&fine, &coarse, "{:?}: reports diverged", policy);
+
+            prop_assert_eq!(
+                coarse.generated,
+                coarse.completed + coarse.rejected + coarse.dropped,
+                "{:?}: conservation", policy
+            );
+            prop_assert_eq!(coarse.requeued, 0, "no lane churn, so no requeues");
+            let q = coarse.quality;
+            prop_assert_eq!(
+                q.frames_exact + q.frames_degraded,
+                coarse.completed + cancelled_in_flight(&coarse_events),
+                "{:?}: every dispatch is counted on one quality side", policy
+            );
+            assert_stream_grammar(&coarse_events);
         }
     }
 }

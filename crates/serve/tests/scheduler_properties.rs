@@ -4,15 +4,14 @@
 //!    rejected exactly once, under any session mix, pool size, queue
 //!    bound and policy;
 //! 2. **No EDF deadline inversion** — whenever EDF dispatches, no other
-//!    queued frame has an earlier deadline;
+//!    eligible queued frame has an earlier deadline;
 //! 3. **Monotone clock** — the pool's simulated clock advances strictly
 //!    monotonically through any submit/advance interleaving.
 
 use gbu_hw::GbuConfig;
 use gbu_serve::{
-    calibrated_clock_ghz, run_sessions, AdmissionControl, DevicePool, Edf, ExecMode, FrameId,
-    FrameTicket, Policy, QosTarget, Scheduler, ServeConfig, Session, SessionContent, SessionId,
-    SessionSpec,
+    calibrated_clock_ghz, run_sessions, AdmissionControl, DevicePool, ExecMode, FrameId,
+    FrameTicket, Policy, QosTarget, ServeConfig, Session, SessionContent, SessionId, SessionSpec,
 };
 use proptest::prelude::*;
 
@@ -91,12 +90,19 @@ proptest! {
                 deadline: arrival + slack,
             })
             .collect();
-        let picked = Edf.pick(&queue, now).expect("non-empty queue");
+        let picked = Policy::Edf.pick(&queue, None, |_| true).expect("non-empty queue");
         let earliest = queue.iter().map(|t| t.deadline).min().expect("non-empty");
         prop_assert_eq!(
             queue[picked].deadline, earliest,
             "EDF picked deadline {} but {} was queued", queue[picked].deadline, earliest
         );
+        // The same holds among the frames the engine would find eligible
+        // (here: arrived by `now`), and nothing is picked when none is.
+        let arrived = |t: &FrameTicket| t.arrival <= now;
+        let picked = Policy::Edf.pick(&queue, None, arrived);
+        let earliest = queue.iter().filter(|t| arrived(t)).map(|t| t.deadline).min();
+        prop_assert_eq!(picked.map(|i| queue[i].deadline), earliest);
+        prop_assert!(picked.is_none_or(|i| arrived(&queue[i])));
     }
 
     /// The pool's simulated clock is strictly monotone through arbitrary

@@ -4,7 +4,6 @@
 //! Run with: `cargo run --release --example cache_explorer`
 
 use gbu_hw::cache::{simulate_trace, Policy};
-use gbu_hw::{dnb, GbuConfig};
 use gbu_render::{binning, preprocess, GBU_FEATURE_BYTES};
 use gbu_scene::{DatasetScene, ScaleProfile};
 
@@ -13,17 +12,18 @@ fn main() {
     let scene = ds.build_static(ScaleProfile::Test);
     let camera = ds.camera(ScaleProfile::Test);
 
-    // The D&B engine produces the per-tile access trace and the
-    // precomputed next-use positions the cache's replacement policy needs.
+    // The bins' entries, tile by tile, are the feature access trace the
+    // D&B engine feeds the cache (`simulate_trace` derives the next-use
+    // positions the reuse-distance policy needs).
     let (splats, _) = preprocess::project_scene(&scene, &camera);
     let (bins, _) = binning::bin_splats(&splats, &camera, 16);
-    let d = dnb::run(&splats, &bins, &GbuConfig::paper());
-    println!("frame: {} splats, {} (tile, Gaussian) accesses", splats.len(), d.access_trace.len());
+    let trace = &bins.entries;
+    println!("frame: {} splats, {} (tile, Gaussian) accesses", splats.len(), trace.len());
 
     println!("\ncapacity sweep (reuse-distance policy):");
     for kib in [0usize, 2, 4, 8, 16, 32, 64] {
         let lines = kib * 1024 / GBU_FEATURE_BYTES as usize;
-        let s = simulate_trace(&d.access_trace, lines, Policy::ReuseDistance);
+        let s = simulate_trace(trace, lines, Policy::ReuseDistance);
         println!(
             "  {kib:>2} KB ({lines:>4} lines): hit rate {:>5.1}%  -> {:>6} DRAM fetches",
             s.hit_rate() * 100.0,
@@ -34,7 +34,7 @@ fn main() {
     println!("\npolicy comparison at the paper's 32 KB:");
     let lines = 32 * 1024 / GBU_FEATURE_BYTES as usize;
     for policy in [Policy::ReuseDistance, Policy::Lru, Policy::Fifo] {
-        let s = simulate_trace(&d.access_trace, lines, policy);
+        let s = simulate_trace(trace, lines, policy);
         println!("  {policy:?}: hit rate {:.1}%", s.hit_rate() * 100.0);
     }
 }

@@ -49,7 +49,7 @@ fn bench_blend(c: &mut Criterion) {
         });
         g.bench_function(format!("irss_into_{threads}t"), |b| {
             b.iter(|| {
-                irss::blend_precomputed_into(
+                irss::blend_precomputed_into::<irss::Fp32>(
                     &pool,
                     splats,
                     &isplats,

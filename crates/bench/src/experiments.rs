@@ -1107,7 +1107,7 @@ pub fn render(ctx: &Ctx) {
                     &mut image,
                     &mut stats,
                 ),
-                _ => irss::blend_precomputed_into(
+                _ => irss::blend_precomputed_into::<irss::Fp32>(
                     pool,
                     &splats,
                     &isplats,

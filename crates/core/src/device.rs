@@ -74,7 +74,7 @@ struct InFlight {
     /// frame is collected.
     run: GbuRunResult,
     completion_cycle: u64,
-    /// Full device occupancy of the frame (`max(D&B, Tile PE)` cycles),
+    /// Full device occupancy of the frame ([`gbu_hw::FrameCost::occupancy`]),
     /// fixed at submission.
     occupancy: u64,
 }
@@ -191,12 +191,11 @@ impl Gbu {
         } else {
             dnb::run(splats, bins, &self.engine.config)
         };
-        let run = self.engine.render(splats, &d, bins, camera, background, Policy::ReuseDistance);
-        // Chunk-level pipeline (Fig. 13 bottom): D&B overlaps the Tile PE,
-        // so the frame occupies max(D&B, Tile PE) cycles.
-        let duration = d.cycles.max(run.compute_cycles);
+        let cost = self.engine.cost(&d, bins, camera, Policy::ReuseDistance);
+        let run = GbuRunResult::new(cost, self.engine.pixels(splats, &d, bins, camera, background));
+        let occupancy = cost.occupancy();
         self.in_flight =
-            Some(InFlight { run, completion_cycle: self.clock + duration, occupancy: duration });
+            Some(InFlight { run, completion_cycle: self.clock + occupancy, occupancy });
         Ok(())
     }
 

@@ -8,9 +8,9 @@
 //!   paper's programming model (Listing 1: `GBU_render_image` /
 //!   `GBU_check_status`) over the hardware simulator;
 //! - [`system`]: the integrated edge system — an Orin-NX-class GPU with
-//!   the GBU attached — including the frame-level GPU∥GBU pipeline and the
-//!   chunk-level D&B∥Tile-PE pipeline of Fig. 13, DRAM bandwidth
-//!   contention, and the ablation designs of Tab. V;
+//!   the GBU attached — including the steady-state frame time of Fig. 13's
+//!   frame-level GPU∥GBU pipeline and chunk-level D&B∥Tile-PE pipeline,
+//!   DRAM bandwidth contention, and the ablation designs of Tab. V;
 //! - [`apps`]: the three AR/VR application pipelines (static scenes,
 //!   dynamic scenes, avatars) mapped onto the system;
 //! - [`reports`]: plain-text table formatting used by the `repro` harness.
@@ -20,7 +20,6 @@
 
 pub mod apps;
 pub mod device;
-pub mod pipeline;
 pub mod reports;
 pub mod system;
 

@@ -243,12 +243,6 @@ fn evaluate_gbu(cfg: &SystemConfig, m: &FrameMeasurement, design: Design) -> Sys
     }
 }
 
-/// Test-support fixtures shared with the pipeline module's tests.
-#[cfg(test)]
-pub(crate) mod tests_support {
-    pub(crate) use super::tests::paper_measurement;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +251,7 @@ mod tests {
     /// `apps::measure_frame` produces for the "counter" scene after
     /// extrapolation (the calibration anchor; see
     /// `gbu_gpu::workload::WorkloadScale`).
-    pub(crate) fn paper_measurement() -> FrameMeasurement {
+    fn paper_measurement() -> FrameMeasurement {
         let visible = 1.13e6;
         let instances = 3.13e6;
         let fragments_pfs = visible * 554.0;
@@ -360,6 +354,22 @@ mod tests {
             let (a, b, c) = e.breakdown();
             assert!((a + b + c - 1.0).abs() < 1e-9, "{:?}", e.design);
         }
+    }
+
+    #[test]
+    fn pipelining_beats_serial_execution() {
+        // Fig. 13: the GPU's Steps ❶/❷ for frame n+1 overlap the GBU's
+        // Step ❸ for frame n, so a GBU design's steady-state frame time is
+        // its slowest stage (DRAM included), and the full design's is
+        // below the steps run back to back.
+        let cfg = SystemConfig::default();
+        let m = paper_measurement();
+        for design in Design::ladder().into_iter().filter(|d| d.uses_gbu()) {
+            let e = evaluate(&cfg, &m, design);
+            assert!(e.frame_seconds >= (e.step1 + e.step2).max(e.step3), "{design:?}");
+        }
+        let e = evaluate(&cfg, &m, Design::GbuFull);
+        assert!(e.frame_seconds < e.step1 + e.step2 + e.step3, "{e:?}");
     }
 
     #[test]

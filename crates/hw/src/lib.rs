@@ -10,8 +10,9 @@
 //!   baselines for comparison;
 //! - [`tile_engine`]: the Row-Centric Tile Engine — a Row Generation
 //!   Engine feeding 8 Row PEs (2 rows each) through FIFOs, one fragment
-//!   per Row PE per cycle (Fig. 10/11), with an optional FP-16 functional
-//!   datapath reproducing Tab. IV's quality numbers;
+//!   per Row PE per cycle (Fig. 10/11). A pixel-free cost pass times it
+//!   ([`FrameCost`]); the image is `gbu_render::irss`'s kernel on the Row
+//!   PE's FP-16 datapath, which reproduces Tab. IV's quality numbers;
 //! - [`area`]: the area/power model calibrated to the paper's synthesis
 //!   results (Tab. II/III) — we cannot run RTL synthesis, so the
 //!   per-module constants are taken from the paper and combined with
@@ -19,9 +20,10 @@
 //! - [`standalone`]: GBU-Standalone, the paper's Tab. VI/VII variant with
 //!   dedicated preprocessing/sorting units for single-application use.
 //!
-//! The tile engine is driven by the *same* row-span logic as the software
-//! IRSS dataflow (`gbu_render::irss`), so functional output and event
-//! counts stay consistent between the GPU and GBU paths by construction.
+//! The tile engine's timing walks the *same* row-span logic as the
+//! software IRSS dataflow (`gbu_render::irss`), and its image is that
+//! dataflow's kernel, so functional output and event counts stay
+//! consistent between the GPU and GBU paths by construction.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -34,4 +36,4 @@ pub mod standalone;
 pub mod tile_engine;
 
 pub use config::GbuConfig;
-pub use tile_engine::{GbuRunResult, TileEngine};
+pub use tile_engine::{FrameCost, GbuRunResult, TileEngine};

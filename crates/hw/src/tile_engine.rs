@@ -10,28 +10,80 @@
 //! imbalance that strands SIMT lanes on a GPU (Limitation 1) becomes
 //! simple queue slack here — the paper's central hardware argument.
 //!
-//! The engine is simultaneously a *functional* model (it produces the
-//! image, optionally through the FP-16 datapath of Sec. VI-B) and a
-//! *timing* model (cycles per tile from the queue dynamics), driven by the
-//! same row-span logic as the software IRSS implementation so the two
-//! agree by construction.
+//! The engine is a cost model plus the IRSS kernel at Row-PE precision,
+//! two passes over the D&B engine's output:
+//!
+//! - the **cost pass** ([`TileEngine::cost`]) is the timing model. It
+//!   walks the access stream through the Gaussian Reuse Cache and every
+//!   (instance, row) through IRSS's `row_outcome`/`march` into the
+//!   Row-PE queues, and touches no pixel. Its [`FrameCost`] holds every
+//!   counter of the frame and the device occupancy.
+//! - the **pixel pass** ([`TileEngine::pixels`]) is the functional model:
+//!   `gbu_render::irss`'s tile-row kernel over D&B's transforms, on the
+//!   Row PE's FP-16 datapath (Sec. VI-B, [`irss::Fp16`]) or, with
+//!   [`GbuConfig::fp16_datapath`] off, in FP32 ([`irss::Fp32`]), where
+//!   the image is software IRSS's bit for bit.
+//!
+//! Both passes find row spans with the same code, so they agree by
+//! construction. The cost counts every instance and every evaluated
+//! fragment, including those the pixel pass skips once a pixel or a
+//! whole tile has saturated: the hardware's threshold units evaluate
+//! them too.
 
 use crate::cache::{CacheStats, GaussianReuseCache, Policy};
 use crate::config::GbuConfig;
 use crate::dnb::DnbResult;
-use gbu_math::{Vec3, F16};
+use gbu_math::Vec3;
 use gbu_par::ThreadPool;
 use gbu_render::binning::TileBins;
-use gbu_render::irss::RowOutcome;
-use gbu_render::pfs::T_SATURATED;
-use gbu_render::{alpha_from_q, FrameBuffer, Splat2D};
+use gbu_render::irss::{self, RowOutcome};
+use gbu_render::stats::BlendStats;
+use gbu_render::{BlendScratch, FrameBuffer, RenderConfig, Splat2D};
 use gbu_scene::Camera;
+use gbu_telemetry::Labels;
 
 /// The Tile PE: configuration plus rendering entry points.
 #[derive(Debug, Clone, Default)]
 pub struct TileEngine {
     /// Hardware parameters.
     pub config: GbuConfig,
+}
+
+/// What one frame costs the GBU: every counter of a run, without its
+/// image. A pure function of the splats, the bins, the configuration and
+/// the cache policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FrameCost {
+    /// D&B engine cycles (EVD + intersection tests).
+    pub dnb_cycles: u64,
+    /// Total Tile-PE cycles for the frame (sum over tiles of the
+    /// per-tile critical path, plus per-tile overhead).
+    pub compute_cycles: u64,
+    /// Cycles the Row Generation Engine was busy.
+    pub rowgen_cycles: u64,
+    /// Total busy cycles summed over all Row PEs.
+    pub pe_busy_cycles: u64,
+    /// Gaussian Reuse Cache statistics.
+    pub cache: CacheStats,
+    /// Off-chip bytes fetched for input features (misses × record size).
+    pub dram_bytes: u64,
+    /// (splat, tile) instances processed.
+    pub instances: u64,
+    /// Row tasks dispatched to Row PEs.
+    pub spans: u64,
+    /// Fragments shaded (threshold-unit evaluations).
+    pub fragments: u64,
+    /// Occupied tiles rendered.
+    pub tiles: u64,
+}
+
+impl FrameCost {
+    /// Device occupancy in cycles: the chunk-level pipeline (Fig. 13,
+    /// bottom) overlaps D&B with the Tile PE, so a frame occupies the
+    /// device for max(D&B, Tile PE) cycles.
+    pub fn occupancy(&self) -> u64 {
+        self.dnb_cycles.max(self.compute_cycles)
+    }
 }
 
 /// Result of rendering one frame on the GBU.
@@ -61,6 +113,22 @@ pub struct GbuRunResult {
 }
 
 impl GbuRunResult {
+    /// A run from the frame's cost pass and its image.
+    pub fn new(c: FrameCost, image: FrameBuffer) -> Self {
+        Self {
+            image,
+            compute_cycles: c.compute_cycles,
+            rowgen_cycles: c.rowgen_cycles,
+            pe_busy_cycles: c.pe_busy_cycles,
+            cache: c.cache,
+            dram_bytes: c.dram_bytes,
+            instances: c.instances,
+            spans: c.spans,
+            fragments: c.fragments,
+            tiles: c.tiles,
+        }
+    }
+
     /// Mean row-unit utilization: busy cycles over available row-unit
     /// cycles (each Row PE runs its two rows on parallel lanes, so a tile
     /// has `row_pes × rows_per_pe` row units). Contrast with the 18.9%
@@ -79,80 +147,22 @@ impl GbuRunResult {
     }
 }
 
-/// Per-pixel blending state, generic over the datapath precision.
-/// (`Send` so per-worker pixel buffers can live on pool workers.)
-trait PixelState: Clone + Send {
-    fn fresh() -> Self;
-    fn transmittance(&self) -> f32;
-    fn blend(&mut self, alpha: f32, color: Vec3);
-    fn color(&self) -> Vec3;
-}
-
-/// FP32 state (used to validate against the software IRSS blender).
-#[derive(Clone)]
-struct StateF32 {
-    color: Vec3,
-    trans: f32,
-}
-
-impl PixelState for StateF32 {
-    fn fresh() -> Self {
-        Self { color: Vec3::ZERO, trans: 1.0 }
-    }
-    fn transmittance(&self) -> f32 {
-        self.trans
-    }
-    fn blend(&mut self, alpha: f32, color: Vec3) {
-        self.color += color * (alpha * self.trans);
-        self.trans *= 1.0 - alpha;
-    }
-    fn color(&self) -> Vec3 {
-        self.color
-    }
-}
-
-/// FP16 state modelling the Row PE datapath (Sec. VI-B): every
-/// intermediate — α, the running color and the transmittance — is rounded
-/// to binary16 per operation, which is the source of Tab. IV's ≤0.1 PSNR
-/// loss.
-#[derive(Clone)]
-struct StateF16 {
-    color: [F16; 3],
-    trans: F16,
-}
-
-impl PixelState for StateF16 {
-    fn fresh() -> Self {
-        Self { color: [F16::ZERO; 3], trans: F16::ONE }
-    }
-    fn transmittance(&self) -> f32 {
-        self.trans.to_f32()
-    }
-    fn blend(&mut self, alpha: f32, color: Vec3) {
-        let a = F16::from_f32(alpha);
-        let w = a * self.trans;
-        self.color[0] = F16::from_f32(color.x).mul_add(w, self.color[0]);
-        self.color[1] = F16::from_f32(color.y).mul_add(w, self.color[1]);
-        self.color[2] = F16::from_f32(color.z).mul_add(w, self.color[2]);
-        self.trans = self.trans * (F16::ONE - a);
-    }
-    fn color(&self) -> Vec3 {
-        Vec3::new(self.color[0].to_f32(), self.color[1].to_f32(), self.color[2].to_f32())
-    }
-}
-
 impl TileEngine {
     /// Creates a tile engine with the given configuration.
     pub fn new(config: GbuConfig) -> Self {
         Self { config }
     }
 
-    /// Renders a frame: functional image plus cycle/cache/DRAM accounting.
+    /// Renders a frame: [`TileEngine::cost`] plus [`TileEngine::pixels`].
     ///
     /// `policy` selects the reuse-cache replacement policy (the paper's
     /// reuse-distance policy by default); the cache capacity comes from
     /// the configuration (`cache_kib = 0` disables caching, the "0 KB"
     /// point of Fig. 17 and the "+GBU Tile Engine"-only ablation row).
+    ///
+    /// # Panics
+    ///
+    /// As [`TileEngine::cost`] and [`TileEngine::pixels`].
     pub fn render(
         &self,
         splats: &[Splat2D],
@@ -162,45 +172,150 @@ impl TileEngine {
         background: Vec3,
         policy: Policy,
     ) -> GbuRunResult {
-        self.render_pooled(gbu_par::global(), splats, dnb, bins, camera, background, policy)
+        let cost = self.cost(dnb, bins, camera, policy);
+        GbuRunResult::new(cost, self.pixels(splats, dnb, bins, camera, background))
     }
 
-    /// [`TileEngine::render`] on an explicit thread pool.
-    ///
-    /// The run splits into two phases: the Gaussian Reuse Cache is one
-    /// shared structure whose state threads through the whole frame, so
-    /// its simulation walks the D&B access trace serially (it is a few
-    /// table lookups per instance); the per-tile shading and queue
-    /// timing — all of the real work — is independent per tile and is
-    /// dispatched across the pool one tile row at a time. Results are
-    /// merged in tile order, so cycle counts and the image are identical
-    /// at every thread count.
+    /// The cost pass on the global pool: every counter of the frame and
+    /// its occupancy, no pixels. Recorded as a `device_cost` span at
+    /// `GBU_TRACE=2`.
     ///
     /// # Panics
     ///
-    /// When `bins.tile_size` is not [`GbuConfig::covered_rows`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn render_pooled(
+    /// When `bins.tile_size` is not [`GbuConfig::covered_rows`], or `dnb`
+    /// ran on other bins.
+    pub fn cost(
         &self,
-        pool: &ThreadPool,
-        splats: &[Splat2D],
         dnb: &DnbResult,
         bins: &TileBins,
         camera: &Camera,
-        background: Vec3,
         policy: Policy,
-    ) -> GbuRunResult {
-        let (got, covered) = (bins.tile_size, self.config.covered_rows());
-        assert!(got == covered, "{got}-px tiles do not fit Row PEs covering {covered} rows");
-        if self.config.fp16_datapath {
-            self.render_with::<StateF16>(pool, splats, dnb, bins, camera, background, policy)
-        } else {
-            self.render_with::<StateF32>(pool, splats, dnb, bins, camera, background, policy)
-        }
+    ) -> FrameCost {
+        self.cost_on(gbu_par::global(), dnb, bins, camera, policy)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn render_with<S: PixelState>(
+    /// The pixel pass on the global pool: IRSS's tile-row kernel over
+    /// D&B's transforms on the configured datapath, composited over
+    /// `background`. Recorded as a `device_pixels` span at `GBU_TRACE=2`.
+    ///
+    /// # Panics
+    ///
+    /// When D&B's transforms do not match the splat list.
+    pub fn pixels(
+        &self,
+        splats: &[Splat2D],
+        dnb: &DnbResult,
+        bins: &TileBins,
+        camera: &Camera,
+        background: Vec3,
+    ) -> FrameBuffer {
+        self.pixels_on(gbu_par::global(), splats, dnb, bins, camera, background)
+    }
+
+    /// [`TileEngine::cost`] on `pool`. The Gaussian Reuse Cache is one
+    /// structure whose state threads through the whole frame, so it walks
+    /// the access stream serially (a few table lookups per instance); the
+    /// Row-PE queue timing is independent per tile and runs one tile row
+    /// per job, summed in tile order, so the counts are identical at
+    /// every thread count.
+    fn cost_on(
+        &self,
+        pool: &ThreadPool,
+        dnb: &DnbResult,
+        bins: &TileBins,
+        camera: &Camera,
+        policy: Policy,
+    ) -> FrameCost {
+        let cfg = &self.config;
+        let (got, covered) = (bins.tile_size, cfg.covered_rows());
+        assert!(got == covered, "{got}-px tiles do not fit Row PEs covering {covered} rows");
+        assert_eq!(dnb.next_use.len(), bins.entries.len(), "D&B ran on other bins");
+        let recorder = gbu_telemetry::global();
+        let _span =
+            recorder.detailed().then(|| recorder.wall_span("device_cost", Labels::default()));
+
+        // The access stream is the bins' entries (the instance stream in
+        // tile order), exactly as the D&B engine feeds it.
+        let mut cache = GaussianReuseCache::new(cfg.cache_lines(), policy);
+        for (&entry, &next_use) in bins.entries.iter().zip(&dnb.next_use) {
+            cache.access(entry, next_use);
+        }
+        let cache = cache.stats();
+        let mut cost = FrameCost {
+            dnb_cycles: dnb.cycles,
+            cache,
+            dram_bytes: cache.misses * cfg.bytes_per_miss,
+            ..FrameCost::default()
+        };
+
+        let tile_rows: Vec<u32> = (0..bins.tiles_y).collect();
+        let rows = pool.map_indexed(&tile_rows, |_, &ty| self.tile_row_cost(dnb, bins, camera, ty));
+        for row in rows {
+            cost.compute_cycles += row.compute_cycles;
+            cost.rowgen_cycles += row.rowgen_cycles;
+            cost.pe_busy_cycles += row.pe_busy_cycles;
+            cost.instances += row.instances;
+            cost.spans += row.spans;
+            cost.fragments += row.fragments;
+            cost.tiles += row.tiles;
+        }
+        cost
+    }
+
+    /// Row-Generation-Engine and Row-PE queue timing of every tile of
+    /// tile row `ty` (the cache and D&B fields stay zero).
+    fn tile_row_cost(
+        &self,
+        dnb: &DnbResult,
+        bins: &TileBins,
+        camera: &Camera,
+        ty: u32,
+    ) -> FrameCost {
+        let cfg = &self.config;
+        let mut cost = FrameCost::default();
+        let mut pe_free = vec![0u64; cfg.covered_rows() as usize];
+        for tx in 0..bins.tiles_x {
+            let tile = (ty * bins.tiles_x + tx) as usize;
+            let entries = bins.entries_of(tile);
+            if entries.is_empty() {
+                continue;
+            }
+            cost.tiles += 1;
+            let (x0, y0, x1, y1) = bins.tile_pixel_rect(tile, camera.width, camera.height);
+            let mut rowgen_t = 0u64;
+            pe_free.fill(0);
+
+            for &entry in entries {
+                cost.instances += 1;
+                let isp = &dnb.transforms[entry as usize];
+                rowgen_t += cfg.rowgen_instance_cycles;
+
+                let mut nspans = 0u64;
+                for (py, free) in (y0..y1).zip(pe_free.iter_mut()) {
+                    let RowOutcome::Span(span) = isp.row_outcome(py, x0, x1) else { continue };
+                    nspans += 1;
+                    // Counts the terminating out-of-threshold fragment
+                    // too: it also occupies a threshold-unit cycle.
+                    let evaluated = u64::from(isp.march(&span, x1, |_, _| {}).evaluated);
+                    cost.fragments += evaluated;
+                    let task =
+                        cfg.rowpe_setup_cycles + evaluated.div_ceil(cfg.rowpe_frags_per_cycle);
+                    *free = rowgen_t.max(*free) + task;
+                    cost.pe_busy_cycles += task;
+                }
+                cost.spans += nspans;
+                rowgen_t += nspans.div_ceil(cfg.rowgen_spans_per_cycle);
+            }
+
+            let pe_done = pe_free.iter().copied().max().unwrap_or(0);
+            cost.compute_cycles += rowgen_t.max(pe_done) + cfg.tile_overhead_cycles;
+            cost.rowgen_cycles += rowgen_t;
+        }
+        cost
+    }
+
+    /// [`TileEngine::pixels`] on `pool`.
+    fn pixels_on(
         &self,
         pool: &ThreadPool,
         splats: &[Splat2D],
@@ -208,161 +323,21 @@ impl TileEngine {
         bins: &TileBins,
         camera: &Camera,
         background: Vec3,
-        policy: Policy,
-    ) -> GbuRunResult {
-        assert_eq!(dnb.transforms.len(), splats.len(), "D&B transforms mismatch splat list");
-        assert_eq!(dnb.next_use.len(), bins.entries.len(), "D&B ran on other bins");
-        let cfg = &self.config;
-        let mut image = FrameBuffer::new(camera.width, camera.height, background);
-        let mut result = GbuRunResult {
-            image: FrameBuffer::new(1, 1, background),
-            compute_cycles: 0,
-            rowgen_cycles: 0,
-            pe_busy_cycles: 0,
-            cache: CacheStats::default(),
-            dram_bytes: 0,
-            instances: 0,
-            spans: 0,
-            fragments: 0,
-            tiles: 0,
+    ) -> FrameBuffer {
+        let recorder = gbu_telemetry::global();
+        let _span =
+            recorder.detailed().then(|| recorder.wall_span("device_pixels", Labels::default()));
+        let blend = if self.config.fp16_datapath {
+            irss::blend_precomputed_into::<irss::Fp16>
+        } else {
+            irss::blend_precomputed_into::<irss::Fp32>
         };
-
-        // Phase 1 — the Gaussian Reuse Cache over the full access stream
-        // (the bins' entries: the instance stream in tile order), exactly
-        // as the D&B engine feeds it.
-        let mut cache = GaussianReuseCache::new(cfg.cache_lines(), policy);
-        for (pos, &entry) in bins.entries.iter().enumerate() {
-            if !cache.access(entry, dnb.next_use[pos]) {
-                result.dram_bytes += cfg.bytes_per_miss;
-            }
-        }
-        result.cache = cache.stats();
-
-        // Phase 2 — per-tile shading and Row-PE queue timing, tile rows
-        // in parallel. Each job owns its slice of image rows; per-worker
-        // scratch holds the tile pixel states and Row-PE free times.
-        struct RowJob<'a> {
-            ty: u32,
-            pixels: &'a mut [Vec3],
-            compute_cycles: u64,
-            rowgen_cycles: u64,
-            pe_busy_cycles: u64,
-            instances: u64,
-            spans: u64,
-            fragments: u64,
-            tiles: u64,
-        }
-        struct WorkerScratch<S> {
-            state: Vec<S>,
-            pe_free: Vec<u64>,
-        }
-
-        let tile_px = (bins.tile_size * bins.tile_size) as usize;
-        let row_px = bins.tile_size as usize * camera.width as usize;
-        let width = camera.width as usize;
-        let mut jobs: Vec<RowJob> = image
-            .pixels_mut()
-            .chunks_mut(row_px)
-            .enumerate()
-            .map(|(ty, pixels)| RowJob {
-                ty: ty as u32,
-                pixels,
-                compute_cycles: 0,
-                rowgen_cycles: 0,
-                pe_busy_cycles: 0,
-                instances: 0,
-                spans: 0,
-                fragments: 0,
-                tiles: 0,
-            })
-            .collect();
-        let workers = pool.threads().min(jobs.len()).max(1);
-        let mut scratch: Vec<WorkerScratch<S>> = (0..workers)
-            .map(|_| WorkerScratch {
-                state: vec![S::fresh(); tile_px],
-                pe_free: vec![0u64; cfg.covered_rows() as usize],
-            })
-            .collect();
-
-        pool.for_each_mut_with(&mut scratch, &mut jobs, |ws, _, job| {
-            for tx in 0..bins.tiles_x {
-                let tile = (job.ty * bins.tiles_x + tx) as usize;
-                let entries = bins.entries_of(tile);
-                if entries.is_empty() {
-                    continue;
-                }
-                job.tiles += 1;
-                let (x0, y0, x1, y1) = bins.tile_pixel_rect(tile, camera.width, camera.height);
-                let w = (x1 - x0) as usize;
-                let state = &mut ws.state;
-                for s in state.iter_mut().take(w * (y1 - y0) as usize) {
-                    *s = S::fresh();
-                }
-                let mut rowgen_t = 0u64;
-                let pe_free = &mut ws.pe_free;
-                pe_free.fill(0);
-
-                for &entry in entries {
-                    job.instances += 1;
-                    let isp = &dnb.transforms[entry as usize];
-                    rowgen_t += cfg.rowgen_instance_cycles;
-
-                    let mut nspans = 0u64;
-                    for py in y0..y1 {
-                        let outcome = isp.row_outcome(py, x0, x1);
-                        let RowOutcome::Span(span) = outcome else { continue };
-                        nspans += 1;
-                        let row_idx = (py - y0) as usize;
-                        let cost = isp.march(&span, x1, |px, q| {
-                            let st = &mut state[row_idx * w + (px - x0) as usize];
-                            if st.transmittance() < T_SATURATED {
-                                return;
-                            }
-                            st.blend(alpha_from_q(isp.opacity, q), isp.color);
-                        });
-                        // Counts the terminating out-of-threshold fragment
-                        // too: it also occupies a threshold-unit cycle.
-                        let evaluated = u64::from(cost.evaluated);
-                        job.fragments += evaluated;
-                        let task =
-                            cfg.rowpe_setup_cycles + evaluated.div_ceil(cfg.rowpe_frags_per_cycle);
-                        let start = rowgen_t.max(pe_free[row_idx]);
-                        pe_free[row_idx] = start + task;
-                        job.pe_busy_cycles += task;
-                    }
-                    job.spans += nspans;
-                    rowgen_t += nspans.div_ceil(cfg.rowgen_spans_per_cycle);
-                }
-
-                let tile_cycles = rowgen_t.max(pe_free.iter().copied().max().unwrap_or(0))
-                    + cfg.tile_overhead_cycles;
-                job.compute_cycles += tile_cycles;
-                job.rowgen_cycles += rowgen_t;
-
-                // Flush the row pixel buffers to this tile row's slice of
-                // the frame buffer (`pixels` starts at image row `y0`).
-                for py in y0..y1 {
-                    for px in x0..x1 {
-                        let st = &state[(py - y0) as usize * w + (px - x0) as usize];
-                        job.pixels[(py - y0) as usize * width + px as usize] =
-                            st.color() + background * st.transmittance();
-                    }
-                }
-            }
-        });
-
-        for job in &jobs {
-            result.compute_cycles += job.compute_cycles;
-            result.rowgen_cycles += job.rowgen_cycles;
-            result.pe_busy_cycles += job.pe_busy_cycles;
-            result.instances += job.instances;
-            result.spans += job.spans;
-            result.fragments += job.fragments;
-            result.tiles += job.tiles;
-        }
-        drop(jobs);
-        result.image = image;
-        result
+        let config =
+            RenderConfig { tile_size: bins.tile_size, background, record_row_workload: false };
+        let mut image = FrameBuffer::new(camera.width, camera.height, background);
+        let (scratch, stats) = (&mut BlendScratch::new(), &mut BlendStats::default());
+        blend(pool, splats, &dnb.transforms, bins, camera, &config, scratch, &mut image, stats);
+        image
     }
 }
 
@@ -503,7 +478,8 @@ mod tests {
         let engine = TileEngine::new(cfg);
         let run = |threads: usize| {
             let pool = gbu_par::ThreadPool::new(threads);
-            engine.render_pooled(&pool, &splats, &d, &bins, &cam, Vec3::ZERO, Policy::ReuseDistance)
+            let cost = engine.cost_on(&pool, &d, &bins, &cam, Policy::ReuseDistance);
+            GbuRunResult::new(cost, engine.pixels_on(&pool, &splats, &d, &bins, &cam, Vec3::ZERO))
         };
         let reference = run(1);
         for threads in [2, 4, 8] {

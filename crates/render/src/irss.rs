@@ -21,6 +21,11 @@
 //! Neither transformation approximates Eq. 7 — [`IrssSplat::transform_point`]
 //! preserves the quadratic form exactly (up to floating-point rounding),
 //! which the property tests assert.
+//!
+//! The tile-row kernel is generic over the blend arithmetic
+//! ([`Datapath`]): [`Fp32`] is the software renderer, [`Fp16`] the GBU
+//! Row PE's binary16 datapath. The GBU tile engine blends its images
+//! through this kernel, so Step ❸'s blend exists once.
 
 use crate::binning::TileBins;
 use crate::pfs::T_SATURATED;
@@ -29,7 +34,7 @@ use crate::scratch::{blend_tile_rows, BlendScratch, TileScratch};
 use crate::splat::{alpha_from_q, Splat2D};
 use crate::stats::{BlendStats, FLOPS_BLEND, FLOPS_Q_FULL, FLOPS_Q_T2};
 use crate::{FrameBuffer, RenderConfig};
-use gbu_math::{Mat2, Vec2, Vec3};
+use gbu_math::{Mat2, Vec2, Vec3, F16};
 use gbu_par::ThreadPool;
 use gbu_scene::Camera;
 
@@ -208,6 +213,48 @@ impl IrssSplat {
     }
 }
 
+/// The arithmetic of one blend step, Eq. 3's front-to-back update: a
+/// fragment of opacity `alpha` and color `rgb` into a pixel's accumulated
+/// `color` and transmittance `trans`.
+pub trait Datapath {
+    /// Blends one fragment into a pixel.
+    fn blend(color: &mut Vec3, trans: &mut f32, alpha: f32, rgb: Vec3);
+}
+
+/// IEEE binary32 throughout: the software renderer's datapath.
+#[derive(Debug)]
+pub enum Fp32 {}
+
+impl Datapath for Fp32 {
+    #[inline]
+    fn blend(color: &mut Vec3, trans: &mut f32, alpha: f32, rgb: Vec3) {
+        *color += rgb * (alpha * *trans);
+        *trans *= 1.0 - alpha;
+    }
+}
+
+/// The GBU Row PE's FP-16 datapath (Sec. VI-B), the source of Tab. IV's
+/// small PSNR loss: α, the blend weight, each color channel and the
+/// transmittance are rounded to binary16 after every operation, and each
+/// color update is one multiply-add that rounds once ([`F16::mul_add`]).
+/// The pixel state stays in `f32` storage holding binary16 values
+/// exactly, so the saturation test and compositing read it unchanged.
+#[derive(Debug)]
+pub enum Fp16 {}
+
+impl Datapath for Fp16 {
+    #[inline]
+    fn blend(color: &mut Vec3, trans: &mut f32, alpha: f32, rgb: Vec3) {
+        let half = |x: f32| F16::from_f32(x).to_f32();
+        let a = half(alpha);
+        let w = half(a * *trans);
+        let mul_add = |c: f32, acc: f32| half(half(c) * w + acc);
+        *color =
+            Vec3::new(mul_add(rgb.x, color.x), mul_add(rgb.y, color.y), mul_add(rgb.z, color.z));
+        *trans = half(*trans * half(1.0 - a));
+    }
+}
+
 /// Precomputes IRSS transforms for every splat on `pool` (one EVD +
 /// rotation per splat — Rendering Step ❶ work, embarrassingly parallel).
 /// Output ordering is index-stable, so the transform list is identical
@@ -216,13 +263,13 @@ pub fn precompute_pooled(pool: &ThreadPool, splats: &[Splat2D]) -> Vec<IrssSplat
     pool.map_indexed(splats, |_, s| IrssSplat::new(s))
 }
 
-/// The IRSS blend over caller-precomputed transforms: blends into
-/// caller-owned buffers, tile rows dispatched across `pool` and merged
-/// in tile order, on the same tile-row driver as
+/// The IRSS blend over caller-precomputed transforms on datapath `D`:
+/// blends into caller-owned buffers, tile rows dispatched across `pool`
+/// and merged in tile order, on the same tile-row driver as
 /// [`crate::pfs::blend_into`] — bit-identical to a serial run at any
-/// thread count, with a `blend_row` span per job at `GBU_TRACE=2`.
-/// Produces the same image as the PFS blend up to floating-point
-/// tolerance, and fills `stats.row_workload` when
+/// thread count, with a `blend_row` span per job at `GBU_TRACE=2`. At
+/// [`Fp32`] it produces the same image as the PFS blend up to
+/// floating-point tolerance. Fills `stats.row_workload` when
 /// [`RenderConfig::record_row_workload`] is set.
 ///
 /// # Panics
@@ -230,7 +277,7 @@ pub fn precompute_pooled(pool: &ThreadPool, splats: &[Splat2D]) -> Vec<IrssSplat
 /// Panics if `image` does not match the camera's dimensions or the
 /// transform list does not match the splat list.
 #[allow(clippy::too_many_arguments)] // the reuse surface *is* the point
-pub fn blend_precomputed_into(
+pub fn blend_precomputed_into<D: Datapath>(
     pool: &ThreadPool,
     splats: &[Splat2D],
     isplats: &[IrssSplat],
@@ -252,16 +299,16 @@ pub fn blend_precomputed_into(
         image,
         stats,
         |ts, ty, px, wl, st| {
-            blend_tile_row(isplats, bins, camera, config, ts, ty, px, wl, st);
+            blend_tile_row::<D>(isplats, bins, camera, config, ts, ty, px, wl, st);
         },
     );
 }
 
 /// Blends every tile of tile row `ty` into `pixels` with the IRSS
-/// dataflow — the sequential per-tile loop, shared verbatim between the
-/// serial and parallel paths.
+/// dataflow on datapath `D` — the sequential per-tile loop, shared
+/// verbatim between the serial and parallel paths.
 #[allow(clippy::too_many_arguments)]
-fn blend_tile_row(
+fn blend_tile_row<D: Datapath>(
     isplats: &[IrssSplat],
     bins: &TileBins,
     camera: &Camera,
@@ -323,8 +370,7 @@ fn blend_tile_row(
                             }
                             let alpha = alpha_from_q(isp.opacity, q);
                             blended += 1;
-                            color[idx] += isp.color * (alpha * trans[idx]);
-                            trans[idx] *= 1.0 - alpha;
+                            D::blend(&mut color[idx], &mut trans[idx], alpha, isp.color);
                             if trans[idx] < T_SATURATED {
                                 alive -= 1;
                             }

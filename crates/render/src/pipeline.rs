@@ -185,7 +185,7 @@ fn blend_splats(
         Dataflow::Pfs => pfs::blend_into(pool, splats, bins, camera, config, scratch, out, st),
         Dataflow::Irss => {
             let isplats = irss::precompute_pooled(pool, splats);
-            irss::blend_precomputed_into(
+            irss::blend_precomputed_into::<irss::Fp32>(
                 pool, splats, &isplats, bins, camera, config, scratch, out, st,
             )
         }

@@ -103,7 +103,7 @@ proptest! {
                         Dataflow::Pfs => {
                             pfs::blend_into(&pool, splats, bins, &cam, &cfg, scratch, img, stats)
                         }
-                        Dataflow::Irss => irss::blend_precomputed_into(
+                        Dataflow::Irss => irss::blend_precomputed_into::<irss::Fp32>(
                             &pool, splats, &isplats_t, bins, &cam, &cfg, scratch, img, stats,
                         ),
                     }

@@ -16,7 +16,8 @@
 use crate::backend::ExecMode;
 use crate::store::SceneStore;
 use gbu_core::apps::FrameScenario;
-use gbu_hw::GbuConfig;
+use gbu_hw::cache::Policy;
+use gbu_hw::{dnb, GbuConfig, TileEngine};
 use gbu_math::Vec3;
 use gbu_render::binning::TileBins;
 use gbu_render::{contrib, pipeline, QualityLevel, Splat2D};
@@ -274,13 +275,12 @@ pub(crate) fn prepare_view(scene: &GaussianScene, camera: Camera, gbu: &GbuConfi
     PreparedView::new(projected.splats, binned.bins, camera, prep, gbu)
 }
 
-/// Measures one view's device occupancy on a scratch device: the frame
-/// occupies the device for max(D&B, Tile PE) cycles — what
-/// `render_image` scheduled, not just the tile-engine share.
+/// Prices one view with the tile engine's cost pass alone: the device
+/// occupancy `render_image` schedules (max(D&B, Tile PE) cycles, not
+/// just the tile-engine share), with no image rendered.
 fn probe_view_cycles(splats: &[Splat2D], bins: &TileBins, camera: &Camera, gbu: &GbuConfig) -> u64 {
-    let mut probe = gbu_core::Gbu::new(gbu.clone());
-    probe.render_image(splats, bins, camera, Vec3::ZERO).expect("probe device is idle");
-    probe.in_flight_occupancy().expect("frame in flight")
+    let d = dnb::run(splats, bins, gbu);
+    TileEngine::new(gbu.clone()).cost(&d, bins, camera, Policy::ReuseDistance).occupancy()
 }
 
 impl Session {
@@ -454,6 +454,34 @@ mod tests {
         let (splats, bins, camera) = (half.splats.clone(), half.bins.clone(), half.camera.clone());
         let fresh = PreparedView::new(splats, bins, camera, half.prep, &view.gbu);
         assert_eq!(fresh.occupancy, half.occupancy, "a sibling is priced like any view");
+    }
+
+    #[test]
+    fn view_occupancy_is_what_the_device_schedules() {
+        let gbu = GbuConfig::paper();
+        let view = Session::prepare(spec(200), &gbu).view(0).clone();
+        // Thousands of sub-pixel Gaussians: per-splat D&B work outweighs
+        // the Tile PE, so occupancy is the D&B side of the max.
+        let dust: GaussianScene = (0..3000)
+            .map(|i| {
+                let a = i as f32 * 0.37;
+                let at = Vec3::new(a.cos() * 0.8, (a * 1.7).sin() * 0.8, a.sin() * 0.5);
+                gbu_scene::Gaussian3D::isotropic(at, 0.002, Vec3::splat(0.5), 0.5)
+            })
+            .collect();
+        let camera = Camera::orbit(64, 64, 1.0, Vec3::ZERO, 3.0, 0.3, 0.1);
+        let dust = Arc::new(prepare_view(&dust, camera, &gbu));
+        let rungs = crate::quality::QualityGovernor::default_ladder();
+        let siblings: Vec<_> = rungs.into_iter().map(|level| view.degraded(level)).collect();
+        let mut dnb_bound = 0;
+        for v in [view, dust].into_iter().chain(siblings) {
+            let mut gbu = gbu_core::Gbu::new(v.gbu.clone());
+            gbu.render_image(&v.splats, &v.bins, &v.camera, Vec3::ZERO).expect("idle device");
+            assert_eq!(gbu.in_flight_occupancy(), Some(v.occupancy), "{} splats", v.splats.len());
+            let run = gbu.wait().expect("frame in flight").run;
+            dnb_bound += usize::from(v.occupancy > run.compute_cycles);
+        }
+        assert!(dnb_bound > 0, "no view is bound by D&B");
     }
 
     #[test]

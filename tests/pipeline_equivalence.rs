@@ -4,7 +4,8 @@
 //! software IRSS bit for bit — and the FP16 GBU datapath must stay
 //! within Tab. IV's quality envelope. On random frames the tile engine
 //! is also pinned to a per-pixel FP16 oracle of the Row PE datapath, bit
-//! for bit, with its instance, span, fragment and tile counts.
+//! for bit, with its instance, span, fragment and tile counts and its
+//! Row Generation Engine and Row-PE queue cycles.
 
 use gbu_hw::cache::Policy;
 use gbu_hw::{dnb, GbuConfig, TileEngine};
@@ -119,19 +120,37 @@ impl Fp16Pixel {
 /// tiles)`, every instance and every evaluated fragment included.
 type Counts = (u64, u64, u64, u64);
 
+/// The device's Tile-PE timing of one frame: `(compute, rowgen,
+/// pe_busy)` cycles, as `GbuRunResult::{compute_cycles, rowgen_cycles,
+/// pe_busy_cycles}`.
+type Cycles = (u64, u64, u64);
+
 /// The tile engine at FP16, one fragment at a time: every instance of
 /// every occupied tile in bin order, each row through `row_outcome` and
 /// `march`, pixels under `T_SATURATED` skipped, each tile composited over
 /// `background`. Saturation never stops the walk, so the counts cover
 /// every instance and every evaluated fragment.
+///
+/// The timing is Fig. 11's queues, from `cfg`'s public fields. The Row
+/// Generation Engine spends `rowgen_instance_cycles` on each instance's
+/// row tests, then issues its spans to the Row PEs and locates their
+/// first fragments, `rowgen_spans_per_cycle` at a time. Each of the
+/// `row_pes` Row PEs runs its `rows_per_pe` rows on parallel lanes; a
+/// lane starts a span once the row tests are done and its previous span
+/// is finished, and is busy `rowpe_setup_cycles` plus the evaluated
+/// fragments at `rowpe_frags_per_cycle`. A tile takes the later of the
+/// engine's and the last lane's finish, plus `tile_overhead_cycles`.
 fn fp16_oracle(
     isplats: &[IrssSplat],
     bins: &TileBins,
     camera: &Camera,
     background: Vec3,
-) -> (Vec<Vec3>, Counts) {
+    cfg: &GbuConfig,
+) -> (Vec<Vec3>, Counts, Cycles) {
     let mut image = vec![background; (camera.width * camera.height) as usize];
     let mut counts = (0, 0, 0, 0);
+    let mut cycles = (0, 0, 0);
+    let (pes, lanes) = (cfg.row_pes as usize, cfg.rows_per_pe as usize);
     for tile in 0..bins.tile_count() {
         let entries = bins.entries_of(tile);
         if entries.is_empty() {
@@ -141,12 +160,17 @@ fn fp16_oracle(
         let (x0, y0, x1, y1) = bins.tile_pixel_rect(tile, camera.width, camera.height);
         let w = (x1 - x0) as usize;
         let mut pixels = vec![Fp16Pixel::FRESH; w * (y1 - y0) as usize];
+        let mut rowgen_done = 0u64;
+        let mut lane_done = vec![vec![0u64; lanes]; pes];
         for &entry in entries {
             counts.0 += 1;
             let isp = &isplats[entry as usize];
+            rowgen_done += cfg.rowgen_instance_cycles;
+            let mut spans = 0u64;
             for y in y0..y1 {
                 let RowOutcome::Span(span) = isp.row_outcome(y, x0, x1) else { continue };
                 counts.1 += 1;
+                spans += 1;
                 let row = (y - y0) as usize * w;
                 let cost = isp.march(&span, x1, |x, q| {
                     let p = &mut pixels[row + (x - x0) as usize];
@@ -155,8 +179,18 @@ fn fp16_oracle(
                     }
                 });
                 counts.2 += u64::from(cost.evaluated);
+                let busy = cfg.rowpe_setup_cycles
+                    + u64::from(cost.evaluated).div_ceil(cfg.rowpe_frags_per_cycle);
+                let r = (y - y0) as usize;
+                let done = &mut lane_done[r / lanes][r % lanes];
+                *done = (*done).max(rowgen_done) + busy;
+                cycles.2 += busy;
             }
+            rowgen_done += spans.div_ceil(cfg.rowgen_spans_per_cycle);
         }
+        let last_lane = lane_done.iter().flatten().copied().max().unwrap_or(0);
+        cycles.0 += rowgen_done.max(last_lane) + cfg.tile_overhead_cycles;
+        cycles.1 += rowgen_done;
         for y in y0..y1 {
             for x in x0..x1 {
                 let p = &pixels[(y - y0) as usize * w + (x - x0) as usize];
@@ -166,7 +200,7 @@ fn fp16_oracle(
             }
         }
     }
-    (image, counts)
+    (image, counts, cycles)
 }
 
 fn pixel_bits(pixels: &[Vec3]) -> Vec<[u32; 3]> {
@@ -243,7 +277,8 @@ proptest! {
 
     /// `TileEngine::render` equals the FP16 oracle bit for bit and
     /// software IRSS bit for bit at FP32, and counts what the oracle
-    /// counts.
+    /// counts. Its Row-PE cycles equal the oracle's at the paper's
+    /// queue constants and at non-unit ones on 16 single-row Row PEs.
     #[test]
     fn tile_engine_matches_the_fp16_oracle((scene, camera) in random_frame()) {
         let frame = pipeline::project(&scene, &camera);
@@ -253,15 +288,36 @@ proptest! {
 
         let fp16 = GbuConfig::paper();
         let d = dnb::run(splats, bins, &fp16);
+        let (want, counts, cycles) = fp16_oracle(&d.transforms, bins, &camera, BACKGROUND, &fp16);
         let run = TileEngine::new(fp16).render(
             splats, &d, bins, &camera, BACKGROUND, Policy::ReuseDistance,
         );
-        let (want, counts) = fp16_oracle(&d.transforms, bins, &camera, BACKGROUND);
         prop_assert!(
             pixel_bits(run.image.pixels()) == pixel_bits(&want),
             "FP16 image differs from the oracle ({})", at
         );
         prop_assert_eq!((run.instances, run.spans, run.fragments, run.tiles), counts);
+        prop_assert_eq!((run.compute_cycles, run.rowgen_cycles, run.pe_busy_cycles), cycles);
+
+        let queues = GbuConfig {
+            row_pes: 16,
+            rows_per_pe: 1,
+            rowgen_instance_cycles: 3,
+            rowgen_spans_per_cycle: 4,
+            rowpe_setup_cycles: 2,
+            rowpe_frags_per_cycle: 3,
+            tile_overhead_cycles: 5,
+            ..GbuConfig::paper()
+        };
+        let d = dnb::run(splats, bins, &queues);
+        let (_, _, cycles) = fp16_oracle(&d.transforms, bins, &camera, BACKGROUND, &queues);
+        let run = TileEngine::new(queues).render(
+            splats, &d, bins, &camera, BACKGROUND, Policy::ReuseDistance,
+        );
+        prop_assert_eq!(
+            (run.compute_cycles, run.rowgen_cycles, run.pe_busy_cycles), cycles,
+            "Row-PE cycles at non-unit queue constants ({})", at
+        );
 
         let fp32 = GbuConfig { fp16_datapath: false, ..GbuConfig::paper() };
         let d = dnb::run(splats, bins, &fp32);

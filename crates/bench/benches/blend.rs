@@ -51,14 +51,14 @@ fn bench_blend(c: &mut Criterion) {
             b.iter(|| {
                 irss::blend_precomputed_into::<irss::Fp32>(
                     &pool,
-                    splats,
                     &isplats,
                     bins,
                     &camera,
                     &cfg,
                     &mut scratch,
-                    &mut image,
+                    Some(&mut image),
                     &mut stats,
+                    &mut (),
                 )
             });
         });

@@ -587,12 +587,9 @@ pub fn tab6(ctx: &Ctx) {
     let mut acc = 0.0;
     let measures = ctx.measure_static();
     for m in &measures {
-        let w = &m.measured.measurement.workload;
-        let tile_s = m.measured.measurement.gbu_tile_cycles / (ctx.gbu().clock_ghz * 1e9);
-        let fe_cycles = w.splats / sa.front_end.gaussians_per_cycle
-            + w.instances / sa.front_end.instances_per_cycle;
-        let fe_s = fe_cycles / (ctx.gbu().clock_ghz * 1e9);
-        acc += 1.0 / fe_s.max(tile_s);
+        let (w, tile_cycles) =
+            (&m.measured.measurement.workload, m.measured.measurement.gbu_tile_cycles);
+        acc += 1.0 / sa.frame_seconds(w.splats, w.instances, tile_cycles);
     }
     println!(
         "GBU-Standalone modelled throughput on the static scenes: {:.0} FPS average\n",
@@ -627,11 +624,7 @@ pub fn tab7(ctx: &Ctx) {
     let q = apps::quality(&gt, &m.gbu.image);
     let sa = GbuStandalone { gbu: ctx.gbu().clone(), ..Default::default() };
     let w = &m.measurement.workload;
-    let tile_s = m.measurement.gbu_tile_cycles / (ctx.gbu().clock_ghz * 1e9);
-    let fe_s = (w.splats / sa.front_end.gaussians_per_cycle
-        + w.instances / sa.front_end.instances_per_cycle)
-        / (ctx.gbu().clock_ghz * 1e9);
-    let fps = 1.0 / fe_s.max(tile_s);
+    let fps = 1.0 / sa.frame_seconds(w.splats, w.instances, m.measurement.gbu_tile_cycles);
 
     let mut rows: Vec<Vec<String>> = standalone::table7_reference()
         .iter()
@@ -1109,14 +1102,14 @@ pub fn render(ctx: &Ctx) {
                 ),
                 _ => irss::blend_precomputed_into::<irss::Fp32>(
                     pool,
-                    &splats,
                     &isplats,
                     &bins,
                     &camera,
                     &cfg,
                     &mut scratch,
-                    &mut image,
+                    Some(&mut image),
                     &mut stats,
+                    &mut (),
                 ),
             };
             let record = job_record(reps, || blend(serial));

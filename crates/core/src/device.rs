@@ -191,9 +191,9 @@ impl Gbu {
         } else {
             dnb::run(splats, bins, &self.engine.config)
         };
-        let cost = self.engine.cost(&d, bins, camera, Policy::ReuseDistance);
-        let run = GbuRunResult::new(cost, self.engine.pixels(splats, &d, bins, camera, background));
+        let (cost, image) = self.engine.frame(&d, bins, camera, background, Policy::ReuseDistance);
         let occupancy = cost.occupancy();
+        let run = GbuRunResult::new(cost, image);
         self.in_flight =
             Some(InFlight { run, completion_cycle: self.clock + occupancy, occupancy });
         Ok(())

@@ -23,6 +23,7 @@ use crate::config::GbuConfig;
 use gbu_render::binning::TileBins;
 use gbu_render::irss::IrssSplat;
 use gbu_render::Splat2D;
+use gbu_telemetry::Labels;
 
 /// Output of one D&B pass over a frame.
 #[derive(Debug, Clone)]
@@ -40,7 +41,8 @@ pub struct DnbResult {
 /// Runs the D&B engine over a binned frame. Transform generation (one
 /// EVD + rotation per splat) is index-stable parallel work and runs on
 /// the global `gbu_par` pool; the next-use scan is inherently sequential
-/// (it walks the trace back to front) and stays serial.
+/// (it walks the trace back to front) and stays serial. Recorded as a
+/// `device_dnb` wall span at `GBU_TRACE=2`, as is [`run_scoped`].
 pub fn run(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig) -> DnbResult {
     run_inner(splats, bins, cfg, false)
 }
@@ -60,6 +62,8 @@ pub fn run_scoped(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig) -> DnbRe
 }
 
 fn run_inner(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig, scoped: bool) -> DnbResult {
+    let recorder = gbu_telemetry::global();
+    let _span = recorder.detailed().then(|| recorder.wall_span("device_dnb", Labels::default()));
     let offsets = &bins.offsets;
     debug_assert!(
         offsets.first() == Some(&0)
@@ -84,7 +88,7 @@ fn run_inner(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig, scoped: bool)
     };
     let cycles =
         decomposed * cfg.dnb_evd_cycles + bins.entries.len() as u64 * cfg.dnb_intersect_cycles;
-    gbu_telemetry::global().histogram("hw.dnb.cycles").record(cycles);
+    recorder.histogram("hw.dnb.cycles").record(cycles);
     DnbResult { transforms, next_use, cycles }
 }
 

@@ -10,7 +10,6 @@
 //! reference points in the paper too).
 
 use crate::config::GbuConfig;
-use crate::tile_engine::GbuRunResult;
 
 /// Front-end (Culling / Conversion / Sorting) throughput parameters,
 /// following GSCore's pipelined units.
@@ -38,20 +37,17 @@ pub struct GbuStandalone {
 }
 
 impl GbuStandalone {
-    /// End-to-end frame time in seconds: the front end is pipelined with
-    /// the tile engine (the chunk pipeline of Fig. 13), so the frame time
-    /// is the maximum of the stages plus the D&B pass.
-    pub fn frame_seconds(&self, gaussians: u64, instances: u64, run: &GbuRunResult) -> f64 {
-        let fe_cycles = (gaussians as f64 / self.front_end.gaussians_per_cycle)
-            + (instances as f64 / self.front_end.instances_per_cycle);
-        let fe_s = fe_cycles / (self.gbu.clock_ghz * 1e9);
-        let tile_s = run.seconds(&self.gbu);
-        fe_s.max(tile_s)
-    }
-
-    /// FPS for a frame.
-    pub fn fps(&self, gaussians: u64, instances: u64, run: &GbuRunResult) -> f64 {
-        1.0 / self.frame_seconds(gaussians, instances, run)
+    /// End-to-end time in seconds of a frame of `splats` Gaussians and
+    /// `instances` (Gaussian, tile) pairs whose Tile PE takes
+    /// `tile_cycles`: the front end is pipelined with the tile engine (the
+    /// chunk pipeline of Fig. 13), so the frame takes the longer of the
+    /// two stages.
+    pub fn frame_seconds(&self, splats: f64, instances: f64, tile_cycles: f64) -> f64 {
+        let hz = self.gbu.clock_ghz * 1e9;
+        let tile_s = tile_cycles / hz;
+        let fe_cycles = splats / self.front_end.gaussians_per_cycle
+            + instances / self.front_end.instances_per_cycle;
+        (fe_cycles / hz).max(tile_s)
     }
 }
 
@@ -211,23 +207,11 @@ mod tests {
     #[test]
     fn frame_time_is_pipeline_max() {
         let standalone = GbuStandalone::default();
-        let run = GbuRunResult {
-            image: gbu_render::FrameBuffer::new(1, 1, gbu_math::Vec3::ZERO),
-            compute_cycles: 1_000_000,
-            rowgen_cycles: 0,
-            pe_busy_cycles: 0,
-            cache: crate::cache::CacheStats::default(),
-            dram_bytes: 0,
-            instances: 0,
-            spans: 0,
-            fragments: 0,
-            tiles: 0,
-        };
         // Tiny front-end load: tile engine dominates.
-        let t = standalone.frame_seconds(1000, 1000, &run);
+        let t = standalone.frame_seconds(1000.0, 1000.0, 1e6);
         assert!((t - 1e-3).abs() < 1e-6);
         // Huge front-end load: front end dominates.
-        let t2 = standalone.frame_seconds(10_000_000, 10_000_000, &run);
+        let t2 = standalone.frame_seconds(1e7, 1e7, 1e6);
         assert!(t2 > 1e-2);
     }
 }

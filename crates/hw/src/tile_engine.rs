@@ -10,25 +10,22 @@
 //! imbalance that strands SIMT lanes on a GPU (Limitation 1) becomes
 //! simple queue slack here — the paper's central hardware argument.
 //!
-//! The engine is a cost model plus the IRSS kernel at Row-PE precision,
-//! two passes over the D&B engine's output:
+//! A frame is one walk over the D&B engine's output. The access stream
+//! goes through the Gaussian Reuse Cache, serially (its state threads
+//! through the whole frame); then `gbu_render::irss`'s tile-row kernel
+//! walks every (instance, row), one tile row per pool job, and tells each
+//! row span to the Row Generation Engine and Row-PE queue model here,
+//! which times the tiles. The same walk blends the image on the Row PE's
+//! FP-16 datapath (Sec. VI-B, [`irss::Fp16`]) or, with
+//! [`GbuConfig::fp16_datapath`] off, in FP32 ([`irss::Fp32`]), where the
+//! image is software IRSS's bit for bit ([`TileEngine::frame`]). Without a
+//! frame buffer it only times the frame ([`TileEngine::cost`]): a view
+//! probe's no-pixel walk.
 //!
-//! - the **cost pass** ([`TileEngine::cost`]) is the timing model. It
-//!   walks the access stream through the Gaussian Reuse Cache and every
-//!   (instance, row) through IRSS's `row_outcome`/`march` into the
-//!   Row-PE queues, and touches no pixel. Its [`FrameCost`] holds every
-//!   counter of the frame and the device occupancy.
-//! - the **pixel pass** ([`TileEngine::pixels`]) is the functional model:
-//!   `gbu_render::irss`'s tile-row kernel over D&B's transforms, on the
-//!   Row PE's FP-16 datapath (Sec. VI-B, [`irss::Fp16`]) or, with
-//!   [`GbuConfig::fp16_datapath`] off, in FP32 ([`irss::Fp32`]), where
-//!   the image is software IRSS's bit for bit.
-//!
-//! Both passes find row spans with the same code, so they agree by
-//! construction. The cost counts every instance and every evaluated
-//! fragment, including those the pixel pass skips once a pixel or a
-//! whole tile has saturated: the hardware's threshold units evaluate
-//! them too.
+//! Either way the [`FrameCost`] counts every instance and every evaluated
+//! fragment: the walk goes on through a tile whose pixels have all
+//! saturated, with shading off, because the hardware's threshold units
+//! evaluate those instances too.
 
 use crate::cache::{CacheStats, GaussianReuseCache, Policy};
 use crate::config::GbuConfig;
@@ -36,7 +33,7 @@ use crate::dnb::DnbResult;
 use gbu_math::Vec3;
 use gbu_par::ThreadPool;
 use gbu_render::binning::TileBins;
-use gbu_render::irss::{self, RowOutcome};
+use gbu_render::irss::{self, RowPes};
 use gbu_render::stats::BlendStats;
 use gbu_render::{BlendScratch, FrameBuffer, RenderConfig, Splat2D};
 use gbu_scene::Camera;
@@ -113,7 +110,7 @@ pub struct GbuRunResult {
 }
 
 impl GbuRunResult {
-    /// A run from the frame's cost pass and its image.
+    /// A run from the frame's cost and its image.
     pub fn new(c: FrameCost, image: FrameBuffer) -> Self {
         Self {
             image,
@@ -140,10 +137,76 @@ impl GbuRunResult {
         }
         self.pe_busy_cycles as f64 / (self.compute_cycles as f64 * f64::from(cfg.covered_rows()))
     }
+}
 
-    /// Frame time in seconds at the configured clock.
-    pub fn seconds(&self, cfg: &GbuConfig) -> f64 {
-        cfg.cycles_to_seconds(self.compute_cycles)
+/// The Row Generation Engine and the Row-PE queues (Fig. 11) of one tile
+/// row, fed by IRSS's tile-row kernel: its Tile-PE counters, joined in
+/// tile-row order into the frame's.
+#[derive(Debug)]
+struct RowPeQueues<'a> {
+    cfg: &'a GbuConfig,
+    /// Cycle at which the Row Generation Engine is done with the tile's
+    /// instances so far.
+    rowgen_t: u64,
+    /// Cycle at which each pixel row's Row-PE lane is free.
+    pe_free: Vec<u64>,
+    cost: FrameCost,
+}
+
+impl<'a> RowPeQueues<'a> {
+    fn new(cfg: &'a GbuConfig) -> Self {
+        let pe_free = vec![0; cfg.covered_rows() as usize];
+        Self { cfg, rowgen_t: 0, pe_free, cost: FrameCost::default() }
+    }
+}
+
+impl RowPes for RowPeQueues<'_> {
+    const WALKS_SATURATED: bool = true;
+
+    fn fork(&self) -> Self {
+        Self::new(self.cfg)
+    }
+
+    fn join(&mut self, row: Self) {
+        let (c, r) = (&mut self.cost, row.cost);
+        c.compute_cycles += r.compute_cycles;
+        c.rowgen_cycles += r.rowgen_cycles;
+        c.pe_busy_cycles += r.pe_busy_cycles;
+        c.instances += r.instances;
+        c.spans += r.spans;
+        c.fragments += r.fragments;
+        c.tiles += r.tiles;
+    }
+
+    fn instance(&mut self) {
+        self.cost.instances += 1;
+        self.rowgen_t += self.cfg.rowgen_instance_cycles;
+    }
+
+    fn span(&mut self, row: usize, evaluated: u32) {
+        // Counts the terminating out-of-threshold fragment too: it also
+        // occupies a threshold-unit cycle.
+        let evaluated = u64::from(evaluated);
+        self.cost.fragments += evaluated;
+        let task = self.cfg.rowpe_setup_cycles + evaluated.div_ceil(self.cfg.rowpe_frags_per_cycle);
+        let free = &mut self.pe_free[row];
+        *free = self.rowgen_t.max(*free) + task;
+        self.cost.pe_busy_cycles += task;
+    }
+
+    fn instance_end(&mut self, spans: u32) {
+        let spans = u64::from(spans);
+        self.cost.spans += spans;
+        self.rowgen_t += spans.div_ceil(self.cfg.rowgen_spans_per_cycle);
+    }
+
+    fn tile_end(&mut self) {
+        let pe_done = self.pe_free.iter().copied().max().unwrap_or(0);
+        self.cost.compute_cycles += self.rowgen_t.max(pe_done) + self.cfg.tile_overhead_cycles;
+        self.cost.rowgen_cycles += self.rowgen_t;
+        self.cost.tiles += 1;
+        self.rowgen_t = 0;
+        self.pe_free.fill(0);
     }
 }
 
@@ -153,7 +216,7 @@ impl TileEngine {
         Self { config }
     }
 
-    /// Renders a frame: [`TileEngine::cost`] plus [`TileEngine::pixels`].
+    /// Renders a frame: [`TileEngine::frame`] as one run.
     ///
     /// `policy` selects the reuse-cache replacement policy (the paper's
     /// reuse-distance policy by default); the cache capacity comes from
@@ -162,7 +225,7 @@ impl TileEngine {
     ///
     /// # Panics
     ///
-    /// As [`TileEngine::cost`] and [`TileEngine::pixels`].
+    /// As [`TileEngine::frame`], and when D&B ran on other splats.
     pub fn render(
         &self,
         splats: &[Splat2D],
@@ -172,18 +235,38 @@ impl TileEngine {
         background: Vec3,
         policy: Policy,
     ) -> GbuRunResult {
-        let cost = self.cost(dnb, bins, camera, policy);
-        GbuRunResult::new(cost, self.pixels(splats, dnb, bins, camera, background))
+        assert_eq!(splats.len(), dnb.transforms.len(), "D&B ran on other splats");
+        let (cost, image) = self.frame(dnb, bins, camera, background, policy);
+        GbuRunResult::new(cost, image)
     }
 
-    /// The cost pass on the global pool: every counter of the frame and
-    /// its occupancy, no pixels. Recorded as a `device_cost` span at
-    /// `GBU_TRACE=2`.
+    /// One walk on the global pool: every counter of the frame and its
+    /// occupancy, plus its image composited over `background`.
     ///
     /// # Panics
     ///
     /// When `bins.tile_size` is not [`GbuConfig::covered_rows`], or `dnb`
     /// ran on other bins.
+    pub fn frame(
+        &self,
+        dnb: &DnbResult,
+        bins: &TileBins,
+        camera: &Camera,
+        background: Vec3,
+        policy: Policy,
+    ) -> (FrameCost, FrameBuffer) {
+        let mut image = FrameBuffer::new(camera.width, camera.height, background);
+        let cost =
+            self.walk(gbu_par::global(), dnb, bins, camera, policy, Some((&mut image, background)));
+        (cost, image)
+    }
+
+    /// [`TileEngine::frame`] without the image: the same walk with no
+    /// frame buffer, so no pixel is shaded.
+    ///
+    /// # Panics
+    ///
+    /// As [`TileEngine::frame`].
     pub fn cost(
         &self,
         dnb: &DnbResult,
@@ -191,153 +274,62 @@ impl TileEngine {
         camera: &Camera,
         policy: Policy,
     ) -> FrameCost {
-        self.cost_on(gbu_par::global(), dnb, bins, camera, policy)
+        self.walk(gbu_par::global(), dnb, bins, camera, policy, None)
     }
 
-    /// The pixel pass on the global pool: IRSS's tile-row kernel over
-    /// D&B's transforms on the configured datapath, composited over
-    /// `background`. Recorded as a `device_pixels` span at `GBU_TRACE=2`.
-    ///
-    /// # Panics
-    ///
-    /// When D&B's transforms do not match the splat list.
-    pub fn pixels(
-        &self,
-        splats: &[Splat2D],
-        dnb: &DnbResult,
-        bins: &TileBins,
-        camera: &Camera,
-        background: Vec3,
-    ) -> FrameBuffer {
-        self.pixels_on(gbu_par::global(), splats, dnb, bins, camera, background)
-    }
-
-    /// [`TileEngine::cost`] on `pool`. The Gaussian Reuse Cache is one
-    /// structure whose state threads through the whole frame, so it walks
-    /// the access stream serially (a few table lookups per instance); the
-    /// Row-PE queue timing is independent per tile and runs one tile row
-    /// per job, summed in tile order, so the counts are identical at
-    /// every thread count.
-    fn cost_on(
+    /// The one walk of a frame on `pool`: the reuse cache over the access
+    /// stream, then IRSS's tile-row kernel into the Row-PE queues, one tile
+    /// row per job (summed in tile order, so the counts are identical at
+    /// every thread count), blending into `image` over its background
+    /// when there is one. At `GBU_TRACE=2` the two halves record
+    /// `device_cache` and `device_tile_engine` wall spans.
+    fn walk(
         &self,
         pool: &ThreadPool,
         dnb: &DnbResult,
         bins: &TileBins,
         camera: &Camera,
         policy: Policy,
+        image: Option<(&mut FrameBuffer, Vec3)>,
     ) -> FrameCost {
         let cfg = &self.config;
         let (got, covered) = (bins.tile_size, cfg.covered_rows());
         assert!(got == covered, "{got}-px tiles do not fit Row PEs covering {covered} rows");
         assert_eq!(dnb.next_use.len(), bins.entries.len(), "D&B ran on other bins");
         let recorder = gbu_telemetry::global();
-        let _span =
-            recorder.detailed().then(|| recorder.wall_span("device_cost", Labels::default()));
+        let span = |name| recorder.detailed().then(|| recorder.wall_span(name, Labels::default()));
 
         // The access stream is the bins' entries (the instance stream in
         // tile order), exactly as the D&B engine feeds it.
+        let cache_span = span("device_cache");
         let mut cache = GaussianReuseCache::new(cfg.cache_lines(), policy);
         for (&entry, &next_use) in bins.entries.iter().zip(&dnb.next_use) {
             cache.access(entry, next_use);
         }
         let cache = cache.stats();
-        let mut cost = FrameCost {
-            dnb_cycles: dnb.cycles,
-            cache,
-            dram_bytes: cache.misses * cfg.bytes_per_miss,
-            ..FrameCost::default()
+        drop(cache_span);
+
+        let _span = span("device_tile_engine");
+        let (image, background) = image.unzip();
+        let config = RenderConfig {
+            tile_size: bins.tile_size,
+            background: background.unwrap_or(Vec3::ZERO),
+            record_row_workload: false,
         };
-
-        let tile_rows: Vec<u32> = (0..bins.tiles_y).collect();
-        let rows = pool.map_indexed(&tile_rows, |_, &ty| self.tile_row_cost(dnb, bins, camera, ty));
-        for row in rows {
-            cost.compute_cycles += row.compute_cycles;
-            cost.rowgen_cycles += row.rowgen_cycles;
-            cost.pe_busy_cycles += row.pe_busy_cycles;
-            cost.instances += row.instances;
-            cost.spans += row.spans;
-            cost.fragments += row.fragments;
-            cost.tiles += row.tiles;
-        }
-        cost
-    }
-
-    /// Row-Generation-Engine and Row-PE queue timing of every tile of
-    /// tile row `ty` (the cache and D&B fields stay zero).
-    fn tile_row_cost(
-        &self,
-        dnb: &DnbResult,
-        bins: &TileBins,
-        camera: &Camera,
-        ty: u32,
-    ) -> FrameCost {
-        let cfg = &self.config;
-        let mut cost = FrameCost::default();
-        let mut pe_free = vec![0u64; cfg.covered_rows() as usize];
-        for tx in 0..bins.tiles_x {
-            let tile = (ty * bins.tiles_x + tx) as usize;
-            let entries = bins.entries_of(tile);
-            if entries.is_empty() {
-                continue;
-            }
-            cost.tiles += 1;
-            let (x0, y0, x1, y1) = bins.tile_pixel_rect(tile, camera.width, camera.height);
-            let mut rowgen_t = 0u64;
-            pe_free.fill(0);
-
-            for &entry in entries {
-                cost.instances += 1;
-                let isp = &dnb.transforms[entry as usize];
-                rowgen_t += cfg.rowgen_instance_cycles;
-
-                let mut nspans = 0u64;
-                for (py, free) in (y0..y1).zip(pe_free.iter_mut()) {
-                    let RowOutcome::Span(span) = isp.row_outcome(py, x0, x1) else { continue };
-                    nspans += 1;
-                    // Counts the terminating out-of-threshold fragment
-                    // too: it also occupies a threshold-unit cycle.
-                    let evaluated = u64::from(isp.march(&span, x1, |_, _| {}).evaluated);
-                    cost.fragments += evaluated;
-                    let task =
-                        cfg.rowpe_setup_cycles + evaluated.div_ceil(cfg.rowpe_frags_per_cycle);
-                    *free = rowgen_t.max(*free) + task;
-                    cost.pe_busy_cycles += task;
-                }
-                cost.spans += nspans;
-                rowgen_t += nspans.div_ceil(cfg.rowgen_spans_per_cycle);
-            }
-
-            let pe_done = pe_free.iter().copied().max().unwrap_or(0);
-            cost.compute_cycles += rowgen_t.max(pe_done) + cfg.tile_overhead_cycles;
-            cost.rowgen_cycles += rowgen_t;
-        }
-        cost
-    }
-
-    /// [`TileEngine::pixels`] on `pool`.
-    fn pixels_on(
-        &self,
-        pool: &ThreadPool,
-        splats: &[Splat2D],
-        dnb: &DnbResult,
-        bins: &TileBins,
-        camera: &Camera,
-        background: Vec3,
-    ) -> FrameBuffer {
-        let recorder = gbu_telemetry::global();
-        let _span =
-            recorder.detailed().then(|| recorder.wall_span("device_pixels", Labels::default()));
-        let blend = if self.config.fp16_datapath {
+        let blend = if cfg.fp16_datapath {
             irss::blend_precomputed_into::<irss::Fp16>
         } else {
             irss::blend_precomputed_into::<irss::Fp32>
         };
-        let config =
-            RenderConfig { tile_size: bins.tile_size, background, record_row_workload: false };
-        let mut image = FrameBuffer::new(camera.width, camera.height, background);
         let (scratch, stats) = (&mut BlendScratch::new(), &mut BlendStats::default());
-        blend(pool, splats, &dnb.transforms, bins, camera, &config, scratch, &mut image, stats);
-        image
+        let mut queues = RowPeQueues::new(cfg);
+        blend(pool, &dnb.transforms, bins, camera, &config, scratch, image, stats, &mut queues);
+        FrameCost {
+            dnb_cycles: dnb.cycles,
+            cache,
+            dram_bytes: cache.misses * cfg.bytes_per_miss,
+            ..queues.cost
+        }
     }
 }
 
@@ -478,8 +470,10 @@ mod tests {
         let engine = TileEngine::new(cfg);
         let run = |threads: usize| {
             let pool = gbu_par::ThreadPool::new(threads);
-            let cost = engine.cost_on(&pool, &d, &bins, &cam, Policy::ReuseDistance);
-            GbuRunResult::new(cost, engine.pixels_on(&pool, &splats, &d, &bins, &cam, Vec3::ZERO))
+            let mut image = FrameBuffer::new(cam.width, cam.height, Vec3::ZERO);
+            let pixels = Some((&mut image, Vec3::ZERO));
+            let cost = engine.walk(&pool, &d, &bins, &cam, Policy::ReuseDistance, pixels);
+            GbuRunResult::new(cost, image)
         };
         let reference = run(1);
         for threads in [2, 4, 8] {

@@ -24,8 +24,12 @@
 //!
 //! The tile-row kernel is generic over the blend arithmetic
 //! ([`Datapath`]): [`Fp32`] is the software renderer, [`Fp16`] the GBU
-//! Row PE's binary16 datapath. The GBU tile engine blends its images
-//! through this kernel, so Step ❸'s blend exists once.
+//! Row PE's binary16 datapath. It is also generic over a Row-PE timing
+//! model ([`RowPes`]) that it tells of every instance, row span and tile
+//! it walks: `()` for the software renderers, the Row Generation Engine
+//! and Row-PE queues for the GBU tile engine, which times and blends its
+//! frames in this one walk (or only times them, with no frame buffer).
+//! So Step ❸'s walk exists once.
 
 use crate::binning::TileBins;
 use crate::pfs::T_SATURATED;
@@ -255,6 +259,34 @@ impl Datapath for Fp16 {
     }
 }
 
+/// A Row-PE timing model fed by the tile-row kernel's walk (Sec. V-C,
+/// Fig. 11): the GBU tile engine's queues, or `()` for the software
+/// renderers. Each tile-row job feeds its own [`RowPes::fork`], and the
+/// jobs are joined in tile-row order.
+pub trait RowPes: Send + Sized {
+    /// Whether the walk goes on through a tile whose pixels have all
+    /// saturated, shading off, instead of stopping there: the hardware's
+    /// threshold units evaluate every instance.
+    const WALKS_SATURATED: bool = false;
+    /// An empty model for one tile row.
+    fn fork(&self) -> Self;
+    /// Adds a later tile row's model.
+    fn join(&mut self, row: Self);
+    /// The next instance of the tile enters the walk.
+    fn instance(&mut self) {}
+    /// Row `row` of the tile has a span of `evaluated` fragments.
+    fn span(&mut self, _row: usize, _evaluated: u32) {}
+    /// The instance is done, with `spans` row spans.
+    fn instance_end(&mut self, _spans: u32) {}
+    /// The tile is done.
+    fn tile_end(&mut self) {}
+}
+
+impl RowPes for () {
+    fn fork(&self) {}
+    fn join(&mut self, _row: ()) {}
+}
+
 /// Precomputes IRSS transforms for every splat on `pool` (one EVD +
 /// rotation per splat — Rendering Step ❶ work, embarrassingly parallel).
 /// Output ordering is index-stable, so the transform list is identical
@@ -263,32 +295,33 @@ pub fn precompute_pooled(pool: &ThreadPool, splats: &[Splat2D]) -> Vec<IrssSplat
     pool.map_indexed(splats, |_, s| IrssSplat::new(s))
 }
 
-/// The IRSS blend over caller-precomputed transforms on datapath `D`:
-/// blends into caller-owned buffers, tile rows dispatched across `pool`
-/// and merged in tile order, on the same tile-row driver as
-/// [`crate::pfs::blend_into`] — bit-identical to a serial run at any
+/// The IRSS blend over caller-precomputed transforms (one per splat,
+/// indexed by the bins' entries) on datapath `D`, feeding the Row-PE
+/// model `pes`: blends into caller-owned buffers, tile rows dispatched
+/// across `pool` and merged in tile order, on the same tile-row driver
+/// as [`crate::pfs::blend_into`] — bit-identical to a serial run at any
 /// thread count, with a `blend_row` span per job at `GBU_TRACE=2`. At
 /// [`Fp32`] it produces the same image as the PFS blend up to
 /// floating-point tolerance. Fills `stats.row_workload` when
-/// [`RenderConfig::record_row_workload`] is set.
+/// [`RenderConfig::record_row_workload`] is set. Without an `image` no
+/// pixel is shaded, and only a model that [`RowPes::WALKS_SATURATED`]
+/// sees the walk; software callers pass `Some(image)` and `&mut ()`.
 ///
 /// # Panics
 ///
-/// Panics if `image` does not match the camera's dimensions or the
-/// transform list does not match the splat list.
+/// Panics if `image` does not match the camera's dimensions.
 #[allow(clippy::too_many_arguments)] // the reuse surface *is* the point
 pub fn blend_precomputed_into<D: Datapath>(
     pool: &ThreadPool,
-    splats: &[Splat2D],
     isplats: &[IrssSplat],
     bins: &TileBins,
     camera: &Camera,
     config: &RenderConfig,
     scratch: &mut BlendScratch,
-    image: &mut FrameBuffer,
+    image: Option<&mut FrameBuffer>,
     stats: &mut BlendStats,
+    pes: &mut impl RowPes,
 ) {
-    assert_eq!(splats.len(), isplats.len(), "splat/transform length mismatch");
     blend_tile_rows(
         pool,
         bins,
@@ -298,17 +331,22 @@ pub fn blend_precomputed_into<D: Datapath>(
         scratch,
         image,
         stats,
-        |ts, ty, px, wl, st| {
-            blend_tile_row::<D>(isplats, bins, camera, config, ts, ty, px, wl, st);
+        pes,
+        |ts, ty, px, wl, st, pes| {
+            blend_tile_row::<D, _>(isplats, bins, camera, config, ts, ty, px, wl, st, pes);
         },
     );
 }
 
 /// Blends every tile of tile row `ty` into `pixels` with the IRSS
-/// dataflow on datapath `D` — the sequential per-tile loop, shared
-/// verbatim between the serial and parallel paths.
+/// dataflow on datapath `D`, telling `pes` of every instance, row span
+/// and tile it walks — the sequential per-tile loop, shared verbatim
+/// between the serial and parallel paths. Shading is decided per row: a
+/// model that walks saturated tiles gets their rows marched for the
+/// count alone, and an empty `pixels` (no frame buffer) saturates every
+/// tile from its first instance.
 #[allow(clippy::too_many_arguments)]
-fn blend_tile_row<D: Datapath>(
+fn blend_tile_row<D: Datapath, M: RowPes>(
     isplats: &[IrssSplat],
     bins: &TileBins,
     camera: &Camera,
@@ -318,6 +356,7 @@ fn blend_tile_row<D: Datapath>(
     pixels: &mut [Vec3],
     workload: &mut [Vec<u32>],
     stats: &mut BlendStats,
+    pes: &mut M,
 ) {
     let width = camera.width as usize;
     for tx in 0..bins.tiles_x {
@@ -330,16 +369,17 @@ fn blend_tile_row<D: Datapath>(
         let w = (x1 - x0) as usize;
         let buf = tile_scratch.tile(w, (y1 - y0) as usize);
         let (color, trans) = (buf.color, buf.trans);
-        let mut alive = trans.len();
+        let mut alive = if pixels.is_empty() { 0 } else { trans.len() };
 
         for (ei, &entry) in entries.iter().enumerate() {
-            if alive == 0 {
+            if alive == 0 && !M::WALKS_SATURATED {
                 stats.instances_skipped_saturated += (entries.len() - ei) as u64;
                 break;
             }
             stats.instances += 1;
+            pes.instance();
             let isp = &isplats[entry as usize];
-            let mut instance_row_max = 0u32;
+            let (mut instance_row_max, mut spans) = (0u32, 0u32);
             for py in y0..y1 {
                 stats.rows_considered += 1;
                 stats.setup_flops += FLOPS_ROW_TEST;
@@ -363,18 +403,22 @@ fn blend_tile_row<D: Datapath>(
                         stats.setup_flops += FLOPS_Q_FULL;
                         let row_idx = (py - y0) as usize;
                         let mut blended = 0u64;
-                        let cost = isp.march(&span, x1, |px, q| {
-                            let idx = row_idx * w + (px - x0) as usize;
-                            if trans[idx] < T_SATURATED {
-                                return;
-                            }
-                            let alpha = alpha_from_q(isp.opacity, q);
-                            blended += 1;
-                            D::blend(&mut color[idx], &mut trans[idx], alpha, isp.color);
-                            if trans[idx] < T_SATURATED {
-                                alive -= 1;
-                            }
-                        });
+                        let cost = if M::WALKS_SATURATED && alive == 0 {
+                            isp.march(&span, x1, |_, _| {})
+                        } else {
+                            isp.march(&span, x1, |px, q| {
+                                let idx = row_idx * w + (px - x0) as usize;
+                                if trans[idx] < T_SATURATED {
+                                    return;
+                                }
+                                let alpha = alpha_from_q(isp.opacity, q);
+                                blended += 1;
+                                D::blend(&mut color[idx], &mut trans[idx], alpha, isp.color);
+                                if trans[idx] < T_SATURATED {
+                                    alive -= 1;
+                                }
+                            })
+                        };
                         stats.fragments_significant += u64::from(cost.inside);
                         stats.fragments_blended += blended;
                         stats.blend_flops += blended * FLOPS_BLEND;
@@ -384,11 +428,15 @@ fn blend_tile_row<D: Datapath>(
                         if config.record_row_workload {
                             workload[tx as usize][row_idx] += cost.inside;
                         }
+                        spans += 1;
+                        pes.span(row_idx, cost.evaluated);
                     }
                 }
             }
+            pes.instance_end(spans);
             stats.instance_row_max_sum += u64::from(instance_row_max);
         }
+        pes.tile_end();
 
         tile_scratch.composite(pixels, width, x0 as usize, config.background);
     }

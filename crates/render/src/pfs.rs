@@ -73,9 +73,10 @@ pub fn blend_into(
         config,
         false,
         scratch,
-        image,
+        Some(image),
         stats,
-        |ts, ty, px, _, st| {
+        &mut (),
+        |ts, ty, px, _, st, _| {
             blend_tile_row(splats, bins, camera, config, ts, ty, px, st);
         },
     );

@@ -186,7 +186,15 @@ fn blend_splats(
         Dataflow::Irss => {
             let isplats = irss::precompute_pooled(pool, splats);
             irss::blend_precomputed_into::<irss::Fp32>(
-                pool, splats, &isplats, bins, camera, config, scratch, out, st,
+                pool,
+                &isplats,
+                bins,
+                camera,
+                config,
+                scratch,
+                Some(out),
+                st,
+                &mut (),
             )
         }
     }

@@ -20,6 +20,7 @@
 //! `Verbosity::High` recorder captures.
 
 use crate::binning::TileBins;
+use crate::irss::RowPes;
 use crate::stats::{self, BlendStats};
 use crate::{FrameBuffer, RenderConfig};
 use gbu_math::Vec3;
@@ -115,41 +116,49 @@ impl BlendScratch {
 /// The tile-row dispatch behind `pfs::blend_into` and
 /// `irss::blend_precomputed_into`: resets `image` and `stats`, runs one
 /// pool job per tile row through the dataflow's row kernel `row`, and
-/// merges the row stats in tile-row order. Tiles are independent
-/// blending work and the kernel is the same sequential code at any
-/// thread count, so the output is bit-identical to a serial run (pinned
-/// by `tests/parallel_equivalence.rs`). Each job opens a `blend_row`
-/// span at `GBU_TRACE=2`; otherwise the telemetry cost on the hot path
-/// is one branch per row.
+/// merges the row stats and Row-PE models in tile-row order. Tiles are
+/// independent blending work and the kernel is the same sequential code
+/// at any thread count, so the output is bit-identical to a serial run
+/// (pinned by `tests/parallel_equivalence.rs`). Each job opens a
+/// `blend_row` span at `GBU_TRACE=2`; otherwise the telemetry cost on the
+/// hot path is one branch per row.
 ///
-/// `row(scratch, ty, pixels, workload, stats)` blends tile row `ty` into
-/// `pixels` (the image rows it covers, full width) and, when
-/// `record_row_workload` is set, into `workload` (its tiles' slice of
+/// `row(scratch, ty, pixels, workload, stats, pes)` blends tile row `ty`
+/// into `pixels` (the image rows it covers, full width; empty without an
+/// `image`), feeds `pes` (a [`RowPes::fork`] of the caller's) and, when
+/// `record_row_workload` is set, fills `workload` (its tiles' slice of
 /// [`BlendStats::row_workload`]; empty otherwise).
 ///
 /// # Panics
 ///
 /// Panics if `image` does not match the camera's dimensions.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn blend_tile_rows<F>(
+pub(crate) fn blend_tile_rows<M: RowPes, F>(
     pool: &ThreadPool,
     bins: &TileBins,
     camera: &Camera,
     config: &RenderConfig,
     record_row_workload: bool,
     scratch: &mut BlendScratch,
-    image: &mut FrameBuffer,
+    image: Option<&mut FrameBuffer>,
     stats: &mut BlendStats,
+    pes: &mut M,
     row: F,
 ) where
-    F: Fn(&mut TileScratch, u32, &mut [Vec3], &mut [Vec<u32>], &mut BlendStats) + Sync,
+    F: Fn(&mut TileScratch, u32, &mut [Vec3], &mut [Vec<u32>], &mut BlendStats, &mut M) + Sync,
 {
-    assert_eq!(
-        (image.width(), image.height()),
-        (camera.width, camera.height),
-        "framebuffer/camera size mismatch"
-    );
-    image.fill(config.background);
+    let pixels = match image {
+        Some(image) => {
+            assert_eq!(
+                (image.width(), image.height()),
+                (camera.width, camera.height),
+                "framebuffer/camera size mismatch"
+            );
+            image.fill(config.background);
+            image.pixels_mut()
+        }
+        None => &mut [],
+    };
     stats.reset();
     stats.tile_instances.extend((0..bins.tile_count()).map(|t| bins.entries_of(t).len() as u32));
     // The row-workload table is partitioned per tile row alongside the
@@ -159,21 +168,22 @@ pub(crate) fn blend_tile_rows<F>(
         row_workload.resize(bins.tile_count(), vec![0u32; bins.tile_size as usize]);
     }
 
-    struct RowJob<'a> {
+    struct RowJob<'a, M> {
         pixels: &'a mut [Vec3],
         workload: &'a mut [Vec<u32>],
         stats: BlendStats,
+        pes: M,
     }
 
     let row_px = bins.tile_size as usize * camera.width as usize;
+    let mut pixel_chunks = pixels.chunks_mut(row_px);
     let mut workload_chunks = row_workload.chunks_mut(bins.tiles_x as usize);
-    let mut jobs: Vec<RowJob> = image
-        .pixels_mut()
-        .chunks_mut(row_px)
-        .map(|pixels| RowJob {
-            pixels,
+    let mut jobs: Vec<RowJob<M>> = (0..bins.tiles_y)
+        .map(|_| RowJob {
+            pixels: pixel_chunks.next().unwrap_or_default(),
             workload: workload_chunks.next().unwrap_or_default(),
             stats: BlendStats::default(),
+            pes: pes.fork(),
         })
         .collect();
     let workers = pool.threads().min(jobs.len()).max(1);
@@ -182,13 +192,13 @@ pub(crate) fn blend_tile_rows<F>(
         let _row_span = recorder.detailed().then(|| {
             recorder.wall_span("blend_row", Labels { row: Some(ty as u32), ..Labels::default() })
         });
-        row(tile_scratch, ty as u32, job.pixels, job.workload, &mut job.stats);
+        row(tile_scratch, ty as u32, job.pixels, job.workload, &mut job.stats, &mut job.pes);
     });
 
-    for job in &jobs {
+    for job in jobs {
         stats::accumulate(stats, &job.stats);
+        pes.join(job.pes);
     }
-    drop(jobs);
     stats.row_workload = row_workload;
 }
 

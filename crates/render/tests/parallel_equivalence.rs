@@ -104,7 +104,7 @@ proptest! {
                             pfs::blend_into(&pool, splats, bins, &cam, &cfg, scratch, img, stats)
                         }
                         Dataflow::Irss => irss::blend_precomputed_into::<irss::Fp32>(
-                            &pool, splats, &isplats_t, bins, &cam, &cfg, scratch, img, stats,
+                            &pool, &isplats_t, bins, &cam, &cfg, scratch, Some(img), stats, &mut (),
                         ),
                     }
                 }

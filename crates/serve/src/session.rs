@@ -275,7 +275,7 @@ pub(crate) fn prepare_view(scene: &GaussianScene, camera: Camera, gbu: &GbuConfi
     PreparedView::new(projected.splats, binned.bins, camera, prep, gbu)
 }
 
-/// Prices one view with the tile engine's cost pass alone: the device
+/// Prices one view with the tile engine's no-pixel walk: the device
 /// occupancy `render_image` schedules (max(D&B, Tile PE) cycles, not
 /// just the tile-engine share), with no image rendered.
 fn probe_view_cycles(splats: &[Splat2D], bins: &TileBins, camera: &Camera, gbu: &GbuConfig) -> u64 {

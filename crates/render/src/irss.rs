@@ -263,7 +263,7 @@ impl Datapath for Fp16 {
 /// Fig. 11): the GBU tile engine's queues, or `()` for the software
 /// renderers. Each tile-row job feeds its own [`RowPes::fork`], and the
 /// jobs are joined in tile-row order.
-pub trait RowPes: Send + Sized {
+pub trait RowPes: Send {
     /// Whether the walk goes on through a tile whose pixels have all
     /// saturated, shading off, instead of stopping there: the hardware's
     /// threshold units evaluate every instance.

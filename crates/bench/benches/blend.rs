@@ -1,5 +1,6 @@
 //! Criterion micro-bench: Step-❸ blending under the PFS and IRSS
-//! dataflows on a fixed frame (the kernel behind Tab. V's first two rows).
+//! dataflows on a fixed frame (the kernel behind Tab. V's first two rows),
+//! and IRSS's kernel on the GBU Row PE's FP16 datapath beside its FP32 one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gbu_math::Vec3;
@@ -50,6 +51,23 @@ fn bench_blend(c: &mut Criterion) {
         g.bench_function(format!("irss_into_{threads}t"), |b| {
             b.iter(|| {
                 irss::blend_precomputed_into::<irss::Fp32>(
+                    &pool,
+                    &isplats,
+                    bins,
+                    &camera,
+                    &cfg,
+                    &mut scratch,
+                    Some(&mut image),
+                    &mut stats,
+                    &mut (),
+                )
+            });
+        });
+        // The same kernel on the GBU Row PE's binary16 datapath: the
+        // difference to `irss_into_*` is the cost of the FP16 rounding.
+        g.bench_function(format!("irss_into_fp16_{threads}t"), |b| {
+            b.iter(|| {
+                irss::blend_precomputed_into::<irss::Fp16>(
                     &pool,
                     &isplats,
                     bins,

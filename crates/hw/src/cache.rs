@@ -12,8 +12,15 @@
 //! LRU and FIFO policies are provided for the ablation comparison; the
 //! property tests check that reuse-distance replacement never does worse
 //! than either on the same trace (it is the offline-optimal policy).
-
-use std::collections::HashMap;
+//!
+//! The hardware picks a victim with a comparator array over every line's
+//! RD field. The model keeps the lines in a binary heap on the same
+//! order, so a miss costs O(log n) rather than a scan of all 1,365 lines
+//! of the 32 KiB cache, and it picks the same victim, ties included: the
+//! largest next use (the oldest stamp for LRU and FIFO), the lowest line
+//! index among equals. `crates/hw/tests/cache_reference.rs` pins it to
+//! the linear scan. Gaussian ids are splat indices, so the line of each
+//! id and the next-use scan are dense vectors.
 
 /// Replacement policy of the feature cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,33 +54,51 @@ impl CacheStats {
     }
 }
 
+/// `line_of` entry of a Gaussian that holds no line.
+const NO_LINE: u32 = u32::MAX;
+
 /// A set-less (fully associative) feature cache, as the paper's small
 /// capacity and comparator-array replacement imply.
 #[derive(Debug)]
 pub struct GaussianReuseCache {
     policy: Policy,
     capacity: usize,
-    /// line index by Gaussian id.
-    map: HashMap<u32, usize>,
-    /// (gaussian, priority) per line. Priority semantics depend on policy:
-    /// next-use position (ReuseDistance), last-use stamp (LRU),
-    /// insertion stamp (FIFO).
-    lines: Vec<(u32, u64)>,
+    /// Line of each Gaussian id, or [`NO_LINE`].
+    line_of: Vec<u32>,
+    /// Gaussian id held by each line.
+    gaussian: Vec<u32>,
+    /// Every line as (eviction key, line), a binary max-heap in eviction
+    /// order with the victim at the root: the larger key first, the
+    /// lower line among equal keys. The key is the next-use position
+    /// (ReuseDistance) or `u64::MAX` minus the last-use stamp (LRU) or
+    /// the insertion stamp (FIFO).
+    heap: Vec<(u64, u32)>,
+    /// Heap slot of each line.
+    slot: Vec<u32>,
     stamp: u64,
     stats: CacheStats,
 }
 
+/// Whether heap entry `a` is evicted before `b`.
+#[inline]
+fn evicts_first(a: (u64, u32), b: (u64, u32)) -> bool {
+    a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
 impl GaussianReuseCache {
-    /// Creates a cache with space for `capacity` feature lines.
+    /// Creates a cache with space for `capacity` feature lines, for
+    /// Gaussian ids below `ids` (the splat count).
     ///
     /// A zero capacity is allowed and models the "0 KB" point of Fig. 17
     /// (every access misses).
-    pub fn new(capacity: usize, policy: Policy) -> Self {
+    pub fn new(capacity: usize, policy: Policy, ids: usize) -> Self {
         Self {
             policy,
             capacity,
-            map: HashMap::with_capacity(capacity),
-            lines: Vec::with_capacity(capacity),
+            line_of: vec![NO_LINE; ids],
+            gaussian: Vec::new(),
+            heap: Vec::new(),
+            slot: Vec::new(),
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -90,20 +115,24 @@ impl GaussianReuseCache {
     /// of this Gaussian's *next* access, or `u64::MAX` when it is never
     /// accessed again — only meaningful under [`Policy::ReuseDistance`].
     /// Returns `true` on a hit.
+    ///
+    /// # Panics
+    ///
+    /// When `gaussian` is not below the cache's `ids`.
     pub fn access(&mut self, gaussian: u32, next_use: u64) -> bool {
         self.stamp += 1;
         self.stats.accesses += 1;
-        let priority = match self.policy {
+        let key = match self.policy {
             Policy::ReuseDistance => next_use,
-            Policy::Lru => self.stamp,
-            Policy::Fifo => 0, // set on install only
+            Policy::Lru | Policy::Fifo => u64::MAX - self.stamp,
         };
-        if let Some(&line) = self.map.get(&gaussian) {
+        let line = self.line_of[gaussian as usize];
+        if line != NO_LINE {
             self.stats.hits += 1;
             // Step 4 (Fig. 12): update the RD field on a hit (or the LRU
             // stamp); FIFO leaves the insertion stamp untouched.
             if self.policy != Policy::Fifo {
-                self.lines[line].1 = priority;
+                self.rekey(line, key);
             }
             return true;
         }
@@ -111,61 +140,94 @@ impl GaussianReuseCache {
         if self.capacity == 0 {
             return false;
         }
-        if self.lines.len() < self.capacity {
-            self.map.insert(gaussian, self.lines.len());
-            let install = if self.policy == Policy::Fifo { self.stamp } else { priority };
-            self.lines.push((gaussian, install));
+        if self.gaussian.len() < self.capacity {
+            let line = self.gaussian.len() as u32;
+            self.line_of[gaussian as usize] = line;
+            self.gaussian.push(gaussian);
+            self.slot.push(line);
+            self.heap.push((key, line));
+            self.sift_up(line as usize);
             return false;
         }
         // Steps 2-3 (Fig. 12): compare & select the victim, then load &
         // replace. ReuseDistance evicts the max next-use; LRU/FIFO evict
         // the min stamp.
-        let victim = match self.policy {
-            Policy::ReuseDistance => {
-                let mut best = 0usize;
-                for (i, &(_, p)) in self.lines.iter().enumerate() {
-                    if p > self.lines[best].1 {
-                        best = i;
-                    }
-                }
-                best
-            }
-            Policy::Lru | Policy::Fifo => {
-                let mut best = 0usize;
-                for (i, &(_, p)) in self.lines.iter().enumerate() {
-                    if p < self.lines[best].1 {
-                        best = i;
-                    }
-                }
-                best
-            }
-        };
+        let (victim_key, victim) = self.heap[0];
         // Bypass optimisation for the optimal policy: if the incoming
         // line's next use is farther than every resident line's, caching
         // it cannot help — keep the resident set (Belady allows bypass).
-        if self.policy == Policy::ReuseDistance && next_use > self.lines[victim].1 {
+        if self.policy == Policy::ReuseDistance && next_use > victim_key {
             return false;
         }
-        let (old, _) = self.lines[victim];
-        self.map.remove(&old);
-        self.map.insert(gaussian, victim);
-        let install = if self.policy == Policy::Fifo { self.stamp } else { priority };
-        self.lines[victim] = (gaussian, install);
+        let old = std::mem::replace(&mut self.gaussian[victim as usize], gaussian);
+        self.line_of[old as usize] = NO_LINE;
+        self.line_of[gaussian as usize] = victim;
+        self.rekey(victim, key);
         false
     }
+
+    /// Gives `line` eviction key `key` and restores the heap order.
+    fn rekey(&mut self, line: u32, key: u64) {
+        let i = self.slot[line as usize] as usize;
+        let old = std::mem::replace(&mut self.heap[i].0, key);
+        if key > old {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    fn place(&mut self, i: usize, entry: (u64, u32)) {
+        self.heap[i] = entry;
+        self.slot[entry.1 as usize] = i as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !evicts_first(entry, self.heap[parent]) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, entry);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let (entry, n) = (self.heap[i], self.heap.len());
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && evicts_first(self.heap[child + 1], self.heap[child]) {
+                child += 1;
+            }
+            if !evicts_first(self.heap[child], entry) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, entry);
+    }
+}
+
+/// One past the largest Gaussian id of `trace` (0 when empty).
+fn id_bound(trace: &[u32]) -> usize {
+    trace.iter().max().map_or(0, |&g| g as usize + 1)
 }
 
 /// Precomputes, for an access trace, the position of each access's *next*
 /// occurrence (`u64::MAX` when none) — the reuse-distance metadata the D&B
 /// engine attaches to its per-tile Gaussian lists (Fig. 12(a)).
 pub fn next_use_positions(trace: &[u32]) -> Vec<u64> {
-    let mut next: HashMap<u32, u64> = HashMap::new();
+    let mut next = vec![u64::MAX; id_bound(trace)];
     let mut out = vec![u64::MAX; trace.len()];
     for (i, &g) in trace.iter().enumerate().rev() {
-        if let Some(&n) = next.get(&g) {
-            out[i] = n;
-        }
-        next.insert(g, i as u64);
+        out[i] = std::mem::replace(&mut next[g as usize], i as u64);
     }
     out
 }
@@ -173,7 +235,7 @@ pub fn next_use_positions(trace: &[u32]) -> Vec<u64> {
 /// Runs a full trace through a cache and returns the statistics.
 pub fn simulate_trace(trace: &[u32], capacity: usize, policy: Policy) -> CacheStats {
     let next = next_use_positions(trace);
-    let mut cache = GaussianReuseCache::new(capacity, policy);
+    let mut cache = GaussianReuseCache::new(capacity, policy, id_bound(trace));
     for (i, &g) in trace.iter().enumerate() {
         cache.access(g, next[i]);
     }
@@ -270,7 +332,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let mut c = GaussianReuseCache::new(2, Policy::Lru);
+        let mut c = GaussianReuseCache::new(2, Policy::Lru, 2);
         assert!(!c.access(1, u64::MAX));
         assert!(c.access(1, u64::MAX));
         let s = c.stats();

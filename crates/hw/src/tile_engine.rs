@@ -12,15 +12,18 @@
 //!
 //! A frame is one walk over the D&B engine's output. The access stream
 //! goes through the Gaussian Reuse Cache, serially (its state threads
-//! through the whole frame); then `gbu_render::irss`'s tile-row kernel
-//! walks every (instance, row), one tile row per pool job, and tells each
-//! row span to the Row Generation Engine and Row-PE queue model here,
-//! which times the tiles. The same walk blends the image on the Row PE's
-//! FP-16 datapath (Sec. VI-B, [`irss::Fp16`]) or, with
-//! [`GbuConfig::fp16_datapath`] off, in FP32 ([`irss::Fp32`]), where the
-//! image is software IRSS's bit for bit ([`TileEngine::frame`]). Without a
-//! frame buffer it only times the frame ([`TileEngine::cost`]): a view
-//! probe's no-pixel walk.
+//! through the whole frame), at O(log n) per miss: the cache keeps its
+//! lines in a heap on the comparator array's eviction order
+//! ([`crate::cache`]). Then `gbu_render::irss`'s tile-row kernel walks
+//! every (instance, row), one tile row per pool job, and tells each row
+//! span to the Row Generation Engine and Row-PE queue model here, which
+//! times the tiles. The same walk blends the image on the Row PE's FP-16
+//! datapath (Sec. VI-B, [`irss::Fp16`]: binary16 rounding on `f32` bits
+//! with [`gbu_math::round_to_f16`], each instance's color rounded once)
+//! or, with [`GbuConfig::fp16_datapath`] off, in FP32 ([`irss::Fp32`]),
+//! where the image is software IRSS's bit for bit ([`TileEngine::frame`]).
+//! Without a frame buffer it only times the frame ([`TileEngine::cost`]):
+//! a view probe's no-pixel walk.
 //!
 //! Either way the [`FrameCost`] counts every instance and every evaluated
 //! fragment: the walk goes on through a tile whose pixels have all
@@ -302,7 +305,7 @@ impl TileEngine {
         // The access stream is the bins' entries (the instance stream in
         // tile order), exactly as the D&B engine feeds it.
         let cache_span = span("device_cache");
-        let mut cache = GaussianReuseCache::new(cfg.cache_lines(), policy);
+        let mut cache = GaussianReuseCache::new(cfg.cache_lines(), policy, dnb.transforms.len());
         for (&entry, &next_use) in bins.entries.iter().zip(&dnb.next_use) {
             cache.access(entry, next_use);
         }

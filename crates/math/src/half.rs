@@ -8,6 +8,11 @@
 //!
 //! The implementation covers normals, subnormals, infinities and NaN; it is
 //! validated against `f32` reference behaviour by unit and property tests.
+//!
+//! [`F16`] is the reference. Hot loops that keep binary16 values in `f32`
+//! storage round with [`round_to_f16`] instead, which gives the same bits
+//! as `F16::from_f32(x).to_f32()` for every `f32` without the branches
+//! of the field-by-field conversion.
 
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
@@ -159,8 +164,11 @@ impl F16 {
         (self.0 & 0x7C00) != 0x7C00
     }
 
-    /// Fused sequence `self * a + b` with a *single* rounding at the end,
-    /// modelling the Row PE's FMA units.
+    /// `self * a + b`, evaluated in `f32` and then rounded to binary16.
+    ///
+    /// This is not a fused multiply-add: the `f32` sum is itself rounded
+    /// whenever it is inexact, so the result is rounded twice and can
+    /// differ from a single rounding of the exact `self * a + b`.
     pub fn mul_add(self, a: Self, b: Self) -> Self {
         Self::from_f32(self.to_f32() * a.to_f32() + b.to_f32())
     }
@@ -176,6 +184,36 @@ impl F16 {
     pub fn abs(self) -> Self {
         Self(self.0 & 0x7FFF)
     }
+}
+
+/// Rounds `x` to the nearest binary16 value (ties to even) and returns it
+/// as `f32`: the bits of `F16::from_f32(x).to_f32()`, for every `f32`.
+///
+/// Normal binary16 values (|x| ≥ 2⁻¹⁴) round on the `f32` bits: add
+/// `0x0FFF` plus the lowest kept bit, then clear the 13 bits binary16 does
+/// not have. Subnormals are multiples of 2⁻²⁴, the `f32` spacing just above
+/// 0.5, so `(|x| + 0.5) − 0.5` rounds them exactly. |x| ≥ 65520 becomes
+/// ±∞, and NaN the quiet NaN the round trip gives.
+#[inline]
+pub fn round_to_f16(x: f32) -> f32 {
+    /// 2⁻¹⁴, the smallest normal binary16 value.
+    const MIN_NORMAL: u32 = 0x3880_0000;
+    /// 65520, halfway from the largest binary16 value to 2¹⁶.
+    const OVERFLOW: u32 = 0x477F_F000;
+    const INFINITY: u32 = 0x7F80_0000;
+    let (sign, abs) = (x.to_bits() & 0x8000_0000, x.to_bits() & 0x7FFF_FFFF);
+    let rounded = if abs >= OVERFLOW {
+        if abs > INFINITY {
+            0x7FC0_0000
+        } else {
+            INFINITY
+        }
+    } else if abs >= MIN_NORMAL {
+        (abs + 0x0FFF + ((abs >> 13) & 1)) & !0x1FFF
+    } else {
+        ((f32::from_bits(abs) + 0.5) - 0.5).to_bits()
+    };
+    f32::from_bits(sign | rounded)
 }
 
 impl From<f32> for F16 {
@@ -311,9 +349,9 @@ mod tests {
 
     #[test]
     fn mul_add_single_rounding() {
-        // Choose values where fused vs separate rounding differ:
-        // a*b = 1 + 2^-11 exactly; fused with c = 2^-13 keeps the low bits
-        // alive until the single final rounding.
+        // a*b = 1 + 2^-9 + 2^-20 and a*b + c = 1 + 2^-8 + 2^-20 are exact
+        // in f32, so the binary16 rounding at the end is the only one
+        // here. (An inexact f32 sum would be rounded twice.)
         let a = F16::from_f32(1.0 + 2.0_f32.powi(-10));
         let b = F16::from_f32(1.0 + 2.0_f32.powi(-10));
         let c = F16::from_f32(2.0_f32.powi(-9));

@@ -10,7 +10,8 @@
 //!   transformation (Sec. IV-B),
 //! - quaternions for Gaussian orientations ([`Quat`]),
 //! - a software half-precision float ([`F16`]) used to model the GBU Row PE's
-//!   FP-16 datapath (Sec. VI-B),
+//!   FP-16 datapath (Sec. VI-B), and [`round_to_f16`], the same rounding on
+//!   `f32` storage for hot loops,
 //! - truncated-ellipse geometry helpers ([`ellipse`]),
 //! - an LSD radix sort for (tile, depth) keys, both serial and
 //!   chunk-parallel through a caller-supplied executor so this crate stays
@@ -42,7 +43,7 @@ mod sym2;
 mod vec;
 
 pub use ellipse::EllipseBounds;
-pub use half::F16;
+pub use half::{round_to_f16, F16};
 pub use mat::{Mat2, Mat3, Mat4};
 pub use quat::Quat;
 pub use sym2::{Evd2, Sym2};

@@ -38,7 +38,7 @@ use crate::scratch::{blend_tile_rows, BlendScratch, TileScratch};
 use crate::splat::{alpha_from_q, Splat2D};
 use crate::stats::{BlendStats, FLOPS_BLEND, FLOPS_Q_FULL, FLOPS_Q_T2};
 use crate::{FrameBuffer, RenderConfig};
-use gbu_math::{Mat2, Vec2, Vec3, F16};
+use gbu_math::{round_to_f16, Mat2, Vec2, Vec3};
 use gbu_par::ThreadPool;
 use gbu_scene::Camera;
 
@@ -221,7 +221,16 @@ impl IrssSplat {
 /// fragment of opacity `alpha` and color `rgb` into a pixel's accumulated
 /// `color` and transmittance `trans`.
 pub trait Datapath {
-    /// Blends one fragment into a pixel.
+    /// An instance's color as the datapath holds it, taken once per
+    /// instance and passed to every [`Datapath::blend`] of its fragments.
+    /// The identity unless the datapath is narrower than `f32`.
+    #[inline]
+    fn color(rgb: Vec3) -> Vec3 {
+        rgb
+    }
+
+    /// Blends one fragment of color `rgb` (from [`Datapath::color`]) into
+    /// a pixel.
     fn blend(color: &mut Vec3, trans: &mut f32, alpha: f32, rgb: Vec3);
 }
 
@@ -238,24 +247,31 @@ impl Datapath for Fp32 {
 }
 
 /// The GBU Row PE's FP-16 datapath (Sec. VI-B), the source of Tab. IV's
-/// small PSNR loss: α, the blend weight, each color channel and the
-/// transmittance are rounded to binary16 after every operation, and each
-/// color update is one multiply-add that rounds once ([`F16::mul_add`]).
-/// The pixel state stays in `f32` storage holding binary16 values
-/// exactly, so the saturation test and compositing read it unchanged.
+/// small PSNR loss: α, the blend weight, each color channel (once per
+/// instance) and the transmittance are rounded to binary16 after every
+/// operation ([`round_to_f16`]). Each color update is
+/// [`F16::mul_add`](gbu_math::F16::mul_add)'s arithmetic: the multiply-add
+/// is evaluated in `f32` and then rounded to binary16, which is two
+/// roundings, not one, whenever the `f32` result is inexact. The pixel
+/// state stays in `f32` storage holding binary16 values exactly, so the
+/// saturation test and compositing read it unchanged.
 #[derive(Debug)]
 pub enum Fp16 {}
 
 impl Datapath for Fp16 {
     #[inline]
+    fn color(rgb: Vec3) -> Vec3 {
+        Vec3::new(round_to_f16(rgb.x), round_to_f16(rgb.y), round_to_f16(rgb.z))
+    }
+
+    #[inline]
     fn blend(color: &mut Vec3, trans: &mut f32, alpha: f32, rgb: Vec3) {
-        let half = |x: f32| F16::from_f32(x).to_f32();
-        let a = half(alpha);
-        let w = half(a * *trans);
-        let mul_add = |c: f32, acc: f32| half(half(c) * w + acc);
+        let a = round_to_f16(alpha);
+        let w = round_to_f16(a * *trans);
+        let mul_add = |c: f32, acc: f32| round_to_f16(c * w + acc);
         *color =
             Vec3::new(mul_add(rgb.x, color.x), mul_add(rgb.y, color.y), mul_add(rgb.z, color.z));
-        *trans = half(*trans * half(1.0 - a));
+        *trans = round_to_f16(*trans * round_to_f16(1.0 - a));
     }
 }
 
@@ -379,6 +395,7 @@ fn blend_tile_row<D: Datapath, M: RowPes>(
             stats.instances += 1;
             pes.instance();
             let isp = &isplats[entry as usize];
+            let rgb = D::color(isp.color);
             let (mut instance_row_max, mut spans) = (0u32, 0u32);
             for py in y0..y1 {
                 stats.rows_considered += 1;
@@ -413,7 +430,7 @@ fn blend_tile_row<D: Datapath, M: RowPes>(
                                 }
                                 let alpha = alpha_from_q(isp.opacity, q);
                                 blended += 1;
-                                D::blend(&mut color[idx], &mut trans[idx], alpha, isp.color);
+                                D::blend(&mut color[idx], &mut trans[idx], alpha, rgb);
                                 if trans[idx] < T_SATURATED {
                                     alive -= 1;
                                 }

@@ -19,9 +19,10 @@
 //! span to the Row Generation Engine and Row-PE queue model here, which
 //! times the tiles. The same walk blends the image on the Row PE's FP-16
 //! datapath (Sec. VI-B, [`irss::Fp16`]: binary16 rounding on `f32` bits
-//! with [`gbu_math::round_to_f16`], each instance's color rounded once)
-//! or, with [`GbuConfig::fp16_datapath`] off, in FP32 ([`irss::Fp32`]),
-//! where the image is software IRSS's bit for bit ([`TileEngine::frame`]).
+//! behind one range check per fragment, [`gbu_math::round_to_f16`] on
+//! every value where it fails, each instance's color rounded once) or,
+//! with [`GbuConfig::fp16_datapath`] off, in FP32 ([`irss::Fp32`]), where
+//! the image is software IRSS's bit for bit ([`TileEngine::frame`]).
 //! Without a frame buffer it only times the frame ([`TileEngine::cost`]):
 //! a view probe's no-pixel walk.
 //!

@@ -12,7 +12,10 @@
 //! [`F16`] is the reference. Hot loops that keep binary16 values in `f32`
 //! storage round with [`round_to_f16`] instead, which gives the same bits
 //! as `F16::from_f32(x).to_f32()` for every `f32` without the branches
-//! of the field-by-field conversion.
+//! of the field-by-field conversion. Its two parts are public for loops
+//! that know their operands' range: [`round_to_f16_normal`] for results
+//! that are zero or normal binary16 values, and [`round_to_f16_finite`]
+//! for any result below the overflow edge, with no branch.
 
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
@@ -173,12 +176,6 @@ impl F16 {
         Self::from_f32(self.to_f32() * a.to_f32() + b.to_f32())
     }
 
-    /// `e^{-self}` rounded to binary16, modelling the Row PE's exponent LUT
-    /// (Fig. 11(d) shows an `LUT` feeding the opacity path).
-    pub fn exp_neg(self) -> Self {
-        Self::from_f32((-self.to_f32()).exp())
-    }
-
     /// Absolute value.
     #[inline]
     pub fn abs(self) -> Self {
@@ -186,34 +183,62 @@ impl F16 {
     }
 }
 
+/// The sign bit of an `f32`.
+const SIGN: u32 = 0x8000_0000;
+/// 2⁻¹⁴, the smallest normal binary16 value, as `f32` bits.
+const MIN_NORMAL: u32 = 0x3880_0000;
+/// 65520 as `f32` bits: halfway from the largest binary16 value to 2¹⁶,
+/// where rounding overflows to infinity.
+const OVERFLOW: u32 = 0x477F_F000;
+
 /// Rounds `x` to the nearest binary16 value (ties to even) and returns it
 /// as `f32`: the bits of `F16::from_f32(x).to_f32()`, for every `f32`.
 ///
-/// Normal binary16 values (|x| ≥ 2⁻¹⁴) round on the `f32` bits: add
-/// `0x0FFF` plus the lowest kept bit, then clear the 13 bits binary16 does
-/// not have. Subnormals are multiples of 2⁻²⁴, the `f32` spacing just above
-/// 0.5, so `(|x| + 0.5) − 0.5` rounds them exactly. |x| ≥ 65520 becomes
-/// ±∞, and NaN the quiet NaN the round trip gives.
+/// Below the overflow edge this is [`round_to_f16_finite`]. |x| ≥ 65520
+/// becomes ±∞, and NaN the quiet NaN the round trip gives.
 #[inline]
 pub fn round_to_f16(x: f32) -> f32 {
-    /// 2⁻¹⁴, the smallest normal binary16 value.
-    const MIN_NORMAL: u32 = 0x3880_0000;
-    /// 65520, halfway from the largest binary16 value to 2¹⁶.
-    const OVERFLOW: u32 = 0x477F_F000;
     const INFINITY: u32 = 0x7F80_0000;
-    let (sign, abs) = (x.to_bits() & 0x8000_0000, x.to_bits() & 0x7FFF_FFFF);
-    let rounded = if abs >= OVERFLOW {
-        if abs > INFINITY {
-            0x7FC0_0000
-        } else {
-            INFINITY
-        }
-    } else if abs >= MIN_NORMAL {
-        (abs + 0x0FFF + ((abs >> 13) & 1)) & !0x1FFF
+    let (sign, abs) = (x.to_bits() & SIGN, x.to_bits() & !SIGN);
+    if abs >= OVERFLOW {
+        f32::from_bits(sign | if abs > INFINITY { 0x7FC0_0000 } else { INFINITY })
     } else {
-        ((f32::from_bits(abs) + 0.5) - 0.5).to_bits()
-    };
-    f32::from_bits(sign | rounded)
+        round_to_f16_finite(x)
+    }
+}
+
+/// [`round_to_f16`] for x ∈ {±0} ∪ ±[2⁻¹⁴, 65520), where the result is
+/// zero or a normal binary16 value; other inputs give wrong bits (and
+/// never panic).
+///
+/// It rounds on the `f32` bits: add `0x0FFF` plus the lowest kept bit,
+/// then clear the 13 bits binary16 does not have. A carry out of the
+/// fraction steps the exponent, which is the right result there too.
+#[inline]
+pub fn round_to_f16_normal(x: f32) -> f32 {
+    let bits = x.to_bits();
+    f32::from_bits(bits.wrapping_add(0x0FFF + ((bits >> 13) & 1)) & !0x1FFF)
+}
+
+/// Whether x ∈ [2⁻¹⁴, 65520): positive, and inside the domain of
+/// [`round_to_f16_normal`]. False for zeros, subnormals, negative values,
+/// infinities and NaN. One compare on the bits.
+#[inline]
+pub fn in_f16_normal_range(x: f32) -> bool {
+    x.to_bits().wrapping_sub(MIN_NORMAL) < OVERFLOW - MIN_NORMAL
+}
+
+/// [`round_to_f16`] for |x| < 65520, with no branch: it computes both the
+/// normal rounding ([`round_to_f16_normal`]) and the subnormal one and
+/// selects by magnitude. Binary16 subnormals are multiples of 2⁻²⁴, the
+/// `f32` spacing just above 0.5, so `(|x| + 0.5) − 0.5` rounds them
+/// exactly (ties to even). Other inputs give wrong bits.
+#[inline]
+pub fn round_to_f16_finite(x: f32) -> f32 {
+    let (sign, abs) = (x.to_bits() & SIGN, x.to_bits() & !SIGN);
+    let normal = round_to_f16_normal(f32::from_bits(abs)).to_bits();
+    let subnormal = ((f32::from_bits(abs) + 0.5) - 0.5).to_bits();
+    f32::from_bits(sign | if abs >= MIN_NORMAL { normal } else { subnormal })
 }
 
 impl From<f32> for F16 {
@@ -358,15 +383,6 @@ mod tests {
         let fused = a.mul_add(b, c);
         let expected = F16::from_f32(a.to_f32() * b.to_f32() + c.to_f32());
         assert_eq!(fused, expected);
-    }
-
-    #[test]
-    fn exp_neg_matches_f32_within_half_ulp_scale() {
-        for &q in &[0.0f32, 0.5, 1.0, 2.5, 8.0] {
-            let got = F16::from_f32(q).exp_neg().to_f32();
-            let want = (-q).exp();
-            assert!((got - want).abs() <= want * 1e-3 + 1e-4, "exp(-{q}): {got} vs {want}");
-        }
     }
 
     #[test]

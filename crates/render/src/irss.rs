@@ -38,6 +38,7 @@ use crate::scratch::{blend_tile_rows, BlendScratch, TileScratch};
 use crate::splat::{alpha_from_q, Splat2D};
 use crate::stats::{BlendStats, FLOPS_BLEND, FLOPS_Q_FULL, FLOPS_Q_T2};
 use crate::{FrameBuffer, RenderConfig};
+use gbu_math::half::{in_f16_normal_range, round_to_f16_finite, round_to_f16_normal};
 use gbu_math::{round_to_f16, Mat2, Vec2, Vec3};
 use gbu_par::ThreadPool;
 use gbu_scene::Camera;
@@ -230,7 +231,12 @@ pub trait Datapath {
     }
 
     /// Blends one fragment of color `rgb` (from [`Datapath::color`]) into
-    /// a pixel.
+    /// a pixel. Only this datapath's blends write a pixel's state, from
+    /// color 0 and T = 1, so it holds values the datapath produces:
+    /// binary16 values for [`Fp16`], which relies on that for `trans`
+    /// and debug-asserts it. Every other input, `alpha` and `rgb`
+    /// included, may be any `f32` (the kernel passes α ≤ 0.99 from
+    /// [`alpha_from_q`]) and gets the datapath's exact bits.
     fn blend(color: &mut Vec3, trans: &mut f32, alpha: f32, rgb: Vec3);
 }
 
@@ -249,12 +255,25 @@ impl Datapath for Fp32 {
 /// The GBU Row PE's FP-16 datapath (Sec. VI-B), the source of Tab. IV's
 /// small PSNR loss: α, the blend weight, each color channel (once per
 /// instance) and the transmittance are rounded to binary16 after every
-/// operation ([`round_to_f16`]). Each color update is
+/// operation, to the bits [`round_to_f16`] gives. Each color update is
 /// [`F16::mul_add`](gbu_math::F16::mul_add)'s arithmetic: the multiply-add
 /// is evaluated in `f32` and then rounded to binary16, which is two
 /// roundings, not one, whenever the `f32` result is inexact. The pixel
 /// state stays in `f32` storage holding binary16 values exactly, so the
 /// saturation test and compositing read it unchanged.
+///
+/// A blend takes a fast path when one range check holds: α ∈ [2⁻¹⁴, 1)
+/// and every color sum and T·(1−α) in [2⁻¹⁴, 65520). Then α, 1−α, the
+/// color sums and T·(1−α) all round to zero or a normal binary16 value,
+/// so [`round_to_f16_normal`] rounds them, and α·T rounds with
+/// [`round_to_f16_finite`], with no branch for the weights below 2⁻¹⁴
+/// (1–21% of blends on the registry scenes). T needs no check of its
+/// own: it holds a binary16 value ([`Datapath::blend`]), so |α·T| stays
+/// below 65504, and a zero, negative, infinite or NaN T fails the
+/// T·(1−α) check. Any other blend (a zero or subnormal color sum or
+/// T·(1−α), overflow, NaN, a negative value) is redone by a cold copy of
+/// the step that rounds every value with [`round_to_f16`]. Both give the
+/// same bits for every input.
 #[derive(Debug)]
 pub enum Fp16 {}
 
@@ -266,13 +285,31 @@ impl Datapath for Fp16 {
 
     #[inline]
     fn blend(color: &mut Vec3, trans: &mut f32, alpha: f32, rgb: Vec3) {
-        let a = round_to_f16(alpha);
-        let w = round_to_f16(a * *trans);
-        let mul_add = |c: f32, acc: f32| round_to_f16(c * w + acc);
-        *color =
-            Vec3::new(mul_add(rgb.x, color.x), mul_add(rgb.y, color.y), mul_add(rgb.z, color.z));
-        *trans = round_to_f16(*trans * round_to_f16(1.0 - a));
+        let t = *trans;
+        debug_assert!(t.is_nan() || round_to_f16(t) == t, "T = {t:e} is not a binary16 value");
+        let a = round_to_f16_normal(alpha);
+        let sum = rgb * round_to_f16_finite(a * t) + *color;
+        let out = [sum.x, sum.y, sum.z, t * round_to_f16_normal(1.0 - a)];
+        let alpha_in_range = in_f16_normal_range(alpha) & (alpha < 1.0);
+        if out.iter().fold(alpha_in_range, |ok, &v| ok & in_f16_normal_range(v)) {
+            let [r, g, b, next] = out.map(round_to_f16_normal);
+            (*color, *trans) = (Vec3::new(r, g, b), next);
+        } else {
+            fp16_blend_rounding_every_value(color, trans, alpha, rgb);
+        }
     }
+}
+
+/// [`Fp16`]'s blend outside its fast path: the same operations, each
+/// result rounded with [`round_to_f16`], which covers every input.
+#[cold]
+#[inline(never)]
+fn fp16_blend_rounding_every_value(color: &mut Vec3, trans: &mut f32, alpha: f32, rgb: Vec3) {
+    let a = round_to_f16(alpha);
+    let w = round_to_f16(a * *trans);
+    let mul_add = |c: f32, acc: f32| round_to_f16(c * w + acc);
+    *color = Vec3::new(mul_add(rgb.x, color.x), mul_add(rgb.y, color.y), mul_add(rgb.z, color.z));
+    *trans = round_to_f16(*trans * round_to_f16(1.0 - a));
 }
 
 /// A Row-PE timing model fed by the tile-row kernel's walk (Sec. V-C,

@@ -3,10 +3,12 @@
 //! The paper's correctness claims (Sec. IV-B/C) in property form:
 //! the two-step transformation preserves Eq. 7 exactly, the row-skip test
 //! never discards a significant fragment, and the first/last-fragment
-//! procedure finds exactly the brute-force fragment set.
+//! procedure finds exactly the brute-force fragment set. The Row PE's
+//! FP-16 blend step ([`Fp16`]) equals a step on [`F16`] values bit for
+//! bit, fast path and fallback alike.
 
-use gbu_math::{Sym2, Vec2, Vec3};
-use gbu_render::irss::{IrssSplat, RowOutcome};
+use gbu_math::{Sym2, Vec2, Vec3, F16};
+use gbu_render::irss::{Datapath, Fp16, IrssSplat, RowOutcome};
 use gbu_render::preprocess::pixel_center;
 use gbu_render::Splat2D;
 use proptest::prelude::*;
@@ -131,5 +133,89 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// One front-to-back blend step on binary16 values, every operation
+/// rounded: the `Fp16Pixel::blend` of `tests/pipeline_equivalence.rs`.
+fn f16_step(color: [F16; 3], trans: F16, alpha: f32, rgb: Vec3) -> ([F16; 3], F16) {
+    let a = F16::from_f32(alpha);
+    let w = a * trans;
+    let mut out = color;
+    for (c, v) in out.iter_mut().zip([rgb.x, rgb.y, rgb.z]) {
+        *c = F16::from_f32(v).mul_add(w, *c);
+    }
+    (out, trans * (F16::ONE - a))
+}
+
+/// A value of the binary16 class `class` picks: ±0, a subnormal, 2⁻¹⁴,
+/// its binary16 or `f32` neighbours, 0.99, 1, 65504, ±∞, NaN (any sign
+/// and payload), a negative value, or (for three classes in four) an
+/// in-range value, log-uniform over (2⁻¹⁸, 1].
+fn class_value(class: u32, bits: u32, unit: f32) -> f32 {
+    let min_normal = F16::MIN_POSITIVE.to_f32();
+    let in_range = 2f32.powf(-18.0 * unit);
+    match class {
+        0 => 0.0,
+        1 => -0.0,
+        2 => F16::from_bits(1 + (bits % 0x03FF) as u16).to_f32(),
+        3 => min_normal,
+        4 => F16::from_bits(if bits & 1 == 0 { 0x03FF } else { 0x0401 }).to_f32(),
+        5 => f32::from_bits(if bits & 1 == 0 {
+            min_normal.to_bits() - 1
+        } else {
+            min_normal.to_bits() + 1
+        }),
+        6 => 0.99,
+        7 => 1.0,
+        8 => 65504.0,
+        9 => f32::INFINITY,
+        10 => f32::NEG_INFINITY,
+        11 => f32::from_bits(0x7F80_0001 | bits),
+        12 => -in_range,
+        _ => in_range,
+    }
+}
+
+/// The bits of `x`, every NaN as the canonical quiet NaN: Rust leaves
+/// the sign and payload of a NaN an operation returns unspecified.
+fn canonical_bits(x: f32) -> u32 {
+    if x.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// `Fp16::blend` (after `Fp16::color`) equals the step on `F16`
+    /// values bit for bit, for α, T, each rgb channel and each color
+    /// channel drawn from every binary16 class: its fast path where the
+    /// range check holds, its fallback everywhere else. The pixel state
+    /// (T and the color) holds binary16 values, as in the kernel. A NaN
+    /// result must be NaN in both.
+    #[test]
+    fn fp16_blend_equals_the_f16_reference_step(
+        draws in proptest::collection::vec((0u32..52, any::<u32>(), 0.0f32..1.0), 8..9),
+    ) {
+        let v: Vec<f32> = draws.iter().map(|&(c, bits, unit)| class_value(c, bits, unit)).collect();
+        let (alpha, rgb) = (v[0], Vec3::new(v[1], v[2], v[3]));
+        let trans = F16::from_f32(v[4]);
+        let color = [F16::from_f32(v[5]), F16::from_f32(v[6]), F16::from_f32(v[7])];
+        let (want_color, want_trans) = f16_step(color, trans, alpha, rgb);
+
+        let mut got_color = Vec3::new(color[0].to_f32(), color[1].to_f32(), color[2].to_f32());
+        let mut got_trans = trans.to_f32();
+        Fp16::blend(&mut got_color, &mut got_trans, alpha, Fp16::color(rgb));
+        let got = [got_color.x, got_color.y, got_color.z, got_trans].map(canonical_bits);
+        let want = [want_color[0], want_color[1], want_color[2], want_trans]
+            .map(|h| canonical_bits(h.to_f32()));
+        prop_assert_eq!(
+            got, want,
+            "α {:e}, rgb {:?}, T {:e}, color {:?}",
+            alpha, rgb, trans.to_f32(), color.map(F16::to_f32)
+        );
     }
 }

@@ -9,6 +9,7 @@
 
 use gbu_hw::cache::Policy;
 use gbu_hw::{dnb, GbuConfig, TileEngine};
+use gbu_math::ellipse::ALPHA_MIN;
 use gbu_math::{Quat, Vec3, F16};
 use gbu_render::binning::TileBins;
 use gbu_render::irss::{IrssSplat, RowOutcome};
@@ -221,11 +222,32 @@ fn opaque_stack(camera: &Camera, at: Vec3, sigma: f32, layers: u32) -> Vec<Gauss
         .collect()
 }
 
+/// `count` Gaussians whose blends leave the FP16 datapath's fast path for
+/// its fallback: each has a zero color channel and channels below 2⁻¹⁴
+/// (an SH color of -1 clamps to exactly 0), and an opacity just above
+/// `ALPHA_MIN`, spread in depth around `at` so some blend into fresh
+/// pixels and some behind the opaque stacks.
+fn faint_instances(at: Vec3, sigma: f32, count: u32) -> Vec<Gaussian3D> {
+    (0..count)
+        .map(|i| {
+            let tiny = 2f32.powi(-15 - (i % 8) as i32);
+            let color = [
+                Vec3::new(-1.0, tiny, 0.5),
+                Vec3::new(tiny, -1.0, tiny),
+                Vec3::new(0.75, tiny, -1.0),
+            ][i as usize % 3];
+            let opacity = ALPHA_MIN * (1.0 + 0.05 * (1 + i % 5) as f32);
+            let depth = Vec3::new(0.0, 0.0, 0.1 * i as f32 - 0.05 * count as f32);
+            Gaussian3D::isotropic(at + depth, sigma, color, opacity)
+        })
+        .collect()
+}
+
 type RandomGaussian = (f32, f32, f32, f32, f32, f32, f32, f32);
 
 /// Random Gaussians (every other one anisotropic and rotated) plus a
-/// broad and a tiny opaque stack, in a 16-px-tile frame whose size clips
-/// the last tile column and row.
+/// broad and a tiny opaque stack and a cluster of faint instances, in a
+/// 16-px-tile frame whose size clips the last tile column and row.
 fn random_frame() -> impl Strategy<Value = (GaussianScene, Camera)> {
     let gaussians = proptest::collection::vec(
         (
@@ -247,8 +269,9 @@ fn random_frame() -> impl Strategy<Value = (GaussianScene, Camera)> {
         0.0f32..6.2,
         (-0.5f32..0.5, -0.4f32..0.4, 0.6f32..1.5, 10u32..30),
         (-0.5f32..0.5, -0.4f32..0.4, 0.005f32..0.03, 3u32..10),
+        (-0.5f32..0.5, -0.4f32..0.4, 0.05f32..0.4, 3u32..16),
     )
-        .prop_map(|(gaussians, tiles, rem, azimuth, broad, tiny)| {
+        .prop_map(|(gaussians, tiles, rem, azimuth, broad, tiny, faint)| {
             let (width, height) = (16 * tiles.0 + rem.0, 16 * tiles.1 + rem.1);
             let camera = Camera::orbit(width, height, 1.0, Vec3::ZERO, 3.0, azimuth, 0.15);
             let mut scene: Vec<Gaussian3D> = gaussians
@@ -268,6 +291,7 @@ fn random_frame() -> impl Strategy<Value = (GaussianScene, Camera)> {
                 .collect();
             scene.extend(opaque_stack(&camera, Vec3::new(broad.0, broad.1, 0.0), broad.2, broad.3));
             scene.extend(opaque_stack(&camera, Vec3::new(tiny.0, tiny.1, 0.0), tiny.2, tiny.3));
+            scene.extend(faint_instances(Vec3::new(faint.0, faint.1, 0.0), faint.2, faint.3));
             (scene.into_iter().collect(), camera)
         })
 }
